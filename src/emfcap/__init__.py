@@ -22,14 +22,8 @@ from .policy import (
     ControlDecision,
     DppConfig,
     DppPolicy,
-    DppState,
     GreedyPolicy,
     alpha_fair,
-    cautious_control,
-    dpp_control,
-    greedy_control,
-    make_policy,
-    queue_update,
 )
 from .sim import (
     ComplianceReport,
@@ -54,7 +48,6 @@ __all__ = [
     "ControlDecision",
     "DppConfig",
     "DppPolicy",
-    "DppState",
     "EmfConfig",
     "GreedyPolicy",
     "POLICY_KINDS",
@@ -66,13 +59,8 @@ __all__ = [
     "budget_from_omega",
     "budget_oracle_minform",
     "budget_scratch",
-    "cautious_control",
     "compare_budgets",
-    "dpp_control",
-    "greedy_control",
-    "make_policy",
     "omega_naive",
-    "queue_update",
     "queue_zero_every_window",
     "run_simulation",
     "score_trace",

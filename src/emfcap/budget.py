@@ -30,6 +30,7 @@ nothing shared internally, safe to hand off between threads.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -48,8 +49,8 @@ class EmfConfig:
         object.__setattr__(self, "guaranteed_ratio", float(self.guaranteed_ratio))
         if self.window_w < 1:
             raise ValueError("window_w must be >= 1")
-        if not self.threshold > 0.0:
-            raise ValueError("threshold must be positive")
+        if not 0.0 < self.threshold < math.inf:
+            raise ValueError("threshold must be positive and finite")
         if not 0.0 <= self.guaranteed_ratio <= 1.0:
             raise ValueError("guaranteed_ratio must lie in [0, 1]")
 
@@ -198,8 +199,8 @@ class BudgetState:
 
     def update(self, c: float) -> "BudgetState":
         """Advance one period after consuming ``c``. Returns ``self``."""
-        if c < 0.0:
-            raise ValueError("consumption must be nonnegative")
+        if not 0.0 <= c < math.inf:
+            raise ValueError("consumption must be finite and nonnegative")
         cfg = self.cfg
         floor = cfg.floor
         w = cfg.window_w
@@ -270,8 +271,8 @@ class ConservativeBudgetState:
 
     def update(self, c: float) -> "ConservativeBudgetState":
         """Add the incoming clipped overshoot, drop the outgoing one."""
-        if c < 0.0:
-            raise ValueError("consumption must be nonnegative")
+        if not 0.0 <= c < math.inf:
+            raise ValueError("consumption must be finite and nonnegative")
         cfg = self.cfg
         floor = cfg.floor
         win = self._window

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-import tempfile
+from dataclasses import MISSING, fields
 from pathlib import Path
 from time import perf_counter
 
@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .bench import bench_suite
 from .budget import EmfConfig
+from .output import atomic_write_text, csv_text
 from .policy import POLICY_KINDS, DppConfig
 from .sim import (
     SimConfig,
@@ -37,21 +38,29 @@ from .traffic import TrafficConfig
 
 SEED_ENV_VAR = "EMFCAP_SEED"
 
+
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+# Model parameters default to the config dataclasses' field defaults; the
+# rest are CLI-only.
+_DPP, _TRAFFIC, _SIM = map(_field_defaults, (DppConfig, TrafficConfig, SimConfig))
 DEFAULTS = {
-    "policy": "dpp_exact",
+    "policy": _SIM["policy_kind"],
     "W": 10,
     "C_bar": 1.0,
     "rho": 0.15,
-    "alpha": 1.0,
-    "beta": 0.95,
-    "V": 15.0,
-    "load": 0.2,
-    "zipf_exponent": 2.0,
-    "zipf_support": 20,
+    "alpha": _DPP["alpha"],
+    "beta": _DPP["beta"],
+    "V": _DPP["v_weight"],
+    "load": _TRAFFIC["load"],
+    "zipf_exponent": _TRAFFIC["zipf_exponent"],
+    "zipf_support": _TRAFFIC["zipf_support"],
     "demand_scale": None,  # resolved to C_bar / 4
-    "horizon": 1000,
+    "horizon": _SIM["horizon"],
     "seed": None,  # resolved from EMFCAP_SEED, else 0
-    "reps": 100,
+    "reps": _SIM["replications"],
     "tolerance": 1e-9,
     "loads": [0.05, 0.2, 0.5, 0.9],
     "v_grid": [1.0, 2.0, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0],
@@ -86,10 +95,14 @@ class CliError(Exception):
 # ── parameter resolution ──────────────────────────────────────────────
 
 
+def _reject_constant(name: str):
+    raise CliError(f"config file: non-finite number {name} is not allowed")
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -123,6 +136,9 @@ def _resolve(args: argparse.Namespace, keys: tuple) -> dict:
         resolved["seed"] = int(env) if env else 0
     if "demand_scale" in resolved and resolved["demand_scale"] is None:
         resolved["demand_scale"] = resolved["C_bar"] / 4.0
+    tol = resolved.get("tolerance", 0.0)
+    if not isinstance(tol, (int, float)) or not 0.0 <= tol < math.inf:
+        raise CliError(f"--tolerance must be finite and nonnegative, got {tol!r}")
     for grid_key in ("loads", "v_grid", "w_grid"):
         if grid_key in resolved:
             resolved[grid_key] = _parse_grid(resolved[grid_key], grid_key)
@@ -143,62 +159,32 @@ def _parse_grid(value, name: str) -> list:
 
 
 def _build_sim_config(cfg: dict) -> SimConfig:
+    """Config objects from resolved parameters; those a command has no flag for take their defaults."""
+    cfg = {**DEFAULTS, **cfg}
     emf = EmfConfig(window_w=cfg["W"], threshold=cfg["C_bar"], guaranteed_ratio=cfg["rho"])
     traffic = TrafficConfig(
-        load=cfg.get("load", 0.0),
+        load=cfg["load"],
         zipf_exponent=cfg["zipf_exponent"],
         zipf_support=cfg["zipf_support"],
         demand_scale=cfg["demand_scale"],
         seed=cfg["seed"],
     )
-    dpp = DppConfig(v_weight=cfg.get("V", 15.0), alpha=cfg.get("alpha", 1.0), beta=cfg.get("beta", 0.95))
+    dpp = DppConfig(v_weight=cfg["V"], alpha=cfg["alpha"], beta=cfg["beta"])
     return SimConfig(
         emf=emf,
         traffic=traffic,
         dpp=dpp,
         horizon=cfg["horizon"],
-        policy_kind=cfg.get("policy", "dpp_exact"),
-        replications=cfg.get("reps", 1),
+        policy_kind=cfg["policy"],
+        replications=cfg["reps"],
     )
 
 
 # ── output helpers ────────────────────────────────────────────────────
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-def _rows_csv_text(rows: list[dict], columns: tuple) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _sibling(out: Path, suffix: str) -> Path:
@@ -215,14 +201,14 @@ def _write_manifest(path: Path, command: str, cfg: dict, outputs: dict, wall_s: 
         "outputs": {k: str(v) for k, v in outputs.items()},
         "wall_clock_seconds": wall_s,
     }
-    _atomic_write_text(path, _json_text(manifest))
+    atomic_write_text(path, _json_text(manifest))
 
 
 def _emit_table(command: str, cfg: dict, rows: list[dict], columns: tuple, t0: float) -> None:
     out = Path(cfg["out"])
     table_json = _sibling(out, ".json")
-    _atomic_write_text(out, _rows_csv_text(rows, columns))
-    _atomic_write_text(table_json, _json_text(rows))
+    atomic_write_text(out, csv_text(columns, [[row[c] for row in rows] for c in columns]))
+    atomic_write_text(table_json, _json_text(rows))
     _write_manifest(
         _sibling(out, ".manifest.json"), command, cfg,
         {"table_csv": out, "table_json": table_json}, perf_counter() - t0,
@@ -259,7 +245,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(cfg["out"])
     summary_path = _sibling(out, ".summary.json")
     trace.write_csv(out)
-    _atomic_write_text(summary_path, _json_text(summary))
+    atomic_write_text(summary_path, _json_text(summary))
     _write_manifest(
         _sibling(out, ".manifest.json"), "simulate", cfg,
         {"trace_csv": out, "summary_json": summary_path}, perf_counter() - t0,
@@ -283,11 +269,14 @@ def _read_trace_column(path: str, column: str) -> np.ndarray:
             if raw is None or raw == "":
                 raise CliError(f"{path}: row {lineno}: empty {column!r} cell")
             try:
-                values.append(float(raw))
+                value = float(raw)
             except ValueError as exc:
                 raise CliError(
                     f"{path}: row {lineno}, column {column!r}: not a number: {raw!r}"
                 ) from exc
+            if not math.isfinite(value):
+                raise CliError(f"{path}: row {lineno}, column {column!r}: not finite: {raw!r}")
+            values.append(value)
     if not values:
         raise CliError(f"{path}: no data rows")
     return np.asarray(values, dtype=np.float64)
@@ -304,7 +293,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(_json_text(report), end="")
     if cfg["out"]:
         out = Path(cfg["out"])
-        _atomic_write_text(out, _json_text(report))
+        atomic_write_text(out, _json_text(report))
         _write_manifest(
             _sibling(out, ".manifest.json"), "verify", cfg,
             {"report_json": out}, perf_counter() - t0,

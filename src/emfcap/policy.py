@@ -1,11 +1,15 @@
 """Per-period EIRP control policies.
 
 Every policy exposes ``decide(budget) -> ControlDecision`` and
-``observe(consumption)``. The drift-plus-penalty controller throttles through
-a virtual queue that integrates consumption overshoot above ``beta *
-threshold``: the fuller the queue, the smaller the granted cap. The greedy
-and cautious baselines bracket its behaviour (spend the whole budget versus
-hold a constant cap at the threshold).
+``observe(consumption)``; that pair is the whole policy API. The
+drift-plus-penalty controller throttles through a virtual queue that
+integrates consumption overshoot above ``beta * threshold``: the fuller the
+queue, the smaller the granted cap. The greedy and cautious baselines bracket
+its behaviour (spend the whole budget versus hold a constant cap at the
+threshold).
+
+``POLICY_KINDS`` maps each policy kind to its class and to whether it reads
+the conservative budget instead of the exact one.
 
 Policies are single-owner: the only state is the controller's queue, nothing
 is shared, and no operation needs synchronization.
@@ -18,19 +22,11 @@ from dataclasses import dataclass
 
 from .budget import EmfConfig
 
-POLICY_KINDS = (
-    "dpp_exact",
-    "dpp_conservative",
-    "greedy_exact",
-    "greedy_conservative",
-    "cautious",
-)
-
 
 def alpha_fair(x: float, alpha: float) -> float:
     """Concave fairness utility ``x**(1-alpha) / (1-alpha)``, natural log at ``alpha == 1``."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and nonnegative")
     if x <= 0.0:
         raise ValueError("alpha-fair utility is undefined for x <= 0")
     if alpha == 1.0:
@@ -50,115 +46,86 @@ class DppConfig:
         object.__setattr__(self, "v_weight", float(self.v_weight))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
-        if not self.v_weight > 0.0:
-            raise ValueError("v_weight must be positive")
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0.0 < self.v_weight < math.inf:
+            raise ValueError("v_weight must be positive and finite")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and nonnegative")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class DppState:
-    """Virtual queue of consumption overshoot; never negative."""
-
-    queue: float = 0.0
-
-    def __post_init__(self):
-        if self.queue < 0.0:
-            raise ValueError("queue must be nonnegative")
-
-
 @dataclass(slots=True)
 class ControlDecision:
-    """One period's cap, the budget it was checked against, and which bound bit."""
+    """One period's cap and which bound bit."""
 
     gamma: float
-    budget_used: float
     clamped_low: bool
     clamped_high: bool
 
 
-def queue_update(state: DppState, c: float, cfg: EmfConfig, dpp: DppConfig) -> DppState:
-    """Queue grows by the overshoot of ``c`` above ``beta * threshold``, clipped at zero."""
-    if c < 0.0:
-        raise ValueError("consumption must be nonnegative")
-    return DppState(max(state.queue + c - dpp.beta * cfg.threshold, 0.0))
-
-
-def dpp_control(state: DppState, budget: float, cfg: EmfConfig, dpp: DppConfig) -> ControlDecision:
-    """Cap minimizing queue pressure against the fairness utility, then clamped.
-
-    An empty queue imposes no penalty, so the unconstrained target is infinite
-    and the whole budget is granted. ``alpha == 0`` makes the inner objective
-    linear, handled as bang-bang: everything while the queue is below the
-    utility weight, the floor once it reaches it. A budget below the floor
-    cannot arise under budget-respecting control; if forced, the floor wins
-    and the decision is flagged.
-    """
-    q = state.queue
-    floor = cfg.floor
-    if q <= 0.0:
-        target = math.inf
-    elif dpp.alpha == 1.0:
-        target = dpp.v_weight / q
-    elif dpp.alpha == 0.0:
-        target = math.inf if q < dpp.v_weight else floor
-    else:
-        try:
-            target = (dpp.v_weight / q) ** (1.0 / dpp.alpha)
-        except OverflowError:
-            target = math.inf
-    gamma = target if target > floor else floor
-    if gamma > budget:
-        gamma = budget
-    if gamma < floor:
-        gamma = floor
-    return ControlDecision(gamma, budget, gamma == floor, gamma == budget)
-
-
-def greedy_control(budget: float, cfg: EmfConfig) -> ControlDecision:
-    """Grant the whole budget, never less than the floor."""
-    floor = cfg.floor
-    gamma = budget if budget > floor else floor
-    return ControlDecision(gamma, budget, gamma == floor, gamma == budget)
-
-
-def cautious_control(cfg: EmfConfig) -> ControlDecision:
-    """Constant cap at the averaging threshold, whatever the budget says."""
-    cbar = cfg.threshold
-    return ControlDecision(cbar, cbar, cbar == cfg.floor, False)
-
-
 class DppPolicy:
-    """Smooth controller: the granted cap shrinks as the overshoot queue grows."""
+    """Smooth controller: the granted cap shrinks as the overshoot queue grows.
+
+    ``queue`` is the virtual queue of consumption overshoot; it is never
+    negative.
+    """
 
     def __init__(self, cfg: EmfConfig, dpp: DppConfig):
         self.cfg = cfg
         self.dpp = dpp
-        self.state = DppState(0.0)
-
-    @property
-    def queue(self) -> float:
-        return self.state.queue
+        self.queue = 0.0
 
     def decide(self, budget: float) -> ControlDecision:
-        return dpp_control(self.state, budget, self.cfg, self.dpp)
+        """Cap minimizing queue pressure against the fairness utility, then clamped.
+
+        An empty queue imposes no penalty, so the unconstrained target is
+        infinite and the whole budget is granted. ``alpha == 0`` makes the
+        inner objective linear, handled as bang-bang: everything while the
+        queue is below the utility weight, the floor once it reaches it. A
+        budget below the floor cannot arise under budget-respecting control;
+        if forced, the floor wins and the decision is flagged.
+        """
+        q = self.queue
+        dpp = self.dpp
+        floor = self.cfg.floor
+        if q <= 0.0:
+            target = math.inf
+        elif dpp.alpha == 1.0:
+            target = dpp.v_weight / q
+        elif dpp.alpha == 0.0:
+            target = math.inf if q < dpp.v_weight else floor
+        else:
+            try:
+                target = (dpp.v_weight / q) ** (1.0 / dpp.alpha)
+            except OverflowError:
+                target = math.inf
+        gamma = target if target > floor else floor
+        if gamma > budget:
+            gamma = budget
+        if gamma < floor:
+            gamma = floor
+        return ControlDecision(gamma, gamma == floor, gamma == budget)
 
     def observe(self, c: float) -> None:
-        self.state = queue_update(self.state, c, self.cfg, self.dpp)
+        """Queue grows by the overshoot of ``c`` above ``beta * threshold``, clipped at zero."""
+        if not 0.0 <= c < math.inf:
+            raise ValueError("consumption must be finite and nonnegative")
+        q = self.queue + c - self.dpp.beta * self.cfg.threshold
+        self.queue = q if q > 0.0 else 0.0
 
 
 class GreedyPolicy:
-    """Spends the whole budget every period."""
+    """Spends the whole budget every period, never less than the floor."""
 
     queue = 0.0
 
-    def __init__(self, cfg: EmfConfig):
+    def __init__(self, cfg: EmfConfig, dpp: DppConfig | None = None):
         self.cfg = cfg
 
     def decide(self, budget: float) -> ControlDecision:
-        return greedy_control(budget, self.cfg)
+        floor = self.cfg.floor
+        gamma = budget if budget > floor else floor
+        return ControlDecision(gamma, gamma == floor, gamma == budget)
 
     def observe(self, c: float) -> None:
         pass
@@ -169,29 +136,22 @@ class CautiousPolicy:
 
     queue = 0.0
 
-    def __init__(self, cfg: EmfConfig):
+    def __init__(self, cfg: EmfConfig, dpp: DppConfig | None = None):
         self.cfg = cfg
 
     def decide(self, budget: float) -> ControlDecision:
-        return cautious_control(self.cfg)
+        cfg = self.cfg
+        return ControlDecision(cfg.threshold, cfg.threshold == cfg.floor, False)
 
     def observe(self, c: float) -> None:
         pass
 
 
-def make_policy(kind: str, cfg: EmfConfig, dpp: DppConfig | None = None):
-    """Build a policy object for one of ``POLICY_KINDS``."""
-    if kind not in POLICY_KINDS:
-        raise ValueError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
-    if kind.startswith("dpp"):
-        if dpp is None:
-            raise ValueError("dpp policies need a DppConfig")
-        return DppPolicy(cfg, dpp)
-    if kind.startswith("greedy"):
-        return GreedyPolicy(cfg)
-    return CautiousPolicy(cfg)
-
-
-def uses_conservative_budget(kind: str) -> bool:
-    """Whether this policy kind is driven by the conservative budget."""
-    return kind.endswith("_conservative")
+# kind -> (policy class, reads the conservative budget)
+POLICY_KINDS = {
+    "dpp_exact": (DppPolicy, False),
+    "dpp_conservative": (DppPolicy, True),
+    "greedy_exact": (GreedyPolicy, False),
+    "greedy_conservative": (GreedyPolicy, True),
+    "cautious": (CautiousPolicy, False),
+}

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .budget import BudgetState, ConservativeBudgetState, EmfConfig
-from .policy import POLICY_KINDS, DppConfig, make_policy, uses_conservative_budget
+from .output import atomic_write_text, csv_text
+from .policy import POLICY_KINDS, DppConfig
 from .traffic import TrafficConfig, TrafficModel
 
 TRACE_COLUMNS = (
@@ -53,7 +54,7 @@ class SimConfig:
             raise ValueError("replications must be >= 1")
         if self.policy_kind not in POLICY_KINDS:
             raise ValueError(
-                f"unknown policy kind {self.policy_kind!r}; expected one of {POLICY_KINDS}"
+                f"unknown policy kind {self.policy_kind!r}; expected one of {tuple(POLICY_KINDS)}"
             )
 
 
@@ -138,26 +139,8 @@ class SimTrace:
         }
 
     def write_csv(self, path) -> None:
-        """One row per period, numeric columns only, LF line endings."""
-        lines = [",".join(TRACE_COLUMNS)]
-        for i in range(len(self.t)):
-            lines.append(
-                "%d,%s,%s,%s,%s,%s,%s,%s,%d,%d"
-                % (
-                    self.t[i],
-                    repr(float(self.d[i])),
-                    repr(float(self.backlog[i])),
-                    repr(float(self.gamma[i])),
-                    repr(float(self.c[i])),
-                    repr(float(self.budget_exact[i])),
-                    repr(float(self.budget_conservative[i])),
-                    repr(float(self.queue[i])),
-                    self.clamped_low[i],
-                    self.clamped_high[i],
-                )
-            )
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """One row per period, numeric columns only, LF line endings; written atomically."""
+        atomic_write_text(path, csv_text(TRACE_COLUMNS, [getattr(self, name) for name in TRACE_COLUMNS]))
 
 
 def run_simulation(cfg: SimConfig, seed: int | None = None, replication: int = 0) -> SimTrace:
@@ -167,8 +150,8 @@ def run_simulation(cfg: SimConfig, seed: int | None = None, replication: int = 0
     policy, so any trace supports the exact-versus-conservative comparison.
     """
     emf = cfg.emf
-    policy = make_policy(cfg.policy_kind, emf, cfg.dpp)
-    conservative_drive = uses_conservative_budget(cfg.policy_kind)
+    policy_cls, conservative_drive = POLICY_KINDS[cfg.policy_kind]
+    policy = policy_cls(emf, cfg.dpp)
     tm = TrafficModel(cfg.traffic, seed=seed, replication=replication)
     demands = tm.sample_demands(cfg.horizon).tolist()
 
@@ -240,8 +223,8 @@ def verify_compliance(trace, cfg: EmfConfig, tolerance: float = 1e-9) -> Complia
     c = np.asarray(getattr(trace, "c", trace), dtype=np.float64)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("trace must be a nonempty 1-d consumption sequence")
-    if np.any(c < 0.0):
-        raise ValueError("consumption must be nonnegative")
+    if not np.all((c >= 0.0) & (c < math.inf)):
+        raise ValueError("consumption must be finite and nonnegative")
     w = cfg.window_w
     n = c.size
     prefix = np.concatenate(([0.0], np.cumsum(c)))
@@ -265,8 +248,8 @@ def score_trace(trace, alpha: float) -> float:
         raise ValueError("cannot score an empty trace")
     if np.any(g <= 0.0):
         raise ValueError("alpha-fair utility is undefined for nonpositive caps")
-    if alpha < 0.0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and nonnegative")
     if alpha == 1.0:
         return float(np.mean(np.log(g)))
     return float(np.mean(g ** (1.0 - alpha) / (1.0 - alpha)))

@@ -14,6 +14,7 @@ EIRP-unit).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +38,12 @@ class TrafficConfig:
         object.__setattr__(self, "seed", int(self.seed))
         if not 0.0 <= self.load <= 1.0:
             raise ValueError("load must lie in [0, 1]")
-        if not self.zipf_exponent > 1.0:
-            raise ValueError("zipf_exponent must exceed 1")
+        if not 1.0 < self.zipf_exponent < math.inf:
+            raise ValueError("zipf_exponent must be finite and exceed 1")
         if self.zipf_support < 1:
             raise ValueError("zipf_support must be >= 1")
-        if not self.demand_scale > 0.0:
-            raise ValueError("demand_scale must be positive")
+        if not 0.0 < self.demand_scale < math.inf:
+            raise ValueError("demand_scale must be positive and finite")
         if not 0 <= self.seed <= _MAX_SEED:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
@@ -79,9 +80,9 @@ class TrafficModel:
 
     def consume(self, demand: float, gamma: float) -> float:
         """Serve backlog plus new demand up to ``gamma``; the shortfall stays buffered."""
-        if demand < 0.0:
-            raise ValueError("demand must be nonnegative")
-        if gamma < 0.0:
+        if not 0.0 <= demand < math.inf:
+            raise ValueError("demand must be finite and nonnegative")
+        if not gamma >= 0.0:
             raise ValueError("gamma must be nonnegative")
         requested = self.backlog + demand
         served = requested if requested <= gamma else gamma

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +38,12 @@ def test_config_rejects_bad_values():
         EmfConfig(4, 1.0, -0.1)
     with pytest.raises(ValueError):
         EmfConfig(4, 1.0, 1.5)
+    with pytest.raises(ValueError):
+        EmfConfig(4, math.inf, 0.2)
+    with pytest.raises(ValueError):
+        EmfConfig(4, math.nan, 0.2)
+    with pytest.raises(ValueError):
+        EmfConfig(4, 1.0, math.nan)
 
 
 def test_config_derived_quantities():
@@ -187,8 +195,12 @@ def test_state_full_span_refold_matches_bruteforce():
 
 
 def test_state_rejects_negative_consumption():
-    with pytest.raises(ValueError):
-        BudgetState(CFG).update(-0.5)
+    for bad in (-0.1, math.nan, math.inf):
+        state = _run_updates(CFG, [0.5, 0.1])
+        budget = state.budget
+        with pytest.raises(ValueError):
+            state.update(bad)
+        assert state.budget == budget
 
 
 def test_state_record_roundtrip():
@@ -252,8 +264,12 @@ def test_conservative_equals_exact_after_window_drains_dyadic():
 
 
 def test_conservative_rejects_negative_consumption():
-    with pytest.raises(ValueError):
-        ConservativeBudgetState(CFG).update(-1.0)
+    for bad in (-0.1, math.nan, math.inf):
+        state = ConservativeBudgetState(CFG).update(0.5)
+        budget = state.budget
+        with pytest.raises(ValueError):
+            state.update(bad)
+        assert state.budget == budget
 
 
 def test_conservative_record_keys():

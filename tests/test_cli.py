@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from emfcap.cli import main
+from emfcap.cli import _json_text, main
 
 
 def run_cli(args):
@@ -114,6 +115,35 @@ def test_verify_malformed_csv_exits_2(tmp_path, capsys):
     assert run_cli(["verify", "--trace", tmp_path / "absent.csv", "--W", "10", "--C-bar", "1"]) == 2
     assert run_cli(["verify", "--W", "10", "--C-bar", "1"]) == 2
 
+    for cell in ("nan", "inf", "-inf"):
+        nonfinite = tmp_path / f"{cell}.csv"
+        nonfinite.write_text(f"c\n0.5\n0.25\n{cell}\n")
+        assert run_cli(["verify", "--trace", nonfinite, "--W", "10", "--C-bar", "1.0"]) == 2
+        captured = capsys.readouterr()
+        assert "row 4" in captured.err
+        assert captured.out == ""
+
+    good = tmp_path / "good.csv"
+    good.write_text("c\n0.5\n")
+    for tol in ("-5", "nan", "inf"):
+        assert run_cli(["verify", "--trace", good, "--W", "10", "--C-bar", "1.0", "--tolerance", tol]) == 2
+        assert "--tolerance" in capsys.readouterr().err
+        assert run_cli(["simulate", "--horizon", "20", "--tolerance", tol,
+                        "--out", tmp_path / "sim.csv"]) == 2
+        assert "--tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "sim.csv").exists()
+    bad_cfg = tmp_path / "tol.json"
+    bad_cfg.write_text('{"tolerance": "x"}')
+    assert run_cli(["verify", "--config", bad_cfg, "--trace", good]) == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
+def test_json_output_is_strict():
+    assert _json_text({"x": 0.5}) == '{\n  "x": 0.5\n}\n'
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            _json_text({"x": bad})
+
 
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
@@ -131,6 +161,8 @@ def test_config_file_and_flag_precedence(tmp_path):
 def test_config_file_unknown_key_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"loda": 0.9}))
+    assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "x.csv"]) == 2
+    cfg.write_text('{"load": NaN}')
     assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "x.csv"]) == 2
 
 

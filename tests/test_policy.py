@@ -9,19 +9,20 @@ from emfcap.policy import (
     CautiousPolicy,
     DppConfig,
     DppPolicy,
-    DppState,
     GreedyPolicy,
     alpha_fair,
-    cautious_control,
-    dpp_control,
-    greedy_control,
-    make_policy,
-    queue_update,
-    uses_conservative_budget,
 )
 
 EMF = EmfConfig(window_w=10, threshold=1.0, guaranteed_ratio=0.15)
 DPP = DppConfig(v_weight=15.0, alpha=1.0, beta=0.95)
+BAD_CONSUMPTION = (-0.1, math.nan, math.inf)
+
+
+def dpp_at(queue, cfg=EMF, dpp=DPP):
+    """A drift-plus-penalty controller whose virtual queue holds ``queue``."""
+    policy = DppPolicy(cfg, dpp)
+    policy.queue = queue
+    return policy
 
 
 # ── fairness utility ──────────────────────────────────────────────────
@@ -46,8 +47,9 @@ def test_alpha_fair_domain_errors():
         alpha_fair(0.0, 1.0)
     with pytest.raises(ValueError):
         alpha_fair(-1.0, 0.5)
-    with pytest.raises(ValueError):
-        alpha_fair(1.0, -0.2)
+    for alpha in (-0.2, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            alpha_fair(1.0, alpha)
 
 
 def test_alpha_fair_increasing_and_concave():
@@ -63,90 +65,101 @@ def test_alpha_fair_increasing_and_concave():
 
 
 def test_queue_update_clips_at_zero():
-    beta1 = DppConfig(15.0, 1.0, 1.0)
-    assert queue_update(DppState(0.0), 0.5, EMF, beta1).queue == 0.0
+    policy = DppPolicy(EMF, DppConfig(15.0, 1.0, 1.0))
+    policy.observe(0.5)
+    assert policy.queue == 0.0
+    # an overshoot drained below zero stops at zero, never negative
+    policy = dpp_at(0.1)
+    policy.observe(0.0)
+    assert policy.queue == 0.0
 
 
 def test_queue_update_accumulates_overshoot():
-    out = queue_update(DppState(2.0), 1.5, EMF, DPP)
-    assert out.queue == pytest.approx(2.55)
+    policy = dpp_at(2.0)
+    policy.observe(1.5)
+    assert policy.queue == pytest.approx(2.55)
     # dyadic fixture: exact arithmetic end to end
-    out = queue_update(DppState(2.0), 1.5, EMF, DppConfig(15.0, 1.0, 0.75))
-    assert out.queue == 2.75
+    policy = dpp_at(2.0, dpp=DppConfig(15.0, 1.0, 0.75))
+    policy.observe(1.5)
+    assert policy.queue == 2.75
 
 
 def test_queue_update_exact_balance():
-    out = queue_update(DppState(0.0), DPP.beta * EMF.threshold, EMF, DPP)
-    assert out.queue == 0.0
+    policy = DppPolicy(EMF, DPP)
+    policy.observe(DPP.beta * EMF.threshold)
+    assert policy.queue == 0.0
 
 
 def test_queue_update_rejects_negative_consumption():
-    with pytest.raises(ValueError):
-        queue_update(DppState(1.0), -0.1, EMF, DPP)
-
-
-def test_dpp_state_rejects_negative_queue():
-    with pytest.raises(ValueError):
-        DppState(-0.5)
+    for bad in BAD_CONSUMPTION:
+        policy = dpp_at(1.0)
+        with pytest.raises(ValueError):
+            policy.observe(bad)
+        assert policy.queue == 1.0
 
 
 def test_dpp_config_validation():
-    with pytest.raises(ValueError):
-        DppConfig(0.0, 1.0, 0.95)
-    with pytest.raises(ValueError):
-        DppConfig(15.0, -1.0, 0.95)
-    with pytest.raises(ValueError):
-        DppConfig(15.0, 1.0, 1.5)
+    for v_weight, alpha, beta in (
+        (0.0, 1.0, 0.95),
+        (math.inf, 1.0, 0.95),
+        (math.nan, 1.0, 0.95),
+        (15.0, -1.0, 0.95),
+        (15.0, math.inf, 0.95),
+        (15.0, math.nan, 0.95),
+        (15.0, 1.0, 1.5),
+        (15.0, 1.0, math.nan),
+    ):
+        with pytest.raises(ValueError):
+            DppConfig(v_weight, alpha, beta)
 
 
 # ── drift-plus-penalty control ────────────────────────────────────────
 
 
 def test_dpp_empty_queue_grants_whole_budget():
-    dec = dpp_control(DppState(0.0), 5.0, EMF, DPP)
+    dec = DppPolicy(EMF, DPP).decide(5.0)
     assert dec.gamma == 5.0
     assert dec.clamped_high and not dec.clamped_low
-    assert dec.budget_used == 5.0
 
 
 def test_dpp_floor_boundary_flags_low():
-    dec = dpp_control(DppState(100.0), 5.0, EMF, DPP)
+    dec = dpp_at(100.0).decide(5.0)
     assert dec.gamma == 0.15
     assert dec.clamped_low
 
 
 def test_dpp_budget_cap_flags_high():
-    dec = dpp_control(DppState(10.0), 1.2, EMF, DPP)
+    dec = dpp_at(10.0).decide(1.2)
     assert dec.gamma == 1.2
     assert dec.clamped_high and not dec.clamped_low
 
 
 def test_dpp_interior_target_no_flags():
     dpp = DppConfig(16.0, 2.0, 0.95)
-    dec = dpp_control(DppState(4.0), 3.0, EMF, dpp)
+    dec = dpp_at(4.0, dpp=dpp).decide(3.0)
     assert dec.gamma == pytest.approx(2.0)
     assert not dec.clamped_low and not dec.clamped_high
 
 
 def test_dpp_linear_utility_is_bang_bang():
     dpp = DppConfig(15.0, 0.0, 0.95)
-    assert dpp_control(DppState(14.9), 5.0, EMF, dpp).gamma == 5.0
-    assert dpp_control(DppState(15.0), 5.0, EMF, dpp).gamma == EMF.floor
-    assert dpp_control(DppState(200.0), 5.0, EMF, dpp).gamma == EMF.floor
+    assert dpp_at(14.9, dpp=dpp).decide(5.0).gamma == 5.0
+    assert dpp_at(15.0, dpp=dpp).decide(5.0).gamma == EMF.floor
+    assert dpp_at(200.0, dpp=dpp).decide(5.0).gamma == EMF.floor
 
 
 def test_dpp_budget_below_floor_keeps_guarantee():
-    dec = dpp_control(DppState(1.0), 0.05, EMF, DPP)
+    dec = dpp_at(1.0).decide(0.05)
     assert dec.gamma == EMF.floor
     assert dec.clamped_low and not dec.clamped_high
 
 
 def test_dpp_gamma_monotone_in_queue_and_weight():
     budget = 6.0
-    gammas = [dpp_control(DppState(q), budget, EMF, DPP).gamma for q in (0.5, 2.0, 8.0, 40.0, 400.0)]
+    gammas = [dpp_at(q).decide(budget).gamma for q in (0.5, 2.0, 8.0, 40.0, 400.0)]
     assert all(b <= a + 1e-12 for a, b in zip(gammas, gammas[1:]))
     gammas = [
-        dpp_control(DppState(10.0), budget, EMF, DppConfig(v, 1.0, 0.95)).gamma
+        dpp_at(10.0, dpp=DppConfig(v, 1.0, 0.95)).decide(budget).gamma
         for v in (0.5, 2.0, 10.0, 80.0, 500.0)
     ]
     assert all(b >= a - 1e-12 for a, b in zip(gammas, gammas[1:]))
@@ -162,7 +175,7 @@ def test_dpp_gamma_monotone_in_queue_and_weight():
 )
 def test_dpp_decision_always_within_bounds(q, budget, v, alpha, rho):
     cfg = EmfConfig(10, 1.0, rho)
-    dec = dpp_control(DppState(q), budget, cfg, DppConfig(v, alpha, 0.95))
+    dec = dpp_at(q, cfg, DppConfig(v, alpha, 0.95)).decide(budget)
     assert cfg.floor <= dec.gamma <= max(budget, cfg.floor)
 
 
@@ -170,16 +183,17 @@ def test_dpp_decision_always_within_bounds(q, budget, v, alpha, rho):
 
 
 def test_greedy_takes_whole_budget():
-    dec = greedy_control(3.4, EMF)
+    dec = GreedyPolicy(EMF).decide(3.4)
     assert dec.gamma == 3.4
     assert dec.clamped_high and not dec.clamped_low
 
 
 def test_greedy_depleted_budget_sits_at_floor():
-    dec = greedy_control(EMF.floor, EMF)
+    greedy = GreedyPolicy(EMF)
+    dec = greedy.decide(EMF.floor)
     assert dec.gamma == EMF.floor
     assert dec.clamped_low and dec.clamped_high
-    assert greedy_control(0.01, EMF).gamma == EMF.floor
+    assert greedy.decide(0.01).gamma == EMF.floor
 
 
 def test_greedy_saturation_drains_budget_within_window():
@@ -198,11 +212,10 @@ def test_greedy_saturation_drains_budget_within_window():
 
 
 def test_cautious_is_constant_threshold():
-    dec = cautious_control(EMF)
-    assert dec.gamma == EMF.threshold
-    assert dec.budget_used == EMF.threshold
-    assert not dec.clamped_high
     policy = CautiousPolicy(EMF)
+    dec = policy.decide(EMF.threshold)
+    assert dec.gamma == EMF.threshold
+    assert not dec.clamped_high and not dec.clamped_low
     assert policy.decide(0.2).gamma == EMF.threshold
     assert policy.decide(8.65).gamma == EMF.threshold
 
@@ -220,33 +233,23 @@ def test_dpp_equals_greedy_under_zero_consumption():
         state.update(0.0)
 
 
-# ── policy factory ────────────────────────────────────────────────────
+# ── policy table ──────────────────────────────────────────────────────
 
 
-def test_make_policy_dispatch():
-    assert isinstance(make_policy("dpp_exact", EMF, DPP), DppPolicy)
-    assert isinstance(make_policy("dpp_conservative", EMF, DPP), DppPolicy)
-    assert isinstance(make_policy("greedy_exact", EMF), GreedyPolicy)
-    assert isinstance(make_policy("greedy_conservative", EMF), GreedyPolicy)
-    assert isinstance(make_policy("cautious", EMF), CautiousPolicy)
-
-
-def test_make_policy_errors():
-    with pytest.raises(ValueError):
-        make_policy("oracle", EMF)
-    with pytest.raises(ValueError):
-        make_policy("dpp_exact", EMF, None)
+def test_policy_kinds_table_dispatch():
+    assert {kind: cls for kind, (cls, _) in POLICY_KINDS.items()} == {
+        "dpp_exact": DppPolicy,
+        "dpp_conservative": DppPolicy,
+        "greedy_exact": GreedyPolicy,
+        "greedy_conservative": GreedyPolicy,
+        "cautious": CautiousPolicy,
+    }
+    for cls, _ in POLICY_KINDS.values():
+        policy = cls(EMF, DPP)
+        assert policy.queue == 0.0
+        assert EMF.floor <= policy.decide(EMF.full_budget).gamma <= EMF.full_budget
 
 
 def test_conservative_budget_selector():
-    assert uses_conservative_budget("dpp_conservative")
-    assert uses_conservative_budget("greedy_conservative")
-    assert not uses_conservative_budget("dpp_exact")
-    assert not uses_conservative_budget("cautious")
-    assert set(POLICY_KINDS) == {
-        "dpp_exact",
-        "dpp_conservative",
-        "greedy_exact",
-        "greedy_conservative",
-        "cautious",
-    }
+    conservative = {kind for kind, (_, reads_conservative) in POLICY_KINDS.items() if reads_conservative}
+    assert conservative == {"dpp_conservative", "greedy_conservative"}

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -154,8 +156,9 @@ def test_verifier_flags_violation_and_locates_window():
 def test_verifier_input_errors():
     with pytest.raises(ValueError):
         verify_compliance(np.array([]), EMF)
-    with pytest.raises(ValueError):
-        verify_compliance(np.array([0.1, -0.2]), EMF)
+    for bad in (-0.2, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            verify_compliance(np.array([0.1, bad]), EMF)
 
 
 # ── scoring ───────────────────────────────────────────────────────────
@@ -181,6 +184,9 @@ def test_score_surfaces_domain_error():
         score_trace(np.array([1.0, 0.0]), 1.0)
     with pytest.raises(ValueError):
         score_trace(np.array([]), 1.0)
+    for alpha in (-0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            score_trace(np.array([1.0, 2.0]), alpha)
 
 
 def test_score_accepts_trace_object():
@@ -286,6 +292,54 @@ def test_trace_csv_layout(tmp_path):
     assert first[0] == "0"
     assert float(first[5]) == trace.budget_exact[0]
     assert set(first[8:]) <= {"0", "1"}
+
+
+
+def test_trace_csv_is_replaced_atomically_with_plain_file_mode(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x\n")
+    path = tmp_path / "trace.csv"
+    path.write_text("stale\n")
+    trace = run_simulation(make_cfg(load=0.4, horizon=25))
+    trace.write_csv(path)
+    assert path.read_text().startswith(",".join(TRACE_COLUMNS) + "\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.txt", "trace.csv"]
+    assert path.stat().st_mode == plain.stat().st_mode
+
+# Digests of the trace CSV bytes and of the sorted-key summary JSON, recorded
+# from the implementation these outputs must stay byte-identical to.
+PINNED_DIGESTS = {
+    ("dpp_exact", 0.2, 0): ("394bf9e7e3ccecd7b38be3237543685534aeee79273dac81744808c3ea05e60f", "691be23ab05bda16f6b896751afbb774a44415664241d8c004c7921ac474cf87"),
+    ("dpp_exact", 0.2, 1): ("d9695adb67c9cbdad480c02bc1b24283cdc3eae84f8d585a726e168677823b3d", "151b051a816f754c7bc78f56dd969f7f670af7e8ff6c3a70393faf91e9cacba9"),
+    ("dpp_exact", 0.9, 0): ("2f6112fc88fbf1913f8bc7d97c74b278fb22ba3c5e5651f45d6afbf3b69cca55", "ffe14c3c30928663c829498efa8566880f9811323a0de3cd7d3d0d073ee8c145"),
+    ("dpp_exact", 0.9, 1): ("0e06288a300e2232806684f6738c9a46afc3e51c1aaebe9a6c25599ba17d8375", "3505788d9d8277bbd8b961c0199552a2dd85f11ff31c07bde02655aa07e357c3"),
+    ("dpp_conservative", 0.2, 0): ("724467b204d3da70d0327880dbdeb2732f6577e4e32213df30bb6111d1634975", "3848df05bc12252080493387629e366cd847e46c157cfa7fcd985453ae7b4448"),
+    ("dpp_conservative", 0.2, 1): ("782879cbf7f7b0bd05cb6a357a8cbd35a104831ab33bc0c5915ab95b478f5bf9", "894fa753ae02e0dcc8a1d84bb7b78bdfd6c33385a28650327bb4f456133806a2"),
+    ("dpp_conservative", 0.9, 0): ("1756f290ce02d912dfb222fd17e9ec8522a47b558fabe1704c4ce2cccdb83253", "5a7974d8fc9d73d3e1f2cba730603bea23522f122c6f0c237d3d35ceb8726bd2"),
+    ("dpp_conservative", 0.9, 1): ("ba7884a9f090d412ee6cff383a33798ef17d64aad1ba98368db4914e082fc752", "11c01646a75aba93939cec43dc98aafd84435decc6e9c5710af8623a0e776209"),
+    ("greedy_exact", 0.2, 0): ("aedf6add294c1a4a1f71232950ea1929204a81a6d6900761451aa35f6d34cf23", "e083bf414167cdebec92a559b4fc6dbb24b71c9854c8f219ed557ecec2d06e3a"),
+    ("greedy_exact", 0.2, 1): ("fc4c3c518637b067e537b3dba3a539e4d3d0537c2e935e15c1f24da8a77fad3a", "25fd6826602e0462f6ff545a40886f47527978ea490d6f3ae2a52e18c4dc748a"),
+    ("greedy_exact", 0.9, 0): ("9fa56b495fd50342fc0257dd602b160c993fabf7d4822d198f2b738e18b3c765", "ef743dda447641ec85b05c3bf79ae60a793737783cd5beb1ae60026c06470e14"),
+    ("greedy_exact", 0.9, 1): ("70622b7dbf95dcea773a3fcc535af4a48d010eb77f33cb9a07d261cb887cdf12", "4ea177807b0d6a0b84bee7a41cc7e8b8b23976cc89c3fe08e86a11dc9d61f055"),
+    ("greedy_conservative", 0.2, 0): ("3530d537f9ad529573311753b7eaf0295e00b577acc0503020d4170181fdc649", "add1a353326afad1386d1defd548a342a5f508ff906005e09c894b741c82ed1f"),
+    ("greedy_conservative", 0.2, 1): ("3429d9f9f90c8926af432edac20d223e3d515e6d256404cc733c3008c2f10cd4", "d5f90ef2beae5b1685491efa50a7e142875011ecf66041d1e2b05e6d4baeff41"),
+    ("greedy_conservative", 0.9, 0): ("9fa56b495fd50342fc0257dd602b160c993fabf7d4822d198f2b738e18b3c765", "86c2d0da1d4ea63e9fa921114cbcb35df43579cd7d5000f9d7474163ec0b6a9a"),
+    ("greedy_conservative", 0.9, 1): ("70622b7dbf95dcea773a3fcc535af4a48d010eb77f33cb9a07d261cb887cdf12", "d20254c4d2e0f6562a5f1e444ff6e8f8936884a23a44a4bddd8898d78c397b19"),
+    ("cautious", 0.2, 0): ("3ee56c65cab52c59921d419387a343a21eb1741719d6f6d0a9f2727edb769656", "bc2be01641217fadabcfc2d9aedf101e3101ac65d056acf7cd8d27ffec2e7d9e"),
+    ("cautious", 0.2, 1): ("f9445b603c7622f0b9f3aae4803f786b3ee3e57887fdcced98af1091afac7725", "3147bccde45e3ed90a19fcb81a4da30a9f24278062f9ac2d552daf7baa6f8573"),
+    ("cautious", 0.9, 0): ("dd02c4c0ed7ac587ba59c8d4bd1ea658e353cf667061b3f64e25cb280d94e18e", "ea7c09ee11c85ecd32ec4ab9e14a97b02ec3ddba0f0e5c415501037d58fc5728"),
+    ("cautious", 0.9, 1): ("c66a988f5067b42ff4593a3a7348d8de31f7096780b5c85c8fc5b37487a7cb9c", "c022a62e9780b9b24592c3d2e5bc907877fb7b6b51da3f2dcbfe3c1f61bdd074"),
+}
+
+
+@pytest.mark.parametrize("kind, load, seed", sorted(PINNED_DIGESTS))
+def test_outputs_match_pinned_digests(tmp_path, kind, load, seed):
+    trace = run_simulation(make_cfg(policy=kind, load=load, horizon=500, seed=seed))
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    csv_digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    summary_digest = hashlib.sha256(json.dumps(trace.summary(), sort_keys=True).encode()).hexdigest()
+    assert (csv_digest, summary_digest) == PINNED_DIGESTS[kind, load, seed]
 
 
 def test_trace_length_and_summary_fields():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,17 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrafficConfig(zipf_exponent=1.0)
     with pytest.raises(ValueError):
+        TrafficConfig(zipf_exponent=math.inf)
+    with pytest.raises(ValueError):
+        TrafficConfig(zipf_exponent=math.nan)
+    with pytest.raises(ValueError):
         TrafficConfig(zipf_support=0)
     with pytest.raises(ValueError):
         TrafficConfig(demand_scale=0.0)
+    with pytest.raises(ValueError):
+        TrafficConfig(demand_scale=math.inf)
+    with pytest.raises(ValueError):
+        TrafficConfig(demand_scale=math.nan)
     with pytest.raises(ValueError):
         TrafficConfig(seed=-1)
     with pytest.raises(ValueError):
@@ -80,10 +90,15 @@ def test_zero_cap_blocks_everything():
 
 def test_consume_rejects_negative_inputs():
     tm = TrafficModel(TrafficConfig(seed=0))
-    with pytest.raises(ValueError):
-        tm.consume(-0.1, 1.0)
-    with pytest.raises(ValueError):
-        tm.consume(0.1, -1.0)
+    tm.consume(0.5, 0.25)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            tm.consume(bad, 1.0)
+        assert tm.backlog == 0.25
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            tm.consume(0.1, bad)
+        assert tm.backlog == 0.25
 
 
 def test_consume_never_exceeds_cap_and_conserves_demand():
