@@ -104,12 +104,14 @@ class SimTrace:
 
         ``floor_gamma_periods`` counts caps at the guaranteed floor within
         ``tolerance``: a fully depleted budget equals the floor only up to
-        the rounding accumulated by the excess tracker.
+        the rounding accumulated by the excess tracker. ``shortage_periods``
+        counts those of them that leave a backlog above ``tolerance``: serving
+        demand against such a cap leaves residues of a few ulps.
         """
         report = verify_compliance(self.c, self.emf, tolerance)
         floor = self.emf.floor
         floor_mask = self.gamma <= floor + tolerance
-        shortage = int(np.sum(floor_mask & (self.backlog > 0.0)))
+        shortage = int(np.sum(floor_mask & (self.backlog > tolerance)))
         try:
             utility = score_trace(self.gamma, self.alpha)
         except ValueError:

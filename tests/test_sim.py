@@ -116,6 +116,17 @@ def test_shortage_metric_counts_floored_periods_with_backlog():
     assert 0 < s["shortage_periods"] <= s["floor_gamma_periods"]
 
 
+def test_shortage_metric_ignores_sub_tolerance_backlog():
+    trace = run_simulation(make_cfg(load=0.2, horizon=30))
+    trace.gamma[:3] = EMF.floor
+    trace.backlog[:3] = [1.7e-16, 0.0, 0.5]
+    trace.backlog[3:] = 0.0
+    s = trace.summary()
+    assert s["floor_gamma_periods"] >= 3
+    assert s["shortage_periods"] == 1
+    assert trace.summary(tolerance=1.0)["shortage_periods"] == 0
+
+
 def test_dpp_shortfall_smaller_than_greedy():
     greedy = run_simulation(make_cfg(policy="greedy_exact", load=0.9, horizon=800, scale=2.0, seed=4))
     dpp = run_simulation(make_cfg(policy="dpp_exact", load=0.9, horizon=800, scale=2.0, seed=4))
