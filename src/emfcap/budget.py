@@ -35,6 +35,17 @@ from collections import deque
 from dataclasses import dataclass
 
 
+def as_int(value, name: str) -> int:
+    """``value`` as an ``int``; integral floats such as ``10.0`` pass, anything else raises ``ValueError``."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class EmfConfig:
     """Compliance triple: window length, averaged-EIRP threshold, guaranteed ratio."""
@@ -44,7 +55,7 @@ class EmfConfig:
     guaranteed_ratio: float
 
     def __post_init__(self):
-        object.__setattr__(self, "window_w", int(self.window_w))
+        object.__setattr__(self, "window_w", as_int(self.window_w, "window_w"))
         object.__setattr__(self, "threshold", float(self.threshold))
         object.__setattr__(self, "guaranteed_ratio", float(self.guaranteed_ratio))
         if self.window_w < 1:
@@ -94,8 +105,8 @@ def omega_naive(history, t: int, cfg: EmfConfig) -> tuple[float, int]:
     partial = 0.0
     for k in range(1, min(t, cfg.window_w - 1) + 1):
         c = history[t - k]
-        if c < 0.0:
-            raise ValueError("consumption must be nonnegative")
+        if not 0.0 <= c < math.inf:
+            raise ValueError("consumption must be finite and nonnegative")
         partial += c - floor
         if partial > best:
             best = partial
@@ -122,8 +133,8 @@ def budget_oracle_minform(history, t: int, cfg: EmfConfig) -> float:
     for k in range(1, w):
         if k <= t:
             c = history[t - k]
-            if c < 0.0:
-                raise ValueError("consumption must be nonnegative")
+            if not 0.0 <= c < math.inf:
+                raise ValueError("consumption must be finite and nonnegative")
             recent_sum += c
         cand = w * cbar - recent_sum - (w - k - 1) * floor
         if cand < best:
@@ -136,8 +147,8 @@ def _fold_excess(window, floor: float) -> tuple[float, int]:
     omega = 0.0
     span = 0
     for c in window:
-        if c < 0.0:
-            raise ValueError("consumption must be nonnegative")
+        if not 0.0 <= c < math.inf:
+            raise ValueError("consumption must be finite and nonnegative")
         omega = omega + c - floor
         if omega > 0.0:
             span += 1

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .bench import bench_suite
-from .budget import EmfConfig
+from .budget import EmfConfig, as_int
 from .output import atomic_write_text, csv_text
 from .policy import POLICY_KINDS, DppConfig
 from .sim import (
@@ -146,15 +146,19 @@ def _resolve(args: argparse.Namespace, keys: tuple) -> dict:
 
 
 def _parse_grid(value, name: str) -> list:
+    flag = f"--{name.replace('_', '-')}"
     if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-        try:
-            value = [float(p) for p in parts]
-        except ValueError as exc:
-            raise CliError(f"--{name.replace('_', '-')}: not a numeric list: {value!r}") from exc
-    values = [int(v) if name == "w_grid" else float(v) for v in value]
+        value = [p for p in value.split(",") if p.strip()]
+    if not isinstance(value, list):
+        raise CliError(f"{flag}: expected a list or a comma list, got {value!r}")
+    try:
+        values = [float(v) for v in value]
+        if name == "w_grid":
+            values = [as_int(v, flag) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{flag}: not a numeric list: {value!r}") from exc
     if not values:
-        raise CliError(f"--{name.replace('_', '-')} must be nonempty")
+        raise CliError(f"{flag} must be nonempty")
     return values
 
 
@@ -332,9 +336,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _resolve(args, BENCH_KEYS)
     if cfg["out"] is None:
         cfg["out"] = "bench.csv"
-    if int(cfg["updates"]) < 1:
+    updates = as_int(cfg["updates"], "--updates")
+    if updates < 1:
         raise CliError("--updates must be >= 1")
-    rows = bench_suite(cfg["w_grid"], updates=int(cfg["updates"]), seed=cfg["seed"])
+    rows = bench_suite(cfg["w_grid"], updates=updates, seed=cfg["seed"])
     _emit_table(
         "bench", cfg, rows,
         ("algorithm", "workload", "window_w", "updates", "p50_ns", "p99_ns"),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .budget import BudgetState, ConservativeBudgetState, EmfConfig
+from .budget import BudgetState, ConservativeBudgetState, EmfConfig, as_int
 from .output import atomic_write_text, csv_text
 from .policy import POLICY_KINDS, DppConfig
 from .traffic import TrafficConfig, TrafficModel
@@ -46,8 +46,8 @@ class SimConfig:
     replications: int = 100
 
     def __post_init__(self):
-        object.__setattr__(self, "horizon", int(self.horizon))
-        object.__setattr__(self, "replications", int(self.replications))
+        object.__setattr__(self, "horizon", as_int(self.horizon, "horizon"))
+        object.__setattr__(self, "replications", as_int(self.replications, "replications"))
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.replications < 1:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budget import as_int
+
 _MAX_SEED = 2**64 - 1
 
 
@@ -33,9 +35,9 @@ class TrafficConfig:
     def __post_init__(self):
         object.__setattr__(self, "load", float(self.load))
         object.__setattr__(self, "zipf_exponent", float(self.zipf_exponent))
-        object.__setattr__(self, "zipf_support", int(self.zipf_support))
+        object.__setattr__(self, "zipf_support", as_int(self.zipf_support, "zipf_support"))
         object.__setattr__(self, "demand_scale", float(self.demand_scale))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         if not 0.0 <= self.load <= 1.0:
             raise ValueError("load must lie in [0, 1]")
         if not 1.0 < self.zipf_exponent < math.inf:

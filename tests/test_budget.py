@@ -46,6 +46,14 @@ def test_config_rejects_bad_values():
         EmfConfig(4, 1.0, math.nan)
 
 
+def test_config_window_must_be_integral():
+    assert EmfConfig(10.0, 1.0, 0.2).window_w == 10
+    assert type(EmfConfig(np.int64(10), 1.0, 0.2).window_w) is int
+    for bad in (2.7, math.inf, math.nan, "10", None):
+        with pytest.raises(ValueError):
+            EmfConfig(bad, 1.0, 0.2)
+
+
 def test_config_derived_quantities():
     assert CFG.floor == pytest.approx(0.2)
     assert CFG.full_budget == pytest.approx(3.4)
@@ -89,6 +97,13 @@ def test_bruteforce_input_errors():
         omega_naive([0.5], 2, CFG)
     with pytest.raises(ValueError):
         omega_naive([0.5, -0.1, 0.6], 3, CFG)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            omega_naive([bad, 0.5], 2, CFG)
+        with pytest.raises(ValueError):
+            budget_oracle_minform([bad, 0.5], 2, CFG)
+        with pytest.raises(ValueError):
+            budget_scratch([bad, 0.5], CFG)
 
 
 # ── budget formula ────────────────────────────────────────────────────

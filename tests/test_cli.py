@@ -166,6 +166,23 @@ def test_config_file_unknown_key_exits_2(tmp_path):
     assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "x.csv"]) == 2
 
 
+def test_config_file_non_integral_or_non_list_values_exit_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "x.csv"
+    # 1e400 parses to inf
+    for doc in ('{"W": 2.7}', '{"horizon": 1e400}', '{"zipf_support": 2.5}'):
+        cfg.write_text(doc)
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 2, doc
+    cfg.write_text(json.dumps({"W": 10.0, "horizon": 50.0}))
+    assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
+    cfg.write_text(json.dumps({"loads": 5}))
+    assert run_cli(["compare-budgets", "--config", cfg, "--out", out]) == 2
+    cfg.write_text(json.dumps({"w_grid": [4, 2.7]}))
+    assert run_cli(["bench", "--config", cfg, "--out", out]) == 2
+    assert run_cli(["bench", "--w-grid", "4,2.7", "--out", out]) == 2
+    assert run_cli(["bench", "--w-grid", "4,inf", "--out", out]) == 2
+
+
 def test_manifest_rerun_reproduces_outputs(tmp_path):
     a = tmp_path / "a.csv"
     assert run_cli(["simulate", "--policy", "dpp_conservative", "--seed", "11",

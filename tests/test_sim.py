@@ -43,6 +43,12 @@ def test_sim_config_validation():
         make_cfg(policy="oracle")
     with pytest.raises(ValueError):
         SimConfig(EMF, TrafficConfig(), replications=0)
+    assert make_cfg(horizon=40.0).horizon == 40
+    for bad in (2.7, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            make_cfg(horizon=bad)
+        with pytest.raises(ValueError):
+            SimConfig(EMF, TrafficConfig(), replications=bad)
 
 
 # ── closed loop ───────────────────────────────────────────────────────

@@ -29,6 +29,16 @@ def test_config_validation():
         TrafficConfig(seed=2**64)
 
 
+def test_integer_fields_must_be_integral():
+    cfg = TrafficConfig(zipf_support=20.0, seed=3.0)
+    assert (cfg.zipf_support, cfg.seed) == (20, 3)
+    for bad in (2.7, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            TrafficConfig(zipf_support=bad)
+        with pytest.raises(ValueError):
+            TrafficConfig(seed=bad)
+
+
 def test_zero_load_never_demands():
     tm = TrafficModel(TrafficConfig(load=0.0, seed=1))
     assert np.all(tm.sample_demands(1000) == 0.0)
