@@ -13,16 +13,16 @@ consumption has run above the floor; it is the quantity the trackers below
 maintain.
 
 :class:`BudgetState` is exact: it tracks the worst cumulative overshoot over
-every span of the stored window and updates in constant time except when the
-maximizing span covers the whole window, in which case it re-folds the window
-(linear in ``W``). :class:`ConservativeBudgetState` replaces the worst-span
-maximum by a sum of per-period clipped overshoots; it never exceeds the exact
-budget and always updates in constant time.
+every span of the stored window as a sliding minimum over prefix sums, in
+amortized constant time per update on any traffic.
+:class:`ConservativeBudgetState` replaces the worst-span maximum by a sum of
+per-period clipped overshoots; it never exceeds the exact budget and updates
+in constant time.
 
 ``omega_naive`` and ``budget_oracle_minform`` are brute-force reference
 evaluations used by the test suite; they are deliberately independent of the
-incremental code paths. ``budget_scratch`` is the linear re-fold that the
-exact tracker falls back on.
+incremental code paths. ``budget_scratch`` is the linear recompute of the
+excess from a stored window, the reference of the per-update bench.
 
 Trackers are plain single-owner objects that mutate in place: no locking,
 nothing shared internally, safe to hand off between threads.
@@ -142,66 +142,64 @@ def budget_oracle_minform(history, t: int, cfg: EmfConfig) -> float:
     return best
 
 
-def _fold_excess(window, floor: float) -> tuple[float, int]:
-    """Fold the stored window (oldest first) into (excess, smallest maximizing span)."""
+def budget_scratch(window, cfg: EmfConfig) -> tuple[float, float]:
+    """Recompute ``(budget, excess)`` from the stored window, oldest entry first.
+
+    Linear in the window length: a clipped running sum of ``c - floor``, the
+    reference the per-update bench and the oracle checks compare against.
+    """
+    if len(window) > cfg.window_w - 1:
+        raise ValueError("window holds at most window_w - 1 entries")
+    floor = cfg.floor
     omega = 0.0
-    span = 0
     for c in window:
         if not 0.0 <= c < math.inf:
             raise ValueError("consumption must be finite and nonnegative")
         omega = omega + c - floor
-        if omega > 0.0:
-            span += 1
-        else:
+        if omega < 0.0:
             omega = 0.0
-            span = 0
-    return omega, span
-
-
-def budget_scratch(window, cfg: EmfConfig) -> tuple[float, float]:
-    """Recompute ``(budget, excess)`` from the stored window, oldest entry first.
-
-    Linear in the window length; this is the full-recompute path the exact
-    tracker falls back on.
-    """
-    if len(window) > cfg.window_w - 1:
-        raise ValueError("window holds at most window_w - 1 entries")
-    omega, _ = _fold_excess(window, cfg.floor)
     return budget_from_omega(omega, cfg), omega
 
 
 class BudgetState:
     """Exact budget tracker, advanced once per period with the realized consumption.
 
-    Pre-history counts as zero consumption, so the stored window is always
-    full. Per period the update is one of three rules:
+    With ``P_t`` the prefix sum of ``c - floor`` over the first ``t`` periods,
+    the excess is ``P_t - min(P_i for i in [max(0, t-W+1), t])``. A deque of
+    ascending minima (indices and prefixes in two parallel deques, the newest
+    prefix last) keeps that minimum: each new prefix pops every stored one at
+    or above it, so among equal minima the newest survives and
+    ``argmax_len = period - front index`` is the smallest maximizing span.
+    Each prefix enters and leaves once, so an update is amortized constant
+    time whatever the traffic.
 
-    * every sample of the outgoing window clears the floor: the excess is a
-      plain sliding sum, so add the new sample and drop the oldest;
-    * the maximizing span is shorter than the window: extend it by the new
-      sample and clip at zero;
-    * otherwise re-fold the whole window (``budget_scratch`` path).
-
-    Floor comparisons use plain ``>=`` on purpose: the rules are discrete and
-    an epsilon would change which one fires. The all-above test is kept O(1)
-    through a counter of consecutive trailing window entries at or above the
-    floor.
+    Every ``W`` periods the front minimum is subtracted from every stored
+    prefix (at most ``W`` of them), which keeps them bounded over any horizon
+    at amortized constant cost. Pre-history counts as zero consumption, so
+    the stored window is always full.
     """
 
-    __slots__ = ("cfg", "omega", "argmax_len", "period", "_window", "_run_above", "_full")
+    __slots__ = ("cfg", "omega", "period", "_window", "_floor", "_w", "_idx", "_pre", "_rebase_at")
 
     def __init__(self, cfg: EmfConfig):
         self.cfg = cfg
         self.omega = 0.0
-        self.argmax_len = 0
         self.period = 0
         self._window = deque([0.0] * (cfg.window_w - 1), maxlen=cfg.window_w - 1)
-        self._run_above = cfg.window_w - 1 if cfg.floor <= 0.0 else 0
-        self._full = cfg.full_budget
+        self._floor = cfg.floor
+        self._w = cfg.window_w
+        self._idx = deque([0])
+        self._pre = deque([0.0])
+        self._rebase_at = cfg.window_w
 
     @property
     def budget(self) -> float:
         return budget_from_omega(self.omega, self.cfg)
+
+    @property
+    def argmax_len(self) -> int:
+        """Smallest span (in periods, newest first) whose overshoot equals the excess."""
+        return self.period - self._idx[0]
 
     @property
     def window(self) -> tuple:
@@ -212,40 +210,36 @@ class BudgetState:
         """Advance one period after consuming ``c``. Returns ``self``."""
         if not 0.0 <= c < math.inf:
             raise ValueError("consumption must be finite and nonnegative")
-        cfg = self.cfg
-        floor = cfg.floor
-        w = cfg.window_w
-        win = self._window
-        if c >= floor and self._run_above >= w - 1:
-            evicted = win[0] if w > 1 else c
-            omega = self.omega + c - evicted
-            if omega > 0.0:
-                # maximizer is the whole available window
-                span = self.period + 1 if self.period + 1 < w - 1 else w - 1
-            else:
-                omega = 0.0  # guard ulp-level cancellation noise
-                span = 0
-            win.append(c)
-        elif self.argmax_len < w - 1:
-            omega = self.omega + c - floor
-            if omega > 0.0:
-                span = self.argmax_len + 1
-            else:
-                omega = 0.0
-                span = 0
-            win.append(c)
-        else:
-            win.append(c)
-            omega, span = _fold_excess(win, floor)
-        self.omega = omega
-        self.argmax_len = span
-        self.period += 1
-        if c >= floor:
-            if self._run_above < w - 1:
-                self._run_above += 1
-        else:
-            self._run_above = 0
+        self._window.append(c)
+        idx = self._idx
+        pre = self._pre
+        # c == floor adds exactly 0.0, so an at-floor period never moves P
+        p = pre[-1] + (c - self._floor)
+        t = self.period + 1
+        while pre and pre[-1] >= p:
+            pre.pop()
+            idx.pop()
+        pre.append(p)
+        idx.append(t)
+        if idx[0] <= t - self._w:
+            idx.popleft()
+            pre.popleft()
+        self.period = t
+        self.omega = p - pre[0]
+        if t == self._rebase_at:
+            self._rebase()
         return self
+
+    def _rebase(self) -> None:
+        """Shift every stored prefix by the front minimum, so the front sits at 0.0.
+
+        Rounding is monotone, so the deque stays ascending; where it makes
+        neighbours equal, the older one stays in front, as its prefix was the
+        smaller before the shift.
+        """
+        shift = self._pre[0]
+        self._pre = deque([v - shift for v in self._pre])
+        self._rebase_at += self._w
 
     def as_record(self) -> dict:
         return {

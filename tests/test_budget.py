@@ -439,3 +439,42 @@ def test_minform_agrees_with_excess_form_on_random_runs():
             assert budget_oracle_minform(history, t, cfg) == pytest.approx(
                 budget_from_omega(omega, cfg), abs=1e-9
             )
+
+
+# ── prefix rebasing ───────────────────────────────────────────────────
+
+
+@pytest.mark.parametrize("w, dips", [(1000, True), (10, False)])
+def test_long_runs_across_many_rebases_match_bruteforce(w, dips):
+    # 10^6 periods cross 10^3 (W=1000) and 10^5 (W=10) prefix rebases
+    cfg = EmfConfig(w, 1.0, 0.15)
+    rng = np.random.default_rng(w)
+    values = rng.uniform(cfg.floor, 2.0, size=10**6)
+    if dips:
+        values[rng.random(values.size) < 4.0 / w] = 0.0
+    state = BudgetState(cfg)
+    update = state.update
+    step = 10**4
+    for t in range(step, values.size + 1, step):
+        for c in values[t - step : t].tolist():
+            update(c)
+        window = values[t - (w - 1) : t].tolist()
+        omega_ref, _ = omega_naive(window, len(window), cfg)
+        assert abs(state.omega - omega_ref) <= 1e-9
+        scores = _partial_sums(window, cfg.floor)
+        assert abs(scores[state.argmax_len] - state.omega) <= 1e-9
+
+
+def test_rebase_keeps_older_of_prefixes_rounded_together():
+    # floor 1.0: after 100 idle periods the prefix sits at -100; the next two
+    # prefixes are 1.0 and 1.0 + 2**-52, and the rebase at t = 102 shifts both
+    # to 101.0. The older one is still the smaller, so once the -100 leaves the
+    # window the maximizing span reaches back to it.
+    cfg = EmfConfig(102, 1.0, 1.0)
+    state = _run_updates(cfg, [0.0] * 100 + [102.0, 1.0 + 2**-52])
+    assert (state.omega, state.argmax_len) == (101.0, 2)
+    for _ in range(100):
+        state.update(2.0)
+    assert state.period == 202
+    assert state.omega == 100.0
+    assert state.argmax_len == 101

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from emfcap.budget import EmfConfig
+from emfcap.budget import EmfConfig, budget_from_omega, omega_naive
 from emfcap.policy import DppConfig
 from emfcap.sim import (
     SimConfig,
@@ -324,28 +324,30 @@ def test_trace_csv_is_replaced_atomically_with_plain_file_mode(tmp_path):
     assert path.stat().st_mode == plain.stat().st_mode
 
 # Digests of the trace CSV bytes and of the sorted-key summary JSON, recorded
-# from the implementation these outputs must stay byte-identical to.
+# from the implementation these outputs must stay byte-identical to (last
+# re-recorded when the exact tracker became a sliding prefix-sum minimum,
+# which rounds budget_exact differently in the last bits).
 PINNED_DIGESTS = {
-    ("dpp_exact", 0.2, 0): ("394bf9e7e3ccecd7b38be3237543685534aeee79273dac81744808c3ea05e60f", "691be23ab05bda16f6b896751afbb774a44415664241d8c004c7921ac474cf87"),
-    ("dpp_exact", 0.2, 1): ("d9695adb67c9cbdad480c02bc1b24283cdc3eae84f8d585a726e168677823b3d", "151b051a816f754c7bc78f56dd969f7f670af7e8ff6c3a70393faf91e9cacba9"),
-    ("dpp_exact", 0.9, 0): ("2f6112fc88fbf1913f8bc7d97c74b278fb22ba3c5e5651f45d6afbf3b69cca55", "ffe14c3c30928663c829498efa8566880f9811323a0de3cd7d3d0d073ee8c145"),
-    ("dpp_exact", 0.9, 1): ("0e06288a300e2232806684f6738c9a46afc3e51c1aaebe9a6c25599ba17d8375", "3505788d9d8277bbd8b961c0199552a2dd85f11ff31c07bde02655aa07e357c3"),
-    ("dpp_conservative", 0.2, 0): ("724467b204d3da70d0327880dbdeb2732f6577e4e32213df30bb6111d1634975", "3848df05bc12252080493387629e366cd847e46c157cfa7fcd985453ae7b4448"),
-    ("dpp_conservative", 0.2, 1): ("782879cbf7f7b0bd05cb6a357a8cbd35a104831ab33bc0c5915ab95b478f5bf9", "894fa753ae02e0dcc8a1d84bb7b78bdfd6c33385a28650327bb4f456133806a2"),
-    ("dpp_conservative", 0.9, 0): ("1756f290ce02d912dfb222fd17e9ec8522a47b558fabe1704c4ce2cccdb83253", "5a7974d8fc9d73d3e1f2cba730603bea23522f122c6f0c237d3d35ceb8726bd2"),
-    ("dpp_conservative", 0.9, 1): ("ba7884a9f090d412ee6cff383a33798ef17d64aad1ba98368db4914e082fc752", "11c01646a75aba93939cec43dc98aafd84435decc6e9c5710af8623a0e776209"),
-    ("greedy_exact", 0.2, 0): ("aedf6add294c1a4a1f71232950ea1929204a81a6d6900761451aa35f6d34cf23", "e083bf414167cdebec92a559b4fc6dbb24b71c9854c8f219ed557ecec2d06e3a"),
-    ("greedy_exact", 0.2, 1): ("fc4c3c518637b067e537b3dba3a539e4d3d0537c2e935e15c1f24da8a77fad3a", "25fd6826602e0462f6ff545a40886f47527978ea490d6f3ae2a52e18c4dc748a"),
-    ("greedy_exact", 0.9, 0): ("9fa56b495fd50342fc0257dd602b160c993fabf7d4822d198f2b738e18b3c765", "ef743dda447641ec85b05c3bf79ae60a793737783cd5beb1ae60026c06470e14"),
+    ("dpp_exact", 0.2, 0): ("1364e611ada2b9ffb6bbfe808be76a4e2428a5adbd21df2329ae78633a35e2d3", "9a9a33880b5c54f715a374ddcc977b8c3e64e2c471ac7cd4e41a38e11f34aa99"),
+    ("dpp_exact", 0.2, 1): ("aae77d94588797f8837d8db5311675fcec526ae18333d4a151e9c523577e49fc", "027f4b3ecdc4520ce102542d8a5e5e2575ae2a8873b8d7bf9cd5c2b885bcdc74"),
+    ("dpp_exact", 0.9, 0): ("65fdca789d7886192fb00083096de4d5ff4e08c3a9618f955a9cde0e77a539d6", "ed7db34bcdd820f36c6f5bcb68dc79c5fda170f863c20e62754cb8826259366e"),
+    ("dpp_exact", 0.9, 1): ("a63ce68af2f1945347ecf80227fe914b65a555f2e5f8ee42864809a8d776ddbd", "f70e305306f20616abf952fd4beea65b6a5948a27f597dd7f36da482ac32b872"),
+    ("dpp_conservative", 0.2, 0): ("a0bc9da0639675638977c60f05543ba5b601e75c7290c5ade7feb21f37e9b173", "a7356fd1eb4d05d1efae9cb66102130f8a2cbb97477fa1524612474da7ee9429"),
+    ("dpp_conservative", 0.2, 1): ("945ef2d3e555dce5e1636340b1037da96e2ca50c6b17f3d5b68c7baef5afc724", "382f411ad749907bf73c0054006f2521dbad7aecdf833698b713e4ac0c610416"),
+    ("dpp_conservative", 0.9, 0): ("d5c187dd592ae298acb85c4719a9e1e152627a7bd5fa178132ba4d0dbe275298", "54758ea035f5c5d0a59e06efec3f3d750e6b1e58eabc717ec10db71f2e55569a"),
+    ("dpp_conservative", 0.9, 1): ("c9fb354caee3c30870991e3ad6cd7915563f710e69cf0e724cbdf20c246ad668", "aacb4513173542d0b1096b909b50fc7dbdaa815e0eda9dc9ac8a417432e21aff"),
+    ("greedy_exact", 0.2, 0): ("6bf2e1a456cd270197d8e7b336391045453d7f4463d35dab30159b9acf7de9e9", "a4285f04cd63fe8a84fd343d6b2c0915d5e292ac0859c3e43bde7c3705565a0f"),
+    ("greedy_exact", 0.2, 1): ("7cbeb35e34da5c2e3235f4dbebd9f64771ae0c8ec36a09f808aaf2d87763bd24", "9d01bb8b54072e7d10d9b9610b22fbb373fc240443c5cdbbef901951cb2bd043"),
+    ("greedy_exact", 0.9, 0): ("ec188ace847b2e5c54bdb9a9fa7227d029379bdcc8c30f153337d4dfab306d24", "575d9e5b73d46289e6b116cb4c3bf248ea90cbf4892d91194dc9bf4a5dff6717"),
     ("greedy_exact", 0.9, 1): ("70622b7dbf95dcea773a3fcc535af4a48d010eb77f33cb9a07d261cb887cdf12", "4ea177807b0d6a0b84bee7a41cc7e8b8b23976cc89c3fe08e86a11dc9d61f055"),
-    ("greedy_conservative", 0.2, 0): ("3530d537f9ad529573311753b7eaf0295e00b577acc0503020d4170181fdc649", "add1a353326afad1386d1defd548a342a5f508ff906005e09c894b741c82ed1f"),
-    ("greedy_conservative", 0.2, 1): ("3429d9f9f90c8926af432edac20d223e3d515e6d256404cc733c3008c2f10cd4", "d5f90ef2beae5b1685491efa50a7e142875011ecf66041d1e2b05e6d4baeff41"),
-    ("greedy_conservative", 0.9, 0): ("9fa56b495fd50342fc0257dd602b160c993fabf7d4822d198f2b738e18b3c765", "86c2d0da1d4ea63e9fa921114cbcb35df43579cd7d5000f9d7474163ec0b6a9a"),
+    ("greedy_conservative", 0.2, 0): ("071d6d636922110fcef128defb54fe9bfedd21948633a597227e14695134ad7a", "21ead8ada48a5d150f766a518320dcebcb0564b740d7e2dcf586f0193acdf92a"),
+    ("greedy_conservative", 0.2, 1): ("0a186e331bbe4638cb4b7d33a5feb4beceb39bb2b9699c56fde295b1911c6319", "1c83a512660fedf292609c68d6415fafd93ff518d4e1ceff49b2365bcb4ad7a0"),
+    ("greedy_conservative", 0.9, 0): ("3367d83a9ecb7f64efc4fd8caca201ad2fca8e989ef901159e68c8ae48880038", "ca7788c88503709f706cac6684cc082954d877d595d3393bca83725e0f6cdef1"),
     ("greedy_conservative", 0.9, 1): ("70622b7dbf95dcea773a3fcc535af4a48d010eb77f33cb9a07d261cb887cdf12", "d20254c4d2e0f6562a5f1e444ff6e8f8936884a23a44a4bddd8898d78c397b19"),
-    ("cautious", 0.2, 0): ("3ee56c65cab52c59921d419387a343a21eb1741719d6f6d0a9f2727edb769656", "bc2be01641217fadabcfc2d9aedf101e3101ac65d056acf7cd8d27ffec2e7d9e"),
-    ("cautious", 0.2, 1): ("f9445b603c7622f0b9f3aae4803f786b3ee3e57887fdcced98af1091afac7725", "3147bccde45e3ed90a19fcb81a4da30a9f24278062f9ac2d552daf7baa6f8573"),
-    ("cautious", 0.9, 0): ("dd02c4c0ed7ac587ba59c8d4bd1ea658e353cf667061b3f64e25cb280d94e18e", "ea7c09ee11c85ecd32ec4ab9e14a97b02ec3ddba0f0e5c415501037d58fc5728"),
-    ("cautious", 0.9, 1): ("c66a988f5067b42ff4593a3a7348d8de31f7096780b5c85c8fc5b37487a7cb9c", "c022a62e9780b9b24592c3d2e5bc907877fb7b6b51da3f2dcbfe3c1f61bdd074"),
+    ("cautious", 0.2, 0): ("bb98dd166a3774cf7b967acb5c603e03d0e69696525c83d5ad76da0df5cdca01", "c10147ed1f9be941cc90300e4fe1af59a813a73673267778a4075b66dd171915"),
+    ("cautious", 0.2, 1): ("b28809269d0f7bfb595191c949e6a5ba7429ef28cd8128f6bef87475604599d1", "ac5aa0fba87f6aa3dbc03d1446f3b42c35eb90b2d11d548f929857cee62ec5ba"),
+    ("cautious", 0.9, 0): ("e08634ce4b58861798e297301cb7a78bdf8d835fc7161ca81c1c68c8453244e9", "230ce6e1ee43688c5d62866fe1d71af28a8893dd27976381cad40dbf332f718f"),
+    ("cautious", 0.9, 1): ("2d4c42b65a6894305e0767e7268abe5aa0e6b72df4191a5604df6ab59ccbf6d0", "c60200e268402e4db9b4c846d0b792c1d373721f781add644968670adc83b91d"),
 }
 
 
@@ -357,6 +359,15 @@ def test_outputs_match_pinned_digests(tmp_path, kind, load, seed):
     csv_digest = hashlib.sha256(path.read_bytes()).hexdigest()
     summary_digest = hashlib.sha256(json.dumps(trace.summary(), sort_keys=True).encode()).hexdigest()
     assert (csv_digest, summary_digest) == PINNED_DIGESTS[kind, load, seed]
+
+
+@pytest.mark.parametrize("kind, load, seed", sorted(PINNED_DIGESTS))
+def test_exact_budget_column_matches_oracle(kind, load, seed):
+    trace = run_simulation(make_cfg(policy=kind, load=load, horizon=500, seed=seed))
+    history = trace.c.tolist()
+    for t in range(len(history)):
+        want = budget_from_omega(omega_naive(history, t, EMF)[0], EMF)
+        assert abs(trace.budget_exact[t] - want) <= 1e-12, t
 
 
 def test_trace_length_and_summary_fields():
