@@ -1,18 +1,21 @@
 """Per-update cost measurement for the budget maintenance routines.
 
 Three timed subjects: the linear from-scratch recompute, the incremental
-exact tracker (constant per period on average, linear in the worst case) and
-the constant-time conservative tracker. Each update is timed individually
-with the ns counter so the tail of the exact tracker (the occasional
-re-fold) shows up in the p99 instead of being averaged away.
+exact tracker (amortized constant time per period) and the constant-time
+conservative tracker. Each update is timed individually with the ns counter
+so the tail of the exact tracker (the deque pops after a dip, the prefix
+rebase every ``W`` periods) shows up in the p99 instead of being averaged
+away.
 
-Workloads:
+Workloads of the exact tracker:
 
 * ``sparse``: mostly idle periods with occasional bursts; the steady-state
-  shape real traffic produces, which keeps the exact tracker on its
-  constant-time paths most of the time.
-* ``all_above``: every sample clears the floor, so the exact tracker stays on
-  its sliding-sum path; this isolates its best-case constant-time behaviour.
+  shape real traffic produces.
+* ``all_above``: every sample clears the floor, so the prefix sums only rise
+  and the window minimum leaves the deque front every period.
+* ``dips``: saturated load above the floor with an idle period about every
+  ``W/4``; the maximizing span then covers the whole window almost every
+  period, the case a tracker that re-folds the window pays linearly for.
 
 The from-scratch recompute costs the same on any workload (it always folds
 the whole window), so it is measured on a fixed random window. Its call
@@ -30,6 +33,7 @@ from .budget import BudgetState, ConservativeBudgetState, EmfConfig, budget_scra
 
 WORKLOAD_SPARSE = "sparse"
 WORKLOAD_ALL_ABOVE = "all_above"
+WORKLOAD_DIPS = "dips"
 
 _DEFAULT_CFG = {"threshold": 1.0, "guaranteed_ratio": 0.15}
 
@@ -44,6 +48,10 @@ def _workload(kind: str, rng: np.random.Generator, n: int, cfg: EmfConfig) -> np
         return np.where(rng.random(n) < 0.2, burst, 0.0)
     if kind == WORKLOAD_ALL_ABOVE:
         return rng.uniform(cfg.floor, 2.0 * cfg.threshold, size=n)
+    if kind == WORKLOAD_DIPS:
+        values = rng.uniform(cfg.floor, 2.0 * cfg.threshold, size=n)
+        values[:: max(1, cfg.window_w // 4)] = 0.0
+        return values
     raise ValueError(f"unknown workload {kind!r}")
 
 
@@ -129,5 +137,6 @@ def bench_suite(w_grid, updates: int = 100_000, seed: int = 0) -> list[dict]:
         rows.append(bench_scratch(w, updates, seed))
         rows.append(bench_exact_update(w, updates, WORKLOAD_SPARSE, seed))
         rows.append(bench_exact_update(w, updates, WORKLOAD_ALL_ABOVE, seed))
+        rows.append(bench_exact_update(w, updates, WORKLOAD_DIPS, seed))
         rows.append(bench_conservative_update(w, updates, seed))
     return rows

@@ -36,7 +36,10 @@ from dataclasses import dataclass
 
 
 def as_int(value, name: str) -> int:
-    """``value`` as an ``int``; integral floats such as ``10.0`` pass, anything else raises ``ValueError``."""
+    """``value`` as an ``int``; ``ValueError`` unless it is integral.
+
+    Integral floats such as ``10.0`` (what JSON may hold for an integer) pass.
+    """
     try:
         out = int(value)
     except (TypeError, ValueError, OverflowError):

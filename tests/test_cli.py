@@ -254,7 +254,7 @@ def test_bench_small_grid_shape(tmp_path, capsys):
         assert row["p99_ns"] >= row["p50_ns"]
     lines = out.read_text().splitlines()
     assert lines[0] == "algorithm,workload,window_w,updates,p50_ns,p99_ns"
-    assert len(lines) == 9
+    assert len(lines) == 11
 
 
 def test_bench_rejects_bad_updates(tmp_path):
