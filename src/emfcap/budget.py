@@ -38,10 +38,11 @@ from dataclasses import dataclass
 def as_int(value, name: str) -> int:
     """``value`` as an ``int``; ``ValueError`` unless it is integral.
 
-    Integral floats such as ``10.0`` (what JSON may hold for an integer) pass.
+    Integral floats such as ``10.0`` (what JSON may hold for an integer) pass;
+    ``bool`` does not.
     """
     try:
-        out = int(value)
+        out = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or out != value:
@@ -244,14 +245,6 @@ class BudgetState:
         self._pre = deque([v - shift for v in self._pre])
         self._rebase_at += self._w
 
-    def as_record(self) -> dict:
-        return {
-            "omega": self.omega,
-            "argmax_len": self.argmax_len,
-            "window": list(self._window),
-            "period": self.period,
-        }
-
 
 class ConservativeBudgetState:
     """Constant-time conservative tracker: clipped overshoots summed over the window.
@@ -296,10 +289,3 @@ class ConservativeBudgetState:
         win.append(c)
         self.period += 1
         return self
-
-    def as_record(self) -> dict:
-        return {
-            "omega_tilde": self.omega_tilde,
-            "window": list(self._window),
-            "period": self.period,
-        }

@@ -1,9 +1,12 @@
 """Command-line front end: simulate, verify, sweep-v, compare-budgets, bench.
 
-Precedence for every parameter is flag > config file > built-in default. The
-config file is flat JSON keyed by flag names (dashes become underscores);
-a run manifest written by a previous invocation is also accepted, so any run
-can be reproduced bit-for-bit from its manifest. All EIRP quantities are
+Every parameter is declared once, in ``PARAMS``; each command accepts
+exactly the flags of the parameters it reads (``COMMANDS``). Precedence is
+flag > config file > built-in default. The config file is flat JSON keyed by
+flag names (dashes become underscores), and its values pass the same
+converters as the flags' text; a JSON ``null`` means unset only where the
+default is unset. A run manifest written by a previous invocation is also
+accepted, so any run can be reproduced bit-for-bit from its manifest. All EIRP quantities are
 linear-unit reals normalized so the threshold defaults to 1.0; the optional
 ``--c-bar-dbm`` flag only converts a display block in the summary.
 """
@@ -19,6 +22,7 @@ import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 from time import perf_counter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,16 +31,75 @@ from .bench import bench_suite
 from .budget import EmfConfig, as_int
 from .output import atomic_write_text, csv_text
 from .policy import POLICY_KINDS, DppConfig
-from .sim import (
-    SimConfig,
-    compare_budgets,
-    run_simulation,
-    sweep_v,
-    verify_compliance,
-)
+from .sim import SimConfig, compare_budgets, run_simulation, sweep_v, verify_compliance
 from .traffic import TrafficConfig
 
 SEED_ENV_VAR = "EMFCAP_SEED"
+
+
+class CliError(Exception):
+    """Invalid configuration or malformed input; maps to exit code 2."""
+
+
+# ── parameters ────────────────────────────────────────────────────────
+#
+# Each converter takes a flag's text or a config file's JSON value and
+# returns the typed value, or raises ``ValueError``/``TypeError``.
+
+
+def _real(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"must be finite, got {value!r}")
+    return out
+
+
+def _integer(value) -> int:
+    # int() keeps a 64-bit seed given as text exact; as_int lets JSON's 10.0 pass
+    return int(value) if isinstance(value, str) else as_int(value, "value")
+
+
+def _at_least(low, convert):
+    def check(value):
+        out = convert(value)
+        if out < low:
+            raise ValueError(f"must be >= {low}, got {value!r}")
+        return out
+
+    return check
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _policy(value) -> str:
+    if value not in POLICY_KINDS:
+        raise ValueError(f"expected one of {', '.join(POLICY_KINDS)}, got {value!r}")
+    return value
+
+
+def _grid(convert):
+    def parse(value) -> list:
+        if isinstance(value, str):
+            value = [part for part in value.split(",") if part.strip()]
+        if not isinstance(value, list):
+            raise ValueError(f"expected a list or a comma list, got {value!r}")
+        if not value:
+            raise ValueError("must be nonempty")
+        return [convert(v) for v in value]
+
+    return parse
+
+
+class Param(NamedTuple):
+    convert: Callable
+    default: object  # None: unset, and a JSON null in a config file leaves it unset
+    help: str
 
 
 def _field_defaults(cls) -> dict:
@@ -44,52 +107,40 @@ def _field_defaults(cls) -> dict:
 
 
 # Model parameters default to the config dataclasses' field defaults; the
-# rest are CLI-only.
+# flag of each is its name with dashes for underscores.
 _DPP, _TRAFFIC, _SIM = map(_field_defaults, (DppConfig, TrafficConfig, SimConfig))
-DEFAULTS = {
-    "policy": _SIM["policy_kind"],
-    "W": 10,
-    "C_bar": 1.0,
-    "rho": 0.15,
-    "alpha": _DPP["alpha"],
-    "beta": _DPP["beta"],
-    "V": _DPP["v_weight"],
-    "load": _TRAFFIC["load"],
-    "zipf_exponent": _TRAFFIC["zipf_exponent"],
-    "zipf_support": _TRAFFIC["zipf_support"],
-    "demand_scale": None,  # resolved to C_bar / 4
-    "horizon": _SIM["horizon"],
-    "seed": None,  # resolved from EMFCAP_SEED, else 0
-    "reps": _SIM["replications"],
-    "tolerance": 1e-9,
-    "loads": [0.05, 0.2, 0.5, 0.9],
-    "v_grid": [1.0, 2.0, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0],
-    "w_grid": [10, 100, 1000, 10000],
-    "updates": 100000,
-    "c_bar_dbm": None,
-    "trace": None,
-    "out": None,
+PARAMS = {
+    "policy": Param(_policy, _SIM["policy_kind"], f"control policy: {', '.join(POLICY_KINDS)}"),
+    "W": Param(_integer, 10, "sliding window length in periods"),
+    "C_bar": Param(_real, 1.0, "averaged-EIRP threshold (linear units)"),
+    "rho": Param(_real, 0.15, "guaranteed ratio in [0, 1]"),
+    "alpha": Param(_real, _DPP["alpha"], "fairness exponent (1 = proportional fair)"),
+    "beta": Param(_real, _DPP["beta"], "queue inflation factor in [0, 1]"),
+    "V": Param(_real, _DPP["v_weight"], "utility weight of the queue controller"),
+    "load": Param(_real, _TRAFFIC["load"], "probability of nonzero demand per period"),
+    "zipf_exponent": Param(_real, _TRAFFIC["zipf_exponent"], "demand-level tail exponent (> 1)"),
+    "zipf_support": Param(_integer, _TRAFFIC["zipf_support"], "number of demand levels"),
+    "demand_scale": Param(_real, None, "EIRP units per demand level (default C_bar/4)"),
+    "horizon": Param(_integer, _SIM["horizon"], "periods per run"),
+    "seed": Param(_integer, None, f"base RNG seed (env {SEED_ENV_VAR}, default 0)"),
+    "reps": Param(_integer, _SIM["replications"], "replications per grid point"),
+    "tolerance": Param(_at_least(0.0, _real), 1e-9, "absolute tolerance on the windowed average"),
+    "loads": Param(_grid(_real), [0.05, 0.2, 0.5, 0.9], "comma list of loads"),
+    "v_grid": Param(
+        _grid(_real), [1.0, 2.0, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0], "comma list of utility weights"
+    ),
+    "w_grid": Param(_grid(_integer), [10, 100, 1000, 10000], "comma list of window lengths"),
+    "updates": Param(_at_least(1, _integer), 100000, "timed updates per constant-time subject"),
+    "c_bar_dbm": Param(
+        _real, None, "display-only dBm value of the threshold; adds a dBm block to the summary"
+    ),
+    "trace": Param(_text, None, "trace CSV with a 'c' column"),
+    "out": Param(_text, None, "primary output path (siblings derive from its stem)"),
 }
 
-SIMULATE_KEYS = (
-    "policy", "W", "C_bar", "rho", "alpha", "beta", "V", "load",
-    "zipf_exponent", "zipf_support", "demand_scale", "horizon", "seed",
-    "tolerance", "c_bar_dbm", "out",
-)
-VERIFY_KEYS = ("trace", "W", "C_bar", "tolerance", "out")
-SWEEP_KEYS = (
-    "loads", "v_grid", "reps", "W", "C_bar", "rho", "alpha", "beta",
-    "zipf_exponent", "zipf_support", "demand_scale", "horizon", "seed", "out",
-)
-COMPARE_KEYS = (
-    "loads", "reps", "W", "C_bar", "rho",
-    "zipf_exponent", "zipf_support", "demand_scale", "horizon", "seed", "out",
-)
-BENCH_KEYS = ("w_grid", "updates", "seed", "out")
 
-
-class CliError(Exception):
-    """Invalid configuration or malformed input; maps to exit code 2."""
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 # ── parameter resolution ──────────────────────────────────────────────
@@ -114,57 +165,36 @@ def _load_config_file(path: str) -> dict:
     return doc
 
 
-def _resolve(args: argparse.Namespace, keys: tuple) -> dict:
-    """Merge flag values over config-file values over built-in defaults."""
-    from_file = {}
-    if getattr(args, "config", None):
-        from_file = _load_config_file(args.config)
-        unknown = set(from_file) - set(keys)
-        if unknown:
-            raise CliError(f"config file has keys not used by this command: {sorted(unknown)}")
+def _resolve(args: argparse.Namespace) -> dict:
+    """Merge flag values over config-file values over built-in defaults, each through its converter."""
+    names = args.params
+    from_file = _load_config_file(args.config) if args.config else {}
+    unknown = set(from_file) - set(names)
+    if unknown:
+        raise CliError(f"config file has keys not used by this command: {sorted(unknown)}")
     resolved = {}
-    for key in keys:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            resolved[key] = flag_val
-        elif key in from_file:
-            resolved[key] = from_file[key]
-        else:
-            resolved[key] = DEFAULTS[key]
+    for name in names:
+        convert, default, _ = PARAMS[name]
+        value = getattr(args, name)
+        if value is None:
+            value = from_file.get(name, default)
+        if value is None and default is None:
+            resolved[name] = None
+            continue
+        try:
+            resolved[name] = convert(value)
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"{_flag(name)}: {exc}") from exc
     if "seed" in resolved and resolved["seed"] is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        resolved["seed"] = int(env) if env else 0
+        resolved["seed"] = _integer(os.environ.get(SEED_ENV_VAR) or 0)
     if "demand_scale" in resolved and resolved["demand_scale"] is None:
         resolved["demand_scale"] = resolved["C_bar"] / 4.0
-    tol = resolved.get("tolerance", 0.0)
-    if not isinstance(tol, (int, float)) or not 0.0 <= tol < math.inf:
-        raise CliError(f"--tolerance must be finite and nonnegative, got {tol!r}")
-    for grid_key in ("loads", "v_grid", "w_grid"):
-        if grid_key in resolved:
-            resolved[grid_key] = _parse_grid(resolved[grid_key], grid_key)
     return resolved
-
-
-def _parse_grid(value, name: str) -> list:
-    flag = f"--{name.replace('_', '-')}"
-    if isinstance(value, str):
-        value = [p for p in value.split(",") if p.strip()]
-    if not isinstance(value, list):
-        raise CliError(f"{flag}: expected a list or a comma list, got {value!r}")
-    try:
-        values = [float(v) for v in value]
-        if name == "w_grid":
-            values = [as_int(v, flag) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{flag}: not a numeric list: {value!r}") from exc
-    if not values:
-        raise CliError(f"{flag} must be nonempty")
-    return values
 
 
 def _build_sim_config(cfg: dict) -> SimConfig:
     """Config objects from resolved parameters; those a command has no flag for take their defaults."""
-    cfg = {**DEFAULTS, **cfg}
+    cfg = {**{name: param.default for name, param in PARAMS.items()}, **cfg}
     emf = EmfConfig(window_w=cfg["W"], threshold=cfg["C_bar"], guaranteed_ratio=cfg["rho"])
     traffic = TrafficConfig(
         load=cfg["load"],
@@ -229,13 +259,12 @@ def _to_dbm(linear: float, c_bar: float, c_bar_dbm: float):
 # ── subcommands ───────────────────────────────────────────────────────
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(cfg: dict) -> int:
     t0 = perf_counter()
-    cfg = _resolve(args, SIMULATE_KEYS)
     if cfg["out"] is None:
         cfg["out"] = "trace.csv"
     sim_cfg = _build_sim_config(cfg)
-    trace = run_simulation(sim_cfg, seed=cfg["seed"])
+    trace = run_simulation(sim_cfg)
     summary = trace.summary(tolerance=cfg["tolerance"])
     if cfg["c_bar_dbm"] is not None:
         c_bar, dbm = cfg["C_bar"], cfg["c_bar_dbm"]
@@ -246,15 +275,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "mean_budget_exact_dbm": _to_dbm(summary["mean_budget_exact"], c_bar, dbm),
             "worst_window_average_dbm": _to_dbm(summary["worst_window_average"], c_bar, dbm),
         }
+    summary_text = _json_text(summary)
     out = Path(cfg["out"])
     summary_path = _sibling(out, ".summary.json")
     trace.write_csv(out)
-    atomic_write_text(summary_path, _json_text(summary))
+    atomic_write_text(summary_path, summary_text)
     _write_manifest(
         _sibling(out, ".manifest.json"), "simulate", cfg,
         {"trace_csv": out, "summary_json": summary_path}, perf_counter() - t0,
     )
-    print(_json_text(summary), end="")
+    print(summary_text, end="")
     return 0
 
 
@@ -286,9 +316,8 @@ def _read_trace_column(path: str, column: str) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(cfg: dict) -> int:
     t0 = perf_counter()
-    cfg = _resolve(args, VERIFY_KEYS)
     if not cfg["trace"]:
         raise CliError("--trace is required")
     c = _read_trace_column(cfg["trace"], "c")
@@ -305,24 +334,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report["compliant"] else 1
 
 
-def cmd_sweep_v(args: argparse.Namespace) -> int:
+def cmd_sweep_v(cfg: dict) -> int:
     t0 = perf_counter()
-    cfg = _resolve(args, SWEEP_KEYS)
     if cfg["out"] is None:
         cfg["out"] = "sweep_v.csv"
-    base = _build_sim_config({**cfg, "load": 0.0, "policy": "dpp_exact"})
-    rows = sweep_v(base, cfg["loads"], cfg["v_grid"], replications=cfg["reps"])
+    rows = sweep_v(_build_sim_config(cfg), cfg["loads"], cfg["v_grid"])
     _emit_table("sweep-v", cfg, rows, ("load", "v_star", "mean_score", "ci_half_width"), t0)
     return 0
 
 
-def cmd_compare_budgets(args: argparse.Namespace) -> int:
+def cmd_compare_budgets(cfg: dict) -> int:
     t0 = perf_counter()
-    cfg = _resolve(args, COMPARE_KEYS)
     if cfg["out"] is None:
         cfg["out"] = "budget_compare.csv"
-    base = _build_sim_config({**cfg, "load": 0.0, "policy": "greedy_exact"})
-    rows = compare_budgets(base, cfg["loads"], replications=cfg["reps"])
+    rows = compare_budgets(_build_sim_config(cfg), cfg["loads"])
     _emit_table(
         "compare-budgets", cfg, rows,
         ("load", "mean_budget_exact", "mean_budget_conservative", "mean_gap", "all_above_frac"),
@@ -331,15 +356,11 @@ def cmd_compare_budgets(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(cfg: dict) -> int:
     t0 = perf_counter()
-    cfg = _resolve(args, BENCH_KEYS)
     if cfg["out"] is None:
         cfg["out"] = "bench.csv"
-    updates = as_int(cfg["updates"], "--updates")
-    if updates < 1:
-        raise CliError("--updates must be >= 1")
-    rows = bench_suite(cfg["w_grid"], updates=updates, seed=cfg["seed"])
+    rows = bench_suite(cfg["w_grid"], updates=cfg["updates"], seed=cfg["seed"])
     _emit_table(
         "bench", cfg, rows,
         ("algorithm", "workload", "window_w", "updates", "p50_ns", "p99_ns"),
@@ -350,26 +371,23 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 # ── parser ────────────────────────────────────────────────────────────
 
-
-def _add_common(p: argparse.ArgumentParser, *, emf=True, dpp=False, traffic=False, horizon=False):
-    p.add_argument("--config", help="flat JSON config file or a previous run manifest")
-    p.add_argument("--seed", type=int, help=f"base RNG seed (env {SEED_ENV_VAR}, default 0)")
-    p.add_argument("--out", help="primary output path (siblings derive from its stem)")
-    if emf:
-        p.add_argument("--W", type=int, help="sliding window length in periods")
-        p.add_argument("--C-bar", type=float, dest="C_bar", help="averaged-EIRP threshold (linear units)")
-        p.add_argument("--rho", type=float, help="guaranteed ratio in [0, 1]")
-    if dpp:
-        p.add_argument("--alpha", type=float, help="fairness exponent (1 = proportional fair)")
-        p.add_argument("--beta", type=float, help="queue inflation factor in [0, 1]")
-        p.add_argument("--V", type=float, help="utility weight of the queue controller")
-    if traffic:
-        p.add_argument("--load", type=float, help="probability of nonzero demand per period")
-        p.add_argument("--zipf-exponent", type=float, help="demand-level tail exponent (> 1)")
-        p.add_argument("--zipf-support", type=int, help="number of demand levels")
-        p.add_argument("--demand-scale", type=float, help="EIRP units per demand level (default C_bar/4)")
-    if horizon:
-        p.add_argument("--horizon", type=int, help="periods per run")
+# read by every command that simulates
+_RUN_PARAMS = (
+    "W", "C_bar", "rho", "zipf_exponent", "zipf_support", "demand_scale", "horizon", "seed", "out",
+)
+# command -> (handler, help, the parameters it reads)
+COMMANDS = {
+    "simulate": (cmd_simulate, "run one closed loop and write trace/summary/manifest",
+                 ("policy", "alpha", "beta", "V", "load", "tolerance", "c_bar_dbm", *_RUN_PARAMS)),
+    "verify": (cmd_verify, "check a trace CSV against the windowed-average rule",
+               ("trace", "W", "C_bar", "tolerance", "out")),
+    "sweep-v": (cmd_sweep_v, "best utility weight per load (paired demand per replication)",
+                ("loads", "v_grid", "reps", "alpha", "beta", *_RUN_PARAMS)),
+    "compare-budgets": (cmd_compare_budgets, "exact vs conservative budget along greedy runs",
+                        ("loads", "reps", *_RUN_PARAMS)),
+    "bench": (cmd_bench, "per-update cost of the budget maintenance routines",
+              ("w_grid", "updates", "seed", "out")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,48 +397,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"emfcap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run one closed loop and write trace/summary/manifest")
-    _add_common(p, dpp=True, traffic=True, horizon=True)
-    p.add_argument("--policy", choices=POLICY_KINDS, help="control policy")
-    p.add_argument("--tolerance", type=float, help="compliance check tolerance")
-    p.add_argument("--c-bar-dbm", type=float, dest="c_bar_dbm",
-                   help="display-only dBm value of the threshold; adds a dBm block to the summary")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="check a trace CSV against the windowed-average rule")
-    _add_common(p)
-    p.add_argument("--trace", help="trace CSV with a 'c' column")
-    p.add_argument("--tolerance", type=float, help="absolute tolerance on the windowed average")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("sweep-v", help="best utility weight per load (paired demand per replication)")
-    _add_common(p, dpp=True, traffic=True, horizon=True)
-    p.add_argument("--loads", help="comma list of loads")
-    p.add_argument("--v-grid", dest="v_grid", help="comma list of utility weights")
-    p.add_argument("--reps", type=int, help="replications per grid point")
-    p.set_defaults(func=cmd_sweep_v)
-
-    p = sub.add_parser("compare-budgets", help="exact vs conservative budget along greedy runs")
-    _add_common(p, traffic=True, horizon=True)
-    p.add_argument("--loads", help="comma list of loads")
-    p.add_argument("--reps", type=int, help="replications per load")
-    p.set_defaults(func=cmd_compare_budgets)
-
-    p = sub.add_parser("bench", help="per-update cost of the budget maintenance routines")
-    _add_common(p, emf=False)
-    p.add_argument("--w-grid", dest="w_grid", help="comma list of window lengths")
-    p.add_argument("--updates", type=int, help="timed updates per constant-time subject")
-    p.set_defaults(func=cmd_bench)
-
+    for command, (handler, help_text, names) in COMMANDS.items():
+        # no abbreviations: sweep-v must not read --load as --loads
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        p.add_argument("--config", help="flat JSON config file or a previous run manifest")
+        for name in names:
+            p.add_argument(_flag(name), dest=name, help=PARAMS[name].help)
+        p.set_defaults(handler=handler, params=names)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.handler(_resolve(args))
     except CliError as exc:
         print(f"emfcap: error: {exc}", file=sys.stderr)
         return 2

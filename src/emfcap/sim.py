@@ -145,8 +145,10 @@ class SimTrace:
         atomic_write_text(path, csv_text(TRACE_COLUMNS, [getattr(self, name) for name in TRACE_COLUMNS]))
 
 
-def run_simulation(cfg: SimConfig, seed: int | None = None, replication: int = 0) -> SimTrace:
-    """Run one closed loop; deterministic given ``(cfg, seed, replication)``.
+def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:
+    """Run one closed loop; deterministic given ``(cfg, replication)``.
+
+    The demand stream is ``(cfg.traffic.seed, replication)``.
 
     Both budgets are tracked every period regardless of which one drives the
     policy, so any trace supports the exact-versus-conservative comparison.
@@ -154,7 +156,7 @@ def run_simulation(cfg: SimConfig, seed: int | None = None, replication: int = 0
     emf = cfg.emf
     policy_cls, conservative_drive = POLICY_KINDS[cfg.policy_kind]
     policy = policy_cls(emf, cfg.dpp)
-    tm = TrafficModel(cfg.traffic, seed=seed, replication=replication)
+    tm = TrafficModel(cfg.traffic, replication=replication)
     demands = tm.sample_demands(cfg.horizon).tolist()
 
     exact = BudgetState(emf)
@@ -194,13 +196,12 @@ def run_simulation(cfg: SimConfig, seed: int | None = None, replication: int = 0
         lo_col.append(dec.clamped_low)
         hi_col.append(dec.clamped_high)
 
-    used_seed = cfg.traffic.seed if seed is None else int(seed)
     return SimTrace(
         policy_kind=cfg.policy_kind,
         emf=emf,
         alpha=cfg.dpp.alpha,
-        seed=used_seed,
-        replication=int(replication),
+        seed=cfg.traffic.seed,
+        replication=tm.replication,
         t=np.arange(cfg.horizon, dtype=np.int64),
         d=np.asarray(demands, dtype=np.float64),
         backlog=np.asarray(backlog_col, dtype=np.float64),
@@ -283,8 +284,8 @@ def queue_zero_every_window(trace, cfg: EmfConfig, tolerance: float = 0.0) -> tu
     return longest <= cfg.window_w - 1, longest
 
 
-def sweep_v(base: SimConfig, loads, v_grid, replications: int | None = None) -> list[dict]:
-    """Best queue weight per load, scored by mean fairness across paired replications.
+def sweep_v(base: SimConfig, loads, v_grid) -> list[dict]:
+    """Best queue weight per load, scored by mean fairness across ``base.replications`` paired runs.
 
     Every (load, replication) pair reuses the identical demand realization
     across the whole weight grid, so grid points differ only through the
@@ -294,9 +295,7 @@ def sweep_v(base: SimConfig, loads, v_grid, replications: int | None = None) -> 
     vs = sorted(float(v) for v in v_grid)
     if not loads or not vs:
         raise ValueError("loads and v_grid must be nonempty")
-    reps = base.replications if replications is None else int(replications)
-    if reps < 1:
-        raise ValueError("replications must be >= 1")
+    reps = base.replications
     rows = []
     for load in loads:
         traffic = replace(base.traffic, load=load)
@@ -340,24 +339,21 @@ def _all_above_fraction(c: np.ndarray, w: int, floor: float, burn_in: int) -> fl
     return float(np.mean(counts == (w - 1)))
 
 
-def compare_budgets(
-    base: SimConfig, loads, replications: int | None = None, burn_in: int | None = None
-) -> list[dict]:
-    """Time- and replication-averaged exact versus conservative budget along greedy runs.
+def compare_budgets(base: SimConfig, loads) -> list[dict]:
+    """Exact versus conservative budget along greedy runs, averaged over time and ``base.replications``.
 
-    ``all_above_frac`` reports how often (after ``burn_in`` periods) the whole
-    stored window cleared the floor; it is 1.0 exactly in the saturated regime
-    where the two budgets coincide.
+    ``all_above_frac`` reports how often, after a burn-in of
+    ``min(5 * window_w, horizon // 2)`` periods, the whole stored window
+    cleared the floor; it is 1.0 exactly in the saturated regime where the
+    two budgets coincide.
     """
     loads = [float(x) for x in loads]
     if not loads:
         raise ValueError("loads must be nonempty")
-    reps = base.replications if replications is None else int(replications)
-    if reps < 1:
-        raise ValueError("replications must be >= 1")
+    reps = base.replications
     w = base.emf.window_w
     floor = base.emf.floor
-    burn = min(5 * w, base.horizon // 2) if burn_in is None else int(burn_in)
+    burn = min(5 * w, base.horizon // 2)
     rows = []
     for load in loads:
         cfg = replace(base, traffic=replace(base.traffic, load=load), policy_kind="greedy_exact")

@@ -53,16 +53,15 @@ class TrafficConfig:
 class TrafficModel:
     """Demand source plus backlog bookkeeping for one simulated run."""
 
-    def __init__(self, cfg: TrafficConfig, seed: int | None = None, replication: int = 0):
+    def __init__(self, cfg: TrafficConfig, replication: int = 0):
+        replication = as_int(replication, "replication")
         if replication < 0:
             raise ValueError("replication index must be nonnegative")
-        base = cfg.seed if seed is None else int(seed)
-        if not 0 <= base <= _MAX_SEED:
-            raise ValueError("seed must be a 64-bit unsigned integer")
         self.cfg = cfg
+        self.replication = replication
         self.backlog = 0.0
         # one independent, platform-portable stream per (seed, replication)
-        self._rng = np.random.default_rng([base, int(replication)])
+        self._rng = np.random.default_rng([cfg.seed, replication])
         levels = np.arange(1, cfg.zipf_support + 1, dtype=np.float64)
         pmf = levels ** (-cfg.zipf_exponent)
         cdf = np.cumsum(pmf)
@@ -75,10 +74,6 @@ class TrafficModel:
         u = self._rng.random((n, 2))
         levels = np.searchsorted(self._cdf, u[:, 1], side="right") + 1
         return np.where(u[:, 0] < self.cfg.load, self.cfg.demand_scale * levels, 0.0)
-
-    def sample_demand(self) -> float:
-        """Demand for a single period."""
-        return float(self.sample_demands(1)[0])
 
     def consume(self, demand: float, gamma: float) -> float:
         """Serve backlog plus new demand up to ``gamma``; the shortfall stays buffered."""

@@ -278,7 +278,7 @@ def test_criterion_6_best_weight_decreases_with_load(capsys):
     )
     loads = [0.05, 0.1, 0.25, 0.5, 0.9]
     v_grid = [0.5, 2.0, 8.0, 30.0, 120.0, 480.0]
-    rows = sweep_v(base, loads, v_grid, replications=100)
+    rows = sweep_v(base, loads, v_grid)
     v_stars = [row["v_star"] for row in rows]
     corr = _spearman(loads, v_stars)
     ok = corr <= -0.6
@@ -302,9 +302,10 @@ def test_criterion_7_budget_gap_vanishes_at_both_extremes(capsys):
         DPP,
         horizon=1000,
         policy_kind="greedy_exact",
+        replications=20,
     )
     loads = [0.005, 0.05, 0.1, 0.2, 0.4, 0.7, 0.95]
-    rows = compare_budgets(base, loads, replications=20)
+    rows = compare_budgets(base, loads)
     small = 0.01 * EMF.threshold * EMF.window_w
     low_gap = rows[0]["mean_gap"]
     saturated = [row for row in rows if row["all_above_frac"] == 1.0]

@@ -218,15 +218,6 @@ def test_state_rejects_negative_consumption():
         assert state.budget == budget
 
 
-def test_state_record_roundtrip():
-    state = _run_updates(CFG, [0.5, 0.1])
-    rec = state.as_record()
-    assert rec["period"] == 2
-    assert rec["window"] == [0.0, 0.5, 0.1]
-    assert rec["omega"] == state.omega
-    assert rec["argmax_len"] == state.argmax_len
-
-
 def test_single_period_window_budget_is_constant():
     cfg = EmfConfig(1, 2.0, 0.4)
     state = BudgetState(cfg)
@@ -285,11 +276,6 @@ def test_conservative_rejects_negative_consumption():
         with pytest.raises(ValueError):
             state.update(bad)
         assert state.budget == budget
-
-
-def test_conservative_record_keys():
-    rec = ConservativeBudgetState(CFG).update(0.4).as_record()
-    assert set(rec) == {"omega_tilde", "window", "period"}
 
 
 def test_conservative_matches_direct_window_sum():

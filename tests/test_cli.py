@@ -3,11 +3,19 @@ import math
 
 import pytest
 
-from emfcap.cli import _json_text, main
+from emfcap.cli import COMMANDS, _json_text, main
 
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def exit_code(args):
+    """The exit code, whether it is returned or raised as ``SystemExit``."""
+    try:
+        return run_cli(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def read_json(path):
@@ -51,15 +59,11 @@ def test_simulate_zero_load_summary(tmp_path):
 
 
 def test_simulate_rejects_unknown_policy(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["simulate", "--policy", "oracle", "--out", tmp_path / "x.csv"])
-    assert exc.value.code == 2
+    assert exit_code(["simulate", "--policy", "oracle", "--out", tmp_path / "x.csv"]) == 2
 
 
 def test_simulate_rejects_bad_numeric_flag(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["simulate", "--load", "lots", "--out", tmp_path / "x.csv"])
-    assert exc.value.code == 2
+    assert exit_code(["simulate", "--load", "lots", "--out", tmp_path / "x.csv"]) == 2
 
 
 def test_simulate_invalid_config_value_exits_2(tmp_path):
@@ -260,3 +264,48 @@ def test_bench_small_grid_shape(tmp_path, capsys):
 def test_bench_rejects_bad_updates(tmp_path):
     assert run_cli(["bench", "--w-grid", "4", "--updates", "0",
                     "--out", tmp_path / "b.csv"]) == 2
+
+
+def test_every_declared_parameter_is_echoed_in_the_manifest(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    trace.write_text("c\n0.5\n")
+    small = {
+        "simulate": ["--horizon", "20"],
+        "verify": ["--trace", trace],
+        "sweep-v": ["--loads", "0.2", "--v-grid", "5", "--reps", "1", "--horizon", "20"],
+        "compare-budgets": ["--loads", "0.2", "--reps", "1", "--horizon", "20"],
+        "bench": ["--w-grid", "4", "--updates", "50"],
+    }
+    assert set(small) == set(COMMANDS)
+    for command, (_, _, names) in COMMANDS.items():
+        out = tmp_path / f"{command}.out"
+        assert run_cli([command, *small[command], "--out", out]) == 0, command
+        manifest = read_json(tmp_path / f"{command}.manifest.json")
+        assert set(manifest["config"]) == set(names), command
+
+
+def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    trace.write_text("c\n0.5\n")
+    out = tmp_path / "x.csv"
+    for argv in (
+        ["sweep-v", "--V", "99"],
+        ["sweep-v", "--load", "0.9"],
+        ["compare-budgets", "--load", "0.9"],
+        ["verify", "--trace", trace, "--seed", "3"],
+        ["verify", "--trace", trace, "--rho", "0.5"],
+    ):
+        assert exit_code([*argv, "--out", out]) == 2, argv
+    assert not out.exists()
+
+
+def test_bad_values_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    for doc in ('{"c_bar_dbm": "abc"}', '{"c_bar_dbm": 1e400}', '{"out": 5}', '{"horizon": true}',
+                # null means unset only where the default is unset
+                '{"tolerance": null}'):
+        cfg.write_text(doc)
+        assert run_cli(["simulate", "--config", cfg]) == 2, doc
+    assert run_cli(["simulate", "--c-bar-dbm", "inf"]) == 2
+    assert list(tmp_path.iterdir()) == [cfg]

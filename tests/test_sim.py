@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,7 +247,7 @@ def test_logged_queue_matches_unit_rate_recursion_when_beta_is_one():
 
 def test_sweep_single_point_grid_echoes():
     base = make_cfg(horizon=120)
-    rows = sweep_v(base, loads=[0.3], v_grid=[12.0], replications=3)
+    rows = sweep_v(replace(base, replications=3), loads=[0.3], v_grid=[12.0])
     assert rows == [
         {
             "load": 0.3,
@@ -259,7 +260,7 @@ def test_sweep_single_point_grid_echoes():
 
 def test_sweep_zero_load_ties_break_to_smallest_weight():
     base = make_cfg(horizon=100)
-    rows = sweep_v(base, loads=[0.0], v_grid=[50.0, 5.0, 500.0], replications=2)
+    rows = sweep_v(replace(base, replications=2), loads=[0.0], v_grid=[50.0, 5.0, 500.0])
     assert rows[0]["v_star"] == 5.0
     assert rows[0]["ci_half_width"] == 0.0
 
@@ -274,7 +275,7 @@ def test_sweep_rejects_empty_grids():
 
 def test_compare_budgets_zero_load_has_zero_gap():
     base = make_cfg(horizon=150)
-    rows = compare_budgets(base, loads=[0.0], replications=2)
+    rows = compare_budgets(replace(base, replications=2), loads=[0.0])
     row = rows[0]
     assert row["mean_gap"] == 0.0
     assert row["mean_budget_exact"] == EMF.full_budget
@@ -283,7 +284,7 @@ def test_compare_budgets_zero_load_has_zero_gap():
 
 def test_compare_budgets_gap_nonnegative_across_loads():
     base = make_cfg(horizon=300, scale=1.5)
-    rows = compare_budgets(base, loads=[0.05, 0.3, 0.9], replications=3)
+    rows = compare_budgets(replace(base, replications=3), loads=[0.05, 0.3, 0.9])
     assert [r["load"] for r in rows] == [0.05, 0.3, 0.9]
     for row in rows:
         assert row["mean_gap"] >= -1e-12

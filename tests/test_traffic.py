@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from emfcap.budget import EmfConfig
+from emfcap.sim import SimConfig, run_simulation
 from emfcap.traffic import TrafficConfig, TrafficModel
 
 
@@ -32,7 +35,7 @@ def test_config_validation():
 def test_integer_fields_must_be_integral():
     cfg = TrafficConfig(zipf_support=20.0, seed=3.0)
     assert (cfg.zipf_support, cfg.seed) == (20, 3)
-    for bad in (2.7, math.inf, math.nan):
+    for bad in (2.7, math.inf, math.nan, True):
         with pytest.raises(ValueError):
             TrafficConfig(zipf_support=bad)
         with pytest.raises(ValueError):
@@ -64,7 +67,7 @@ def test_identical_seeds_are_bit_identical():
     assert np.array_equal(a, b)
     c = TrafficModel(cfg, replication=6).sample_demands(2000)
     assert not np.array_equal(a, c)
-    d = TrafficModel(cfg, seed=10, replication=5).sample_demands(2000)
+    d = TrafficModel(replace(cfg, seed=10), replication=5).sample_demands(2000)
     assert not np.array_equal(a, d)
 
 
@@ -72,7 +75,7 @@ def test_single_draws_match_vectorized_stream():
     cfg = TrafficConfig(load=0.5, seed=21)
     vec = TrafficModel(cfg).sample_demands(64)
     one = TrafficModel(cfg)
-    singles = np.array([one.sample_demand() for _ in range(64)])
+    singles = np.concatenate([one.sample_demands(1) for _ in range(64)])
     assert np.array_equal(vec, singles)
 
 
@@ -124,5 +127,9 @@ def test_consume_never_exceeds_cap_and_conserves_demand():
 
 
 def test_negative_replication_rejected():
-    with pytest.raises(ValueError):
-        TrafficModel(TrafficConfig(seed=0), replication=-1)
+    for bad in (-1, 2.7, True):
+        with pytest.raises(ValueError):
+            TrafficModel(TrafficConfig(seed=0), replication=bad)
+    assert TrafficModel(TrafficConfig(seed=0), replication=2.0).replication == 2
+    trace = run_simulation(SimConfig(EmfConfig(10, 1.0, 0.15), TrafficConfig(seed=0), horizon=5), replication=2.0)
+    assert type(trace.replication) is int and trace.replication == 2
