@@ -181,40 +181,36 @@ class BudgetState:
     prefix (at most ``W`` of them), which keeps them bounded over any horizon
     at amortized constant cost. Pre-history counts as zero consumption, so
     the stored window is always full.
+
+    ``omega`` and ``budget`` are plain attributes, read-only by convention:
+    ``update`` refreshes both, with ``budget == budget_from_omega(omega, cfg)``
+    bit for bit. The consumptions themselves are not stored; the tracker
+    keeps only the prefix minima.
     """
 
-    __slots__ = ("cfg", "omega", "period", "_window", "_floor", "_w", "_idx", "_pre", "_rebase_at")
+    __slots__ = ("cfg", "omega", "budget", "period", "_floor", "_full", "_w", "_idx", "_pre", "_rebase_at")
 
     def __init__(self, cfg: EmfConfig):
         self.cfg = cfg
         self.omega = 0.0
         self.period = 0
-        self._window = deque([0.0] * (cfg.window_w - 1), maxlen=cfg.window_w - 1)
         self._floor = cfg.floor
+        self._full = cfg.full_budget
         self._w = cfg.window_w
         self._idx = deque([0])
         self._pre = deque([0.0])
         self._rebase_at = cfg.window_w
-
-    @property
-    def budget(self) -> float:
-        return budget_from_omega(self.omega, self.cfg)
+        self.budget = self._full - self.omega
 
     @property
     def argmax_len(self) -> int:
         """Smallest span (in periods, newest first) whose overshoot equals the excess."""
         return self.period - self._idx[0]
 
-    @property
-    def window(self) -> tuple:
-        """Stored consumptions, oldest first (always ``window_w - 1`` entries)."""
-        return tuple(self._window)
-
     def update(self, c: float) -> "BudgetState":
         """Advance one period after consuming ``c``. Returns ``self``."""
         if not 0.0 <= c < math.inf:
             raise ValueError("consumption must be finite and nonnegative")
-        self._window.append(c)
         idx = self._idx
         pre = self._pre
         # c == floor adds exactly 0.0, so an at-floor period never moves P
@@ -229,7 +225,8 @@ class BudgetState:
             idx.popleft()
             pre.popleft()
         self.period = t
-        self.omega = p - pre[0]
+        omega = self.omega = p - pre[0]
+        self.budget = self._full - omega
         if t == self._rebase_at:
             self._rebase()
         return self
@@ -252,19 +249,23 @@ class ConservativeBudgetState:
     Every sample below the floor is over-counted as if it sat exactly at the
     floor, so the tracked excess is an upper bound on the exact one and the
     resulting budget a lower bound on the exact budget.
+
+    ``omega_tilde`` and ``budget`` are plain attributes, read-only by
+    convention: ``update`` refreshes both, with
+    ``budget == budget_from_omega(omega_tilde, cfg)`` bit for bit. ``window``
+    holds the stored consumptions, oldest first.
     """
 
-    __slots__ = ("cfg", "omega_tilde", "period", "_window")
+    __slots__ = ("cfg", "omega_tilde", "budget", "period", "_floor", "_full", "_window")
 
     def __init__(self, cfg: EmfConfig):
         self.cfg = cfg
         self.omega_tilde = 0.0
         self.period = 0
+        self._floor = cfg.floor
+        self._full = cfg.full_budget
         self._window = deque([0.0] * (cfg.window_w - 1), maxlen=cfg.window_w - 1)
-
-    @property
-    def budget(self) -> float:
-        return budget_from_omega(self.omega_tilde, self.cfg)
+        self.budget = self._full - self.omega_tilde
 
     @property
     def window(self) -> tuple:
@@ -274,10 +275,10 @@ class ConservativeBudgetState:
         """Add the incoming clipped overshoot, drop the outgoing one."""
         if not 0.0 <= c < math.inf:
             raise ValueError("consumption must be finite and nonnegative")
-        cfg = self.cfg
-        floor = cfg.floor
+        floor = self._floor
         win = self._window
-        evicted = win[0] if cfg.window_w > 1 else c
+        # the stored window is always full, so it is empty only at W == 1
+        evicted = win[0] if win else c
         gained = c - floor
         lost = evicted - floor
         omega = self.omega_tilde
@@ -285,7 +286,8 @@ class ConservativeBudgetState:
             omega += gained
         if lost > 0.0:
             omega -= lost
-        self.omega_tilde = omega if omega > 0.0 else 0.0
+        omega = self.omega_tilde = omega if omega > 0.0 else 0.0
+        self.budget = self._full - omega
         win.append(c)
         self.period += 1
         return self

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .bench import bench_suite
 from .budget import EmfConfig, as_int
-from .output import atomic_write_text, csv_text
+from .output import atomic_write_text, csv_chunks
 from .policy import POLICY_KINDS, DppConfig
 from .sim import SimConfig, compare_budgets, run_simulation, sweep_v, verify_compliance
 from .traffic import TrafficConfig
@@ -166,7 +166,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge flag values over config-file values over built-in defaults, each through its converter."""
+    """Merge flag over config-file over default values; every supplied value passes its converter."""
     names = args.params
     from_file = _load_config_file(args.config) if args.config else {}
     unknown = set(from_file) - set(names)
@@ -175,16 +175,22 @@ def _resolve(args: argparse.Namespace) -> dict:
     resolved = {}
     for name in names:
         convert, default, _ = PARAMS[name]
-        value = getattr(args, name)
-        if value is None:
-            value = from_file.get(name, default)
-        if value is None and default is None:
-            resolved[name] = None
-            continue
+        flag_text = getattr(args, name)
+        supplied = [] if flag_text is None else [flag_text]
+        # a JSON null means unset only where the default is unset
+        if name in from_file and not (from_file[name] is None and default is None):
+            supplied.append(from_file[name])
+        if not supplied:
+            if default is None:
+                resolved[name] = None
+                continue
+            supplied.append(default)
         try:
-            resolved[name] = convert(value)
+            # every supplied value is converted, not only the one that wins
+            converted = [convert(value) for value in supplied]
         except (TypeError, ValueError) as exc:
             raise CliError(f"{_flag(name)}: {exc}") from exc
+        resolved[name] = converted[0]
     if "seed" in resolved and resolved["seed"] is None:
         resolved["seed"] = _integer(os.environ.get(SEED_ENV_VAR) or 0)
     if "demand_scale" in resolved and resolved["demand_scale"] is None:
@@ -241,7 +247,7 @@ def _write_manifest(path: Path, command: str, cfg: dict, outputs: dict, wall_s: 
 def _emit_table(command: str, cfg: dict, rows: list[dict], columns: tuple, t0: float) -> None:
     out = Path(cfg["out"])
     table_json = _sibling(out, ".json")
-    atomic_write_text(out, csv_text(columns, [[row[c] for row in rows] for c in columns]))
+    atomic_write_text(out, csv_chunks(columns, [[row[c] for row in rows] for c in columns]))
     atomic_write_text(table_json, _json_text(rows))
     _write_manifest(
         _sibling(out, ".manifest.json"), command, cfg,

@@ -10,12 +10,14 @@ import numpy as np
 _CHUNK_ROWS = 4096
 
 
-def atomic_write_text(path, text: str) -> None:
+def atomic_write_text(path, text) -> None:
     """Write ``text`` with LF line endings to a sibling temp file, then rename it over ``path``.
 
-    The temp file is created like a plain ``open`` would create it (mode
-    ``0o666`` less the umask), so the output does not inherit the owner-only
-    mode of ``tempfile.mkstemp``.
+    ``text`` is a ``str`` or an iterable of ``str`` chunks, written one at a
+    time, so a generator never has the whole file in memory. The temp file
+    is created like a plain ``open`` would create it (mode ``0o666`` less the
+    umask), so the output does not inherit the owner-only mode of
+    ``tempfile.mkstemp``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -23,7 +25,8 @@ def atomic_write_text(path, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            for chunk in (text,) if isinstance(text, str) else text:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -53,17 +56,16 @@ def _column_cells(values) -> list[str]:
     return list(map(_cell, values))
 
 
-def csv_text(names, columns) -> str:
+def csv_chunks(names, columns):
     """CSV with a header and one LF-terminated line per row, built from equal-length columns.
 
     Floats are written by ``repr`` (shortest round-trip form), integers in
-    decimal, booleans as ``0``/``1`` and ``None`` as an empty cell. Columns
-    are formatted a block of rows at a time, so no per-cell string outlives
-    its block.
+    decimal, booleans as ``0``/``1`` and ``None`` as an empty cell. Yields
+    the header line, then one chunk per block of rows, so no block's strings
+    outlive it; pass the generator to ``atomic_write_text``.
     """
-    parts = [",".join(names)]
+    yield ",".join(names) + "\n"
     n = len(columns[0]) if columns else 0
     for lo in range(0, n, _CHUNK_ROWS):
         cells = [_column_cells(col[lo:lo + _CHUNK_ROWS]) for col in columns]
-        parts.append("\n".join(map(",".join, zip(*cells))))
-    return "\n".join(parts) + "\n"
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"

@@ -67,13 +67,16 @@ class DppPolicy:
     """Smooth controller: the granted cap shrinks as the overshoot queue grows.
 
     ``queue`` is the virtual queue of consumption overshoot; it is never
-    negative.
+    negative. The floor and the drain rate ``beta * threshold`` are fixed
+    when the policy is built.
     """
 
     def __init__(self, cfg: EmfConfig, dpp: DppConfig):
         self.cfg = cfg
         self.dpp = dpp
         self.queue = 0.0
+        self._floor = cfg.floor
+        self._drain = dpp.beta * cfg.threshold
 
     def decide(self, budget: float) -> ControlDecision:
         """Cap minimizing queue pressure against the fairness utility, then clamped.
@@ -87,7 +90,7 @@ class DppPolicy:
         """
         q = self.queue
         dpp = self.dpp
-        floor = self.cfg.floor
+        floor = self._floor
         if q <= 0.0:
             target = math.inf
         elif dpp.alpha == 1.0:
@@ -110,7 +113,7 @@ class DppPolicy:
         """Queue grows by the overshoot of ``c`` above ``beta * threshold``, clipped at zero."""
         if not 0.0 <= c < math.inf:
             raise ValueError("consumption must be finite and nonnegative")
-        q = self.queue + c - self.dpp.beta * self.cfg.threshold
+        q = self.queue + c - self._drain
         self.queue = q if q > 0.0 else 0.0
 
 
@@ -121,9 +124,10 @@ class GreedyPolicy:
 
     def __init__(self, cfg: EmfConfig, dpp: DppConfig | None = None):
         self.cfg = cfg
+        self._floor = cfg.floor
 
     def decide(self, budget: float) -> ControlDecision:
-        floor = self.cfg.floor
+        floor = self._floor
         gamma = budget if budget > floor else floor
         return ControlDecision(gamma, gamma == floor, gamma == budget)
 
@@ -138,10 +142,11 @@ class CautiousPolicy:
 
     def __init__(self, cfg: EmfConfig, dpp: DppConfig | None = None):
         self.cfg = cfg
+        self._threshold = cfg.threshold
+        self._floor = cfg.floor
 
     def decide(self, budget: float) -> ControlDecision:
-        cfg = self.cfg
-        return ControlDecision(cfg.threshold, cfg.threshold == cfg.floor, False)
+        return ControlDecision(self._threshold, self._threshold == self._floor, False)
 
     def observe(self, c: float) -> None:
         pass

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .budget import BudgetState, ConservativeBudgetState, EmfConfig, as_int
-from .output import atomic_write_text, csv_text
+from .output import atomic_write_text, csv_chunks
 from .policy import POLICY_KINDS, DppConfig
 from .traffic import TrafficConfig, TrafficModel
 
@@ -142,7 +142,7 @@ class SimTrace:
 
     def write_csv(self, path) -> None:
         """One row per period, numeric columns only, LF line endings; written atomically."""
-        atomic_write_text(path, csv_text(TRACE_COLUMNS, [getattr(self, name) for name in TRACE_COLUMNS]))
+        atomic_write_text(path, csv_chunks(TRACE_COLUMNS, [getattr(self, name) for name in TRACE_COLUMNS]))
 
 
 def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:
@@ -161,7 +161,6 @@ def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:
 
     exact = BudgetState(emf)
     cons = ConservativeBudgetState(emf)
-    full = emf.full_budget
 
     backlog_col = []
     gamma_col = []
@@ -179,8 +178,8 @@ def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:
     co_update = cons.update
 
     for d in demands:
-        b_ex = full - exact.omega
-        b_co = full - cons.omega_tilde
+        b_ex = exact.budget
+        b_co = cons.budget
         dec = decide(b_co if conservative_drive else b_ex)
         g = dec.gamma
         q_col.append(policy.queue)

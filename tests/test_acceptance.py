@@ -95,7 +95,7 @@ def budget_suite():
             gt = cons.budget
             if gt - g > worst_order:
                 worst_order = gt - g
-            window = exact.window
+            window = cons.window
             if all(x >= floor for x in window):
                 above_cases += 1
                 if abs(g - gt) > max_equal_dev:

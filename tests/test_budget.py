@@ -24,6 +24,11 @@ def _run_updates(cfg, values, state_cls=BudgetState):
     return state
 
 
+def _stored_window(history, w):
+    """The ``w - 1`` most recent consumptions, oldest first; pre-history counts as zero."""
+    return ([0.0] * (w - 1) + list(history))[len(history):]
+
+
 # ── configuration ─────────────────────────────────────────────────────
 
 
@@ -173,7 +178,7 @@ def test_state_starts_replenished():
     assert state.omega == 0.0
     assert state.argmax_len == 0
     assert state.period == 0
-    assert state.window == (0.0, 0.0, 0.0)
+    assert (state.budget, state.omega) == budget_scratch(_stored_window([], CFG.window_w), CFG)
     assert state.budget == CFG.full_budget
 
 
@@ -191,8 +196,9 @@ def test_state_consumption_exactly_at_floor_stays_zero():
 
 
 def test_state_follows_worked_example():
-    state = _run_updates(CFG, [0.5, 0.1, 0.6])
-    assert state.window == (0.5, 0.1, 0.6)
+    values = [0.5, 0.1, 0.6]
+    state = _run_updates(CFG, values)
+    assert (state.budget, state.omega) == pytest.approx(budget_scratch(_stored_window(values, 4), CFG))
     assert state.omega == pytest.approx(0.6)
     assert state.argmax_len == 3
     assert state.budget == pytest.approx(2.8)
@@ -289,6 +295,28 @@ def test_conservative_matches_direct_window_sum():
             assert state.omega_tilde == pytest.approx(direct, abs=1e-12)
 
 
+# ── budget attribute ──────────────────────────────────────────────────
+
+
+@pytest.mark.parametrize("state_cls, excess", [(BudgetState, "omega"), (ConservativeBudgetState, "omega_tilde")])
+@pytest.mark.parametrize("w", [1, 2, 10, 1000])
+def test_budget_attribute_is_formula_of_excess_bit_for_bit(state_cls, excess, w):
+    cfg = EmfConfig(w, 1.0, 0.15)
+    rng = np.random.default_rng([5, w])
+    values = rng.uniform(0.0, 2.0, size=3 * w + 300)
+    values[rng.random(values.size) < 0.1] = 0.0
+    state = state_cls(cfg)
+    assert state.budget == budget_from_omega(getattr(state, excess), cfg)
+    for c in values.tolist():
+        state.update(c)
+        assert state.budget == budget_from_omega(getattr(state, excess), cfg)
+    before = (state.budget, getattr(state, excess), state.period)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            state.update(bad)
+        assert (state.budget, getattr(state, excess), state.period) == before
+
+
 # ── cross-checks over random runs ─────────────────────────────────────
 
 
@@ -312,7 +340,7 @@ def test_random_runs_branch_rules_and_span_bookkeeping():
         for c in rng.uniform(0.0, 2.0, size=300).tolist():
             span_before = state.argmax_len
             omega_before = state.omega
-            window_before = state.window
+            window_before = _stored_window(history, w)
             all_above = c >= floor and all(x >= floor for x in window_before)
             evicted = window_before[0] if w > 1 else c
 
@@ -333,7 +361,7 @@ def test_random_runs_branch_rules_and_span_bookkeeping():
             # always attaining the maximum
             assert (state.omega > 0.0) == (state.argmax_len >= 1)
             assert state.argmax_len <= min(state.period, w - 1)
-            scores = _partial_sums(state.window, floor)
+            scores = _partial_sums(_stored_window(history, w), floor)
             assert scores[state.argmax_len] == pytest.approx(state.omega, abs=1e-9)
             if state.omega > 0.0:
                 if all_above:

@@ -187,6 +187,19 @@ def test_config_file_non_integral_or_non_list_values_exit_2(tmp_path):
     assert run_cli(["bench", "--w-grid", "4,inf", "--out", out]) == 2
 
 
+def test_config_value_overridden_by_a_flag_is_still_checked(tmp_path):
+    cfg = tmp_path / "o.json"
+    out = tmp_path / "x.csv"
+    cases = (
+        ({"out": 5, "horizon": 20}, []),
+        ({"c_bar_dbm": "abc", "horizon": 20}, ["--c-bar-dbm", "30"]),
+    )
+    for doc, flag in cases:
+        cfg.write_text(json.dumps(doc))
+        assert run_cli(["simulate", "--config", cfg, "--out", out, *flag]) == 2, doc
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_manifest_rerun_reproduces_outputs(tmp_path):
     a = tmp_path / "a.csv"
     assert run_cli(["simulate", "--policy", "dpp_conservative", "--seed", "11",

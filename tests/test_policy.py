@@ -165,6 +165,34 @@ def test_dpp_gamma_monotone_in_queue_and_weight():
     assert all(b >= a - 1e-12 for a, b in zip(gammas, gammas[1:]))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+def test_dpp_matches_config_formulas_bit_for_bit(alpha):
+    # the policy fixes floor and drain rate at construction; they must be the
+    # values the config properties give
+    cfg = EmfConfig(10, 1.3, 0.35)
+    dpp = DppConfig(7.0, alpha, 0.9)
+    for q in (0.0, 0.4, 3.0, 7.0, 55.0):
+        for c in (0.0, 0.2, 1.17, 4.0):
+            policy = dpp_at(q, cfg, dpp)
+            policy.observe(c)
+            want = q + c - dpp.beta * cfg.threshold
+            assert policy.queue == (want if want > 0.0 else 0.0)
+        if q == 0.0 or (alpha == 0.0 and q < dpp.v_weight):
+            target = math.inf
+        elif alpha == 0.0:
+            target = cfg.floor
+        elif alpha == 1.0:
+            target = dpp.v_weight / q
+        else:
+            target = (dpp.v_weight / q) ** (1.0 / alpha)
+        for budget in (0.1, cfg.floor, 2.0, 9.0):
+            want = max(min(max(target, cfg.floor), budget), cfg.floor)
+            dec = dpp_at(q, cfg, dpp).decide(budget)
+            assert (dec.gamma, dec.clamped_low, dec.clamped_high) == (
+                want, want == cfg.floor, want == budget
+            )
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     q=st.floats(0.0, 1e6, allow_nan=False),
