@@ -7,30 +7,13 @@ greedy and cautious baselines, a sparse Zipf traffic model, and the closed
 loop tying them together.
 """
 
-from .budget import (
-    BudgetState,
-    ConservativeBudgetState,
-    EmfConfig,
-    budget_from_omega,
-    budget_oracle_minform,
-    budget_scratch,
-    omega_naive,
-)
-from .policy import (
-    POLICY_KINDS,
-    CautiousPolicy,
-    ControlDecision,
-    DppConfig,
-    DppPolicy,
-    GreedyPolicy,
-    alpha_fair,
-)
+from .budget import BudgetState, ConservativeBudgetState, EmfConfig, budget_from_omega
+from .policy import POLICY_KINDS, CautiousPolicy, ControlDecision, DppConfig, DppPolicy, GreedyPolicy
 from .sim import (
     ComplianceReport,
     SimConfig,
     SimTrace,
     compare_budgets,
-    queue_zero_every_window,
     run_simulation,
     score_trace,
     sweep_v,
@@ -55,13 +38,8 @@ __all__ = [
     "SimTrace",
     "TrafficConfig",
     "TrafficModel",
-    "alpha_fair",
     "budget_from_omega",
-    "budget_oracle_minform",
-    "budget_scratch",
     "compare_budgets",
-    "omega_naive",
-    "queue_zero_every_window",
     "run_simulation",
     "score_trace",
     "sweep_v",

@@ -29,17 +29,19 @@ from time import perf_counter_ns
 
 import numpy as np
 
-from .budget import BudgetState, ConservativeBudgetState, EmfConfig, budget_scratch
+from .budget import BudgetState, ConservativeBudgetState, EmfConfig, as_int, budget_scratch
 
 WORKLOAD_SPARSE = "sparse"
 WORKLOAD_ALL_ABOVE = "all_above"
 WORKLOAD_DIPS = "dips"
 
-_DEFAULT_CFG = {"threshold": 1.0, "guaranteed_ratio": 0.15}
 
-
-def _make_cfg(w: int) -> EmfConfig:
-    return EmfConfig(window_w=w, **_DEFAULT_CFG)
+def _sizes(w, updates) -> tuple[int, int]:
+    """``(w, updates)`` as positive ints; ``ValueError`` for anything else."""
+    w, updates = as_int(w, "window_w"), as_int(updates, "updates")
+    if w < 1 or updates < 1:
+        raise ValueError("window_w and updates must be >= 1")
+    return w, updates
 
 
 def _workload(kind: str, rng: np.random.Generator, n: int, cfg: EmfConfig) -> np.ndarray:
@@ -79,7 +81,8 @@ def scratch_call_count(w: int, updates: int) -> int:
 
 def bench_scratch(w: int, updates: int = 100_000, seed: int = 0) -> dict:
     """Time the full recompute over a fixed random window of ``w - 1`` samples."""
-    cfg = _make_cfg(w)
+    w, updates = _sizes(w, updates)
+    cfg = EmfConfig(window_w=w)
     rng = np.random.default_rng([seed, w, 1])
     window = rng.uniform(0.0, cfg.threshold, size=w - 1).tolist()
     n = scratch_call_count(w, updates)
@@ -91,49 +94,45 @@ def bench_scratch(w: int, updates: int = 100_000, seed: int = 0) -> dict:
     return _row("scratch", "uniform_window", w, n, times)
 
 
+def _bench_updates(cls, algorithm: str, workload: str, w: int, updates: int, stream, warm: int) -> dict:
+    """Feed a fresh ``cls`` tracker ``warm`` samples from ``stream``, then time each of ``updates`` more."""
+    cfg = EmfConfig(window_w=w)
+    samples = _workload(workload, np.random.default_rng(stream), updates + warm, cfg).tolist()
+    state = cls(cfg)
+    for c in samples[:warm]:
+        state.update(c)
+    times = np.empty(updates, dtype=np.float64)
+    update = state.update
+    for i, c in enumerate(samples[warm:]):
+        t0 = perf_counter_ns()
+        update(c)
+        times[i] = perf_counter_ns() - t0
+    return _row(algorithm, workload, w, updates, times)
+
+
 def bench_exact_update(
     w: int, updates: int = 100_000, workload: str = WORKLOAD_SPARSE, seed: int = 0
 ) -> dict:
-    cfg = _make_cfg(w)
-    rng = np.random.default_rng([seed, w, 2])
+    w, updates = _sizes(w, updates)
     warm = min(2 * w, updates)
-    samples = _workload(workload, rng, updates + warm, cfg).tolist()
-    state = BudgetState(cfg)
-    for c in samples[:warm]:
-        state.update(c)
-    times = np.empty(updates, dtype=np.float64)
-    update = state.update
-    for i, c in enumerate(samples[warm:]):
-        t0 = perf_counter_ns()
-        update(c)
-        times[i] = perf_counter_ns() - t0
-    return _row("exact_update", workload, w, updates, times)
+    return _bench_updates(BudgetState, "exact_update", workload, w, updates, [seed, w, 2], warm)
 
 
 def bench_conservative_update(w: int, updates: int = 100_000, seed: int = 0) -> dict:
-    cfg = _make_cfg(w)
-    rng = np.random.default_rng([seed, w, 3])
+    w, updates = _sizes(w, updates)
     warm = min(1000, updates)
-    samples = _workload(WORKLOAD_SPARSE, rng, updates + warm, cfg).tolist()
-    state = ConservativeBudgetState(cfg)
-    for c in samples[:warm]:
-        state.update(c)
-    times = np.empty(updates, dtype=np.float64)
-    update = state.update
-    for i, c in enumerate(samples[warm:]):
-        t0 = perf_counter_ns()
-        update(c)
-        times[i] = perf_counter_ns() - t0
-    return _row("conservative_update", WORKLOAD_SPARSE, w, updates, times)
+    return _bench_updates(
+        ConservativeBudgetState, "conservative_update", WORKLOAD_SPARSE, w, updates, [seed, w, 3], warm
+    )
 
 
 def bench_suite(w_grid, updates: int = 100_000, seed: int = 0) -> list[dict]:
     """All subjects across a window grid; one dict per (algorithm, workload, W)."""
-    w_grid = [int(w) for w in w_grid]
-    if not w_grid:
+    sizes = [_sizes(w, updates) for w in w_grid]
+    if not sizes:
         raise ValueError("w_grid must be nonempty")
     rows = []
-    for w in w_grid:
+    for w, updates in sizes:
         rows.append(bench_scratch(w, updates, seed))
         rows.append(bench_exact_update(w, updates, WORKLOAD_SPARSE, seed))
         rows.append(bench_exact_update(w, updates, WORKLOAD_ALL_ABOVE, seed))

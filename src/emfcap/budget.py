@@ -54,9 +54,9 @@ def as_int(value, name: str) -> int:
 class EmfConfig:
     """Compliance triple: window length, averaged-EIRP threshold, guaranteed ratio."""
 
-    window_w: int
-    threshold: float
-    guaranteed_ratio: float
+    window_w: int = 10
+    threshold: float = 1.0
+    guaranteed_ratio: float = 0.15
 
     def __post_init__(self):
         object.__setattr__(self, "window_w", as_int(self.window_w, "window_w"))

@@ -31,7 +31,7 @@ from .bench import bench_suite
 from .budget import EmfConfig, as_int
 from .output import atomic_write_text, csv_chunks
 from .policy import POLICY_KINDS, DppConfig
-from .sim import SimConfig, compare_budgets, run_simulation, sweep_v, verify_compliance
+from .sim import TOLERANCE, SimConfig, compare_budgets, run_simulation, sweep_v, verify_compliance
 from .traffic import TrafficConfig
 
 SEED_ENV_VAR = "EMFCAP_SEED"
@@ -108,12 +108,12 @@ def _field_defaults(cls) -> dict:
 
 # Model parameters default to the config dataclasses' field defaults; the
 # flag of each is its name with dashes for underscores.
-_DPP, _TRAFFIC, _SIM = map(_field_defaults, (DppConfig, TrafficConfig, SimConfig))
+_EMF, _DPP, _TRAFFIC, _SIM = map(_field_defaults, (EmfConfig, DppConfig, TrafficConfig, SimConfig))
 PARAMS = {
     "policy": Param(_policy, _SIM["policy_kind"], f"control policy: {', '.join(POLICY_KINDS)}"),
-    "W": Param(_integer, 10, "sliding window length in periods"),
-    "C_bar": Param(_real, 1.0, "averaged-EIRP threshold (linear units)"),
-    "rho": Param(_real, 0.15, "guaranteed ratio in [0, 1]"),
+    "W": Param(_integer, _EMF["window_w"], "sliding window length in periods"),
+    "C_bar": Param(_real, _EMF["threshold"], "averaged-EIRP threshold (linear units)"),
+    "rho": Param(_real, _EMF["guaranteed_ratio"], "guaranteed ratio in [0, 1]"),
     "alpha": Param(_real, _DPP["alpha"], "fairness exponent (1 = proportional fair)"),
     "beta": Param(_real, _DPP["beta"], "queue inflation factor in [0, 1]"),
     "V": Param(_real, _DPP["v_weight"], "utility weight of the queue controller"),
@@ -124,7 +124,7 @@ PARAMS = {
     "horizon": Param(_integer, _SIM["horizon"], "periods per run"),
     "seed": Param(_integer, None, f"base RNG seed (env {SEED_ENV_VAR}, default 0)"),
     "reps": Param(_integer, _SIM["replications"], "replications per grid point"),
-    "tolerance": Param(_at_least(0.0, _real), 1e-9, "absolute tolerance on the windowed average"),
+    "tolerance": Param(_at_least(0.0, _real), TOLERANCE, "absolute tolerance on the windowed average"),
     "loads": Param(_grid(_real), [0.05, 0.2, 0.5, 0.9], "comma list of loads"),
     "v_grid": Param(
         _grid(_real), [1.0, 2.0, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0], "comma list of utility weights"

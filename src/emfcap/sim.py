@@ -13,7 +13,7 @@ column; it shares no code with the budget trackers on purpose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -34,6 +34,26 @@ TRACE_COLUMNS = (
     "clamped_low",
     "clamped_high",
 )
+
+# Default absolute tolerance of the compliance checks: a windowed average, a
+# cap at the floor or a leftover backlog within it of its bound counts as at
+# the bound.
+TOLERANCE = 1e-9
+
+
+def _check_tolerance(tolerance: float) -> None:
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
+
+
+def _consumption(trace) -> np.ndarray:
+    """The ``c`` column of ``trace`` (or ``trace`` itself), checked as the compliance checks need it."""
+    c = np.asarray(getattr(trace, "c", trace), dtype=np.float64)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("trace must be a nonempty 1-d consumption sequence")
+    if not np.all((c >= 0.0) & (c < math.inf)):
+        raise ValueError("consumption must be finite and nonnegative")
+    return c
 
 
 @dataclass(frozen=True)
@@ -68,12 +88,7 @@ class ComplianceReport:
     margin: float
 
     def as_dict(self) -> dict:
-        return {
-            "compliant": self.compliant,
-            "worst_window_start": self.worst_window_start,
-            "worst_window_average": self.worst_window_average,
-            "margin": self.margin,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -99,14 +114,15 @@ class SimTrace:
     def __len__(self) -> int:
         return len(self.t)
 
-    def summary(self, tolerance: float = 1e-9) -> dict:
+    def summary(self, tolerance: float = TOLERANCE) -> dict:
         """Headline numbers for one run; ``mean_utility`` is null when undefined.
 
         ``floor_gamma_periods`` counts caps at the guaranteed floor within
         ``tolerance``: a fully depleted budget equals the floor only up to
         the rounding accumulated by the excess tracker. ``shortage_periods``
         counts those of them that leave a backlog above ``tolerance``: serving
-        demand against such a cap leaves residues of a few ulps.
+        demand against such a cap leaves residues of a few ulps. A negative or
+        non-finite ``tolerance`` raises ``ValueError``, as in ``verify_compliance``.
         """
         report = verify_compliance(self.c, self.emf, tolerance)
         floor = self.emf.floor
@@ -214,19 +230,17 @@ def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:
     )
 
 
-def verify_compliance(trace, cfg: EmfConfig, tolerance: float = 1e-9) -> ComplianceReport:
+def verify_compliance(trace, cfg: EmfConfig, tolerance: float = TOLERANCE) -> ComplianceReport:
     """Check every windowed average of consumption against the threshold.
 
     Works straight off the consumption values (an array or anything with a
     ``c`` attribute); deliberately independent of the budget trackers.
     Warm-up windows divide by the full window length, so early periods can
-    only be easier to satisfy.
+    only be easier to satisfy. A negative or non-finite ``tolerance`` raises
+    ``ValueError``: it would pass any trace.
     """
-    c = np.asarray(getattr(trace, "c", trace), dtype=np.float64)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("trace must be a nonempty 1-d consumption sequence")
-    if not np.all((c >= 0.0) & (c < math.inf)):
-        raise ValueError("consumption must be finite and nonnegative")
+    _check_tolerance(tolerance)
+    c = _consumption(trace)
     w = cfg.window_w
     n = c.size
     prefix = np.concatenate(([0.0], np.cumsum(c)))
@@ -263,9 +277,12 @@ def queue_zero_every_window(trace, cfg: EmfConfig, tolerance: float = 0.0) -> tu
     Replays ``queue' = max(queue + c - threshold, 0)`` over the consumption
     sequence and returns ``(ok, longest_positive_run)``; ``ok`` means no run
     of strictly positive queue values reaches the window length. ``tolerance``
-    treats queue values at or below it as drained.
+    treats queue values at or below it as drained. The tolerance and the
+    consumption are checked as in ``verify_compliance``: a negative value of
+    either could drain an overshoot that never drained.
     """
-    c = np.asarray(getattr(trace, "c", trace), dtype=np.float64)
+    _check_tolerance(tolerance)
+    c = _consumption(trace)
     cbar = cfg.threshold
     q = 0.0
     run = 0
@@ -305,10 +322,7 @@ def sweep_v(base: SimConfig, loads, v_grid) -> list[dict]:
                 trace = run_simulation(cfg, replication=r)
                 scores[j, r] = score_trace(trace.gamma, cfg.dpp.alpha)
         means = scores.mean(axis=1)
-        best = 0
-        for j in range(1, len(vs)):
-            if means[j] > means[best]:
-                best = j
+        best = int(np.argmax(means))  # the first maximum, so ties go to the smaller weight
         if reps > 1:
             half = 1.96 * float(scores[best].std(ddof=1)) / math.sqrt(reps)
         else:

@@ -59,6 +59,12 @@ def test_config_window_must_be_integral():
             EmfConfig(bad, 1.0, 0.2)
 
 
+def test_config_defaults_are_the_operating_point():
+    cfg = EmfConfig()
+    assert (cfg.window_w, cfg.threshold, cfg.guaranteed_ratio) == (10, 1.0, 0.15)
+    assert EmfConfig(window_w=100) == EmfConfig(100, 1.0, 0.15)
+
+
 def test_config_derived_quantities():
     assert CFG.floor == pytest.approx(0.2)
     assert CFG.full_budget == pytest.approx(3.4)

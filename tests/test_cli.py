@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from emfcap.bench import bench_suite
 from emfcap.cli import COMMANDS, _json_text, main
 
 
@@ -277,6 +278,17 @@ def test_bench_small_grid_shape(tmp_path, capsys):
 def test_bench_rejects_bad_updates(tmp_path):
     assert run_cli(["bench", "--w-grid", "4", "--updates", "0",
                     "--out", tmp_path / "b.csv"]) == 2
+
+
+def test_bench_suite_sizes_must_be_integral():
+    for bad in (2.7, math.inf, True):
+        with pytest.raises(ValueError):
+            bench_suite([bad], updates=300)
+        with pytest.raises(ValueError):
+            bench_suite([4], updates=bad)
+    rows = bench_suite([10.0], updates=300.0)
+    assert {(type(r["window_w"]), r["window_w"]) for r in rows} == {(int, 10)}
+    assert {r["updates"] for r in rows} == {300}
 
 
 def test_every_declared_parameter_is_echoed_in_the_manifest(tmp_path, capsys):

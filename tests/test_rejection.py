@@ -1,0 +1,116 @@
+"""Every input boundary rejects a nan, an infinity or a negative value.
+
+The boundaries are both tracker updates, the controller's ``observe``,
+``TrafficModel.consume``, every real field of the config dataclasses and every
+numeric CLI flag. A library call raises ``ValueError`` and leaves its object
+as it was; the CLI exits 2 and writes nothing.
+"""
+
+import math
+import tempfile
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from emfcap.budget import BudgetState, ConservativeBudgetState, EmfConfig
+from emfcap.cli import COMMANDS, PARAMS, main
+from emfcap.policy import DppConfig, DppPolicy
+from emfcap.traffic import TrafficConfig, TrafficModel
+
+# strictly negative floats (-inf included), nan and +inf
+BAD = st.floats(max_value=-math.ulp(0.0)) | st.sampled_from([math.nan, math.inf])
+GOOD = st.floats(min_value=0.0, max_value=10.0)
+
+REAL_FIELDS = [
+    (cls, f.name) for cls in (EmfConfig, DppConfig, TrafficConfig) for f in fields(cls) if f.type == "float"
+]
+
+REAL_FLAGS = (
+    "C_bar", "rho", "alpha", "beta", "V", "load", "zipf_exponent", "demand_scale",
+    "tolerance", "c_bar_dbm", "loads", "v_grid",
+)
+INTEGER_FLAGS = ("W", "zipf_support", "horizon", "seed", "reps", "updates", "w_grid")
+# the first command that reads each flag
+FLAG_COMMAND = {
+    name: next(cmd for cmd, (_, _, names) in COMMANDS.items() if name in names)
+    for name in REAL_FLAGS + INTEGER_FLAGS
+}
+
+
+def test_every_real_field_and_numeric_flag_is_covered():
+    assert {(cls.__name__, name) for cls, name in REAL_FIELDS} == {
+        ("EmfConfig", "threshold"), ("EmfConfig", "guaranteed_ratio"),
+        ("DppConfig", "v_weight"), ("DppConfig", "alpha"), ("DppConfig", "beta"),
+        ("TrafficConfig", "load"), ("TrafficConfig", "zipf_exponent"), ("TrafficConfig", "demand_scale"),
+    }
+    assert set(PARAMS) - set(FLAG_COMMAND) == {"policy", "trace", "out"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cls=st.sampled_from([BudgetState, ConservativeBudgetState]),
+    w=st.integers(1, 12),
+    history=st.lists(GOOD, max_size=30),
+    bad=BAD,
+)
+def test_rejected_tracker_update_changes_nothing(cls, w, history, bad):
+    cfg = EmfConfig(window_w=w)
+    state, twin = cls(cfg), cls(cfg)
+    for c in history:
+        state.update(c)
+        twin.update(c)
+    excess = "omega" if cls is BudgetState else "omega_tilde"
+    before = (getattr(state, excess), state.budget, state.period)
+    with pytest.raises(ValueError):
+        state.update(bad)
+    assert (getattr(state, excess), state.budget, state.period) == before
+    # and the tracker goes on exactly as one that never saw the value
+    state.update(0.5)
+    twin.update(0.5)
+    assert (getattr(state, excess), state.budget, state.period) == (
+        getattr(twin, excess), twin.budget, twin.period
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(bad=BAD, level=GOOD)
+def test_observe_and_consume_reject(bad, level):
+    policy = DppPolicy(EmfConfig(), DppConfig())
+    policy.queue = level
+    with pytest.raises(ValueError):
+        policy.observe(bad)
+    assert policy.queue == level
+
+    tm = TrafficModel(TrafficConfig())
+    tm.backlog = level
+    with pytest.raises(ValueError):
+        tm.consume(bad, 1.0)
+    # an infinite cap is a legal "uncapped" grant; nan and negative caps are not
+    if bad != math.inf:
+        with pytest.raises(ValueError):
+            tm.consume(0.5, bad)
+    assert tm.backlog == level
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=st.sampled_from(REAL_FIELDS), bad=BAD)
+def test_config_real_fields_reject(field, bad):
+    cls, name = field
+    with pytest.raises(ValueError):
+        cls(**{name: bad})
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(FLAG_COMMAND)), bad=BAD | st.integers(max_value=-1))
+def test_numeric_flags_reject_and_write_nothing(name, bad):
+    # the display-only dBm value of the threshold may be negative
+    if name == "c_bar_dbm" and math.isfinite(bad):
+        bad = math.nan
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        flag = "--" + name.replace("_", "-")
+        argv = [FLAG_COMMAND[name], f"{flag}={bad!r}", "--out", str(out)]
+        assert main(argv) == 2, argv
+        assert list(Path(tmp).iterdir()) == []

@@ -172,11 +172,21 @@ def test_verifier_flags_violation_and_locates_window():
 
 
 def test_verifier_input_errors():
-    with pytest.raises(ValueError):
-        verify_compliance(np.array([]), EMF)
-    for bad in (-0.2, math.nan, math.inf):
+    for check in (verify_compliance, queue_zero_every_window):
         with pytest.raises(ValueError):
-            verify_compliance(np.array([0.1, bad]), EMF)
+            check(np.array([]), EMF)
+        for bad in (-0.2, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                check(np.array([0.1, bad]), EMF)
+    # a garbage tolerance would pass a trace averaging 5x the threshold
+    trace = run_simulation(make_cfg(horizon=20))
+    for bad in (-1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            verify_compliance([5.0] * 10, EMF, tolerance=bad)
+        with pytest.raises(ValueError):
+            trace.summary(tolerance=bad)
+        with pytest.raises(ValueError):
+            queue_zero_every_window([5.0] * 10, EMF, tolerance=bad)
 
 
 # ── scoring ───────────────────────────────────────────────────────────
