@@ -36,12 +36,12 @@ WORKLOAD_ALL_ABOVE = "all_above"
 WORKLOAD_DIPS = "dips"
 
 
-def _sizes(w, updates) -> tuple[int, int]:
-    """``(w, updates)`` as positive ints; ``ValueError`` for anything else."""
-    w, updates = as_int(w, "window_w"), as_int(updates, "updates")
-    if w < 1 or updates < 1:
-        raise ValueError("window_w and updates must be >= 1")
-    return w, updates
+def _checked(w, updates, seed) -> tuple[int, int, int]:
+    """``(w, updates, seed)`` as ints, the sizes >= 1 and the seed >= 0; ``ValueError`` for anything else."""
+    w, updates, seed = as_int(w, "window_w"), as_int(updates, "updates"), as_int(seed, "seed")
+    if w < 1 or updates < 1 or seed < 0:
+        raise ValueError("window_w and updates must be >= 1, seed >= 0")
+    return w, updates, seed
 
 
 def _workload(kind: str, rng: np.random.Generator, n: int, cfg: EmfConfig) -> np.ndarray:
@@ -81,7 +81,7 @@ def scratch_call_count(w: int, updates: int) -> int:
 
 def bench_scratch(w: int, updates: int = 100_000, seed: int = 0) -> dict:
     """Time the full recompute over a fixed random window of ``w - 1`` samples."""
-    w, updates = _sizes(w, updates)
+    w, updates, seed = _checked(w, updates, seed)
     cfg = EmfConfig(window_w=w)
     rng = np.random.default_rng([seed, w, 1])
     window = rng.uniform(0.0, cfg.threshold, size=w - 1).tolist()
@@ -113,13 +113,13 @@ def _bench_updates(cls, algorithm: str, workload: str, w: int, updates: int, str
 def bench_exact_update(
     w: int, updates: int = 100_000, workload: str = WORKLOAD_SPARSE, seed: int = 0
 ) -> dict:
-    w, updates = _sizes(w, updates)
+    w, updates, seed = _checked(w, updates, seed)
     warm = min(2 * w, updates)
     return _bench_updates(BudgetState, "exact_update", workload, w, updates, [seed, w, 2], warm)
 
 
 def bench_conservative_update(w: int, updates: int = 100_000, seed: int = 0) -> dict:
-    w, updates = _sizes(w, updates)
+    w, updates, seed = _checked(w, updates, seed)
     warm = min(1000, updates)
     return _bench_updates(
         ConservativeBudgetState, "conservative_update", WORKLOAD_SPARSE, w, updates, [seed, w, 3], warm
@@ -128,11 +128,11 @@ def bench_conservative_update(w: int, updates: int = 100_000, seed: int = 0) -> 
 
 def bench_suite(w_grid, updates: int = 100_000, seed: int = 0) -> list[dict]:
     """All subjects across a window grid; one dict per (algorithm, workload, W)."""
-    sizes = [_sizes(w, updates) for w in w_grid]
-    if not sizes:
+    checked = [_checked(w, updates, seed) for w in w_grid]
+    if not checked:
         raise ValueError("w_grid must be nonempty")
     rows = []
-    for w, updates in sizes:
+    for w, updates, seed in checked:
         rows.append(bench_scratch(w, updates, seed))
         rows.append(bench_exact_update(w, updates, WORKLOAD_SPARSE, seed))
         rows.append(bench_exact_update(w, updates, WORKLOAD_ALL_ABOVE, seed))

@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -33,8 +32,6 @@ from .output import atomic_write_text, csv_chunks
 from .policy import POLICY_KINDS, DppConfig
 from .sim import TOLERANCE, SimConfig, compare_budgets, run_simulation, sweep_v, verify_compliance
 from .traffic import TrafficConfig
-
-SEED_ENV_VAR = "EMFCAP_SEED"
 
 
 class CliError(Exception):
@@ -122,7 +119,7 @@ PARAMS = {
     "zipf_support": Param(_integer, _TRAFFIC["zipf_support"], "number of demand levels"),
     "demand_scale": Param(_real, None, "EIRP units per demand level (default C_bar/4)"),
     "horizon": Param(_integer, _SIM["horizon"], "periods per run"),
-    "seed": Param(_integer, None, f"base RNG seed (env {SEED_ENV_VAR}, default 0)"),
+    "seed": Param(_integer, _TRAFFIC["seed"], "base RNG seed"),
     "reps": Param(_integer, _SIM["replications"], "replications per grid point"),
     "tolerance": Param(_at_least(0.0, _real), TOLERANCE, "absolute tolerance on the windowed average"),
     "loads": Param(_grid(_real), [0.05, 0.2, 0.5, 0.9], "comma list of loads"),
@@ -181,6 +178,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         if name in from_file and not (from_file[name] is None and default is None):
             supplied.append(from_file[name])
         if not supplied:
+            if name == "out":
+                default = DEFAULT_OUT[args.command]
             if default is None:
                 resolved[name] = None
                 continue
@@ -191,8 +190,6 @@ def _resolve(args: argparse.Namespace) -> dict:
         except (TypeError, ValueError) as exc:
             raise CliError(f"{_flag(name)}: {exc}") from exc
         resolved[name] = converted[0]
-    if "seed" in resolved and resolved["seed"] is None:
-        resolved["seed"] = _integer(os.environ.get(SEED_ENV_VAR) or 0)
     if "demand_scale" in resolved and resolved["demand_scale"] is None:
         resolved["demand_scale"] = resolved["C_bar"] / 4.0
     return resolved
@@ -267,8 +264,6 @@ def _to_dbm(linear: float, c_bar: float, c_bar_dbm: float):
 
 def cmd_simulate(cfg: dict) -> int:
     t0 = perf_counter()
-    if cfg["out"] is None:
-        cfg["out"] = "trace.csv"
     sim_cfg = _build_sim_config(cfg)
     trace = run_simulation(sim_cfg)
     summary = trace.summary(tolerance=cfg["tolerance"])
@@ -300,13 +295,16 @@ def _read_trace_column(path: str, column: str) -> np.ndarray:
     except OSError as exc:
         raise CliError(f"cannot read trace: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or column not in reader.fieldnames:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if column not in header:
             raise CliError(f"{path}: missing required column {column!r} in header")
+        index = header.index(column)
         values = []
-        for lineno, row in enumerate(reader, start=2):
-            raw = row.get(column)
-            if raw is None or raw == "":
+        # blank lines are skipped and not counted in the row numbers
+        for lineno, row in enumerate(filter(None, reader), start=2):
+            raw = row[index] if index < len(row) else ""
+            if raw == "":
                 raise CliError(f"{path}: row {lineno}: empty {column!r} cell")
             try:
                 value = float(raw)
@@ -342,8 +340,6 @@ def cmd_verify(cfg: dict) -> int:
 
 def cmd_sweep_v(cfg: dict) -> int:
     t0 = perf_counter()
-    if cfg["out"] is None:
-        cfg["out"] = "sweep_v.csv"
     rows = sweep_v(_build_sim_config(cfg), cfg["loads"], cfg["v_grid"])
     _emit_table("sweep-v", cfg, rows, ("load", "v_star", "mean_score", "ci_half_width"), t0)
     return 0
@@ -351,8 +347,6 @@ def cmd_sweep_v(cfg: dict) -> int:
 
 def cmd_compare_budgets(cfg: dict) -> int:
     t0 = perf_counter()
-    if cfg["out"] is None:
-        cfg["out"] = "budget_compare.csv"
     rows = compare_budgets(_build_sim_config(cfg), cfg["loads"])
     _emit_table(
         "compare-budgets", cfg, rows,
@@ -364,8 +358,6 @@ def cmd_compare_budgets(cfg: dict) -> int:
 
 def cmd_bench(cfg: dict) -> int:
     t0 = perf_counter()
-    if cfg["out"] is None:
-        cfg["out"] = "bench.csv"
     rows = bench_suite(cfg["w_grid"], updates=cfg["updates"], seed=cfg["seed"])
     _emit_table(
         "bench", cfg, rows,
@@ -394,6 +386,9 @@ COMMANDS = {
     "bench": (cmd_bench, "per-update cost of the budget maintenance routines",
               ("w_grid", "updates", "seed", "out")),
 }
+# command -> its primary output path when --out is unset (verify then only prints)
+DEFAULT_OUT = {"simulate": "trace.csv", "verify": None, "sweep-v": "sweep_v.csv",
+               "compare-budgets": "budget_compare.csv", "bench": "bench.csv"}
 
 
 def build_parser() -> argparse.ArgumentParser:

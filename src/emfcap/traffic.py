@@ -71,6 +71,9 @@ class TrafficModel:
 
     def sample_demands(self, n: int) -> np.ndarray:
         """Demand for the next ``n`` periods; always consumes exactly ``2n`` draws."""
+        n = as_int(n, "n")
+        if n < 0:
+            raise ValueError("n must be >= 0")
         u = self._rng.random((n, 2))
         levels = np.searchsorted(self._cdf, u[:, 1], side="right") + 1
         return np.where(u[:, 0] < self.cfg.load, self.cfg.demand_scale * levels, 0.0)

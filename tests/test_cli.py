@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from emfcap.bench import bench_suite
+from emfcap.bench import bench_conservative_update, bench_exact_update, bench_scratch, bench_suite
 from emfcap.cli import COMMANDS, _json_text, main
 
 
@@ -211,15 +211,6 @@ def test_manifest_rerun_reproduces_outputs(tmp_path):
     assert (tmp_path / "a.summary.json").read_bytes() == (tmp_path / "b.summary.json").read_bytes()
 
 
-def test_env_var_seed_default(tmp_path, monkeypatch):
-    flagged = tmp_path / "f.csv"
-    run_cli(["simulate", "--seed", "9", "--horizon", "100", "--out", flagged])
-    monkeypatch.setenv("EMFCAP_SEED", "9")
-    via_env = tmp_path / "e.csv"
-    run_cli(["simulate", "--horizon", "100", "--out", via_env])
-    assert flagged.read_bytes() == via_env.read_bytes()
-
-
 def test_sweep_v_single_point_echo(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = run_cli(["sweep-v", "--loads", "0.2", "--v-grid", "12", "--reps", "2",
@@ -286,27 +277,63 @@ def test_bench_suite_sizes_must_be_integral():
             bench_suite([bad], updates=300)
         with pytest.raises(ValueError):
             bench_suite([4], updates=bad)
+    for bad in (True, 2.7, -1):
+        for bench in (bench_suite, bench_scratch, bench_exact_update, bench_conservative_update):
+            with pytest.raises(ValueError):
+                bench([4] if bench is bench_suite else 4, 300, seed=bad)
     rows = bench_suite([10.0], updates=300.0)
     assert {(type(r["window_w"]), r["window_w"]) for r in rows} == {(int, 10)}
     assert {r["updates"] for r in rows} == {300}
 
 
-def test_every_declared_parameter_is_echoed_in_the_manifest(tmp_path, capsys):
-    trace = tmp_path / "t.csv"
-    trace.write_text("c\n0.5\n")
-    small = {
+def small_runs(trace):
+    """Quick arguments for every command, ``--out`` left out; ``trace`` is a CSV for ``verify``."""
+    return {
         "simulate": ["--horizon", "20"],
         "verify": ["--trace", trace],
         "sweep-v": ["--loads", "0.2", "--v-grid", "5", "--reps", "1", "--horizon", "20"],
         "compare-budgets": ["--loads", "0.2", "--reps", "1", "--horizon", "20"],
         "bench": ["--w-grid", "4", "--updates", "50"],
     }
+
+
+def test_every_declared_parameter_is_echoed_in_the_manifest(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    trace.write_text("c\n0.5\n")
+    small = small_runs(trace)
     assert set(small) == set(COMMANDS)
     for command, (_, _, names) in COMMANDS.items():
         out = tmp_path / f"{command}.out"
         assert run_cli([command, *small[command], "--out", out]) == 0, command
         manifest = read_json(tmp_path / f"{command}.manifest.json")
         assert set(manifest["config"]) == set(names), command
+
+
+def test_commands_without_out_write_their_default_files(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    trace = tmp_path / "t.csv"
+    trace.write_text("c\n0.5\n")
+    small = small_runs(trace)
+    defaults = {
+        "simulate": ("trace.csv", "trace.summary.json", "trace.manifest.json"),
+        "verify": (),
+        "sweep-v": ("sweep_v.csv", "sweep_v.json", "sweep_v.manifest.json"),
+        "compare-budgets": ("budget_compare.csv", "budget_compare.json", "budget_compare.manifest.json"),
+        "bench": ("bench.csv", "bench.json", "bench.manifest.json"),
+    }
+    assert set(defaults) == set(COMMANDS)
+    for command, written in defaults.items():
+        before = set(tmp_path.iterdir())
+        assert run_cli([command, *small[command]]) == 0, command
+        assert set(tmp_path.iterdir()) - before == {tmp_path / name for name in written}, command
+        if written:
+            assert read_json(tmp_path / written[-1])["config"]["out"] == written[0], command
+    # a JSON null leaves the output path unset, so the default applies
+    (tmp_path / "trace.csv").unlink()
+    cfg = tmp_path / "null_out.json"
+    cfg.write_text('{"out": null, "horizon": 20}')
+    assert run_cli(["simulate", "--config", cfg]) == 0
+    assert (tmp_path / "trace.csv").exists()
 
 
 def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys):
@@ -329,7 +356,7 @@ def test_bad_values_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "cfg.json"
     for doc in ('{"c_bar_dbm": "abc"}', '{"c_bar_dbm": 1e400}', '{"out": 5}', '{"horizon": true}',
                 # null means unset only where the default is unset
-                '{"tolerance": null}'):
+                '{"tolerance": null}', '{"seed": null}'):
         cfg.write_text(doc)
         assert run_cli(["simulate", "--config", cfg]) == 2, doc
     assert run_cli(["simulate", "--c-bar-dbm", "inf"]) == 2

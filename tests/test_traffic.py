@@ -130,6 +130,9 @@ def test_negative_replication_rejected():
     for bad in (-1, 2.7, True):
         with pytest.raises(ValueError):
             TrafficModel(TrafficConfig(seed=0), replication=bad)
+        with pytest.raises(ValueError):
+            TrafficModel(TrafficConfig(seed=0)).sample_demands(bad)
+    assert TrafficModel(TrafficConfig(seed=0)).sample_demands(3.0).shape == (3,)
     assert TrafficModel(TrafficConfig(seed=0), replication=2.0).replication == 2
     trace = run_simulation(SimConfig(EmfConfig(10, 1.0, 0.15), TrafficConfig(seed=0), horizon=5), replication=2.0)
     assert type(trace.replication) is int and trace.replication == 2
