@@ -8,7 +8,7 @@ loop tying them together.
 """
 
 from .budget import BudgetState, ConservativeBudgetState, EmfConfig, budget_from_omega
-from .policy import POLICY_KINDS, CautiousPolicy, ControlDecision, DppConfig, DppPolicy, GreedyPolicy
+from .policy import POLICY_KINDS, CautiousPolicy, DppConfig, DppPolicy, GreedyPolicy
 from .sim import (
     ComplianceReport,
     SimConfig,
@@ -28,7 +28,6 @@ __all__ = [
     "CautiousPolicy",
     "ComplianceReport",
     "ConservativeBudgetState",
-    "ControlDecision",
     "DppConfig",
     "DppPolicy",
     "EmfConfig",

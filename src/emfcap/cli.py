@@ -54,8 +54,14 @@ def _real(value) -> float:
 
 
 def _integer(value) -> int:
-    # int() keeps a 64-bit seed given as text exact; as_int lets JSON's 10.0 pass
-    return int(value) if isinstance(value, str) else as_int(value, "value")
+    # int() keeps a 64-bit seed given as text exact; any other text is read as
+    # JSON reads a number, so "10.0" passes as_int as a file's 10.0 does
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            value = float(value)
+    return as_int(value, "value")
 
 
 def _at_least(low, convert):

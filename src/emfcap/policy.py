@@ -1,8 +1,14 @@
 """Per-period EIRP control policies.
 
-Every policy exposes ``decide(budget) -> ControlDecision`` and
-``observe(consumption)``; that pair is the whole policy API. The
-drift-plus-penalty controller throttles through a virtual queue that
+Every policy exposes ``decide(budget)`` and ``observe(consumption)``; that
+pair is the whole policy API. As a budget tracker's ``update`` refreshes its
+``budget``, ``decide`` refreshes the plain attributes ``gamma``,
+``clamped_low`` and ``clamped_high`` (read-only by convention; unset until the
+first ``decide``) and returns the policy itself, so a control step builds no
+per-period object. A nan or infinite budget raises ``ValueError`` and
+changes nothing.
+
+The drift-plus-penalty controller throttles through a virtual queue that
 integrates consumption overshoot above ``beta * threshold``: the fuller the
 queue, the smaller the granted cap. The greedy and cautious baselines bracket
 its behaviour (spend the whole budget versus hold a constant cap at the
@@ -11,8 +17,8 @@ threshold).
 ``POLICY_KINDS`` maps each policy kind to its class and to whether it reads
 the conservative budget instead of the exact one.
 
-Policies are single-owner: the only state is the controller's queue, nothing
-is shared, and no operation needs synchronization.
+Policies are single-owner: the only state is the controller's queue and the
+last decision, nothing is shared, and no operation needs synchronization.
 """
 
 from __future__ import annotations
@@ -54,22 +60,18 @@ class DppConfig:
             raise ValueError("beta must lie in [0, 1]")
 
 
-@dataclass(slots=True)
-class ControlDecision:
-    """One period's cap and which bound bit."""
-
-    gamma: float
-    clamped_low: bool
-    clamped_high: bool
-
-
 class DppPolicy:
     """Smooth controller: the granted cap shrinks as the overshoot queue grows.
 
     ``queue`` is the virtual queue of consumption overshoot; it is never
-    negative. The floor and the drain rate ``beta * threshold`` are fixed
-    when the policy is built.
+    negative. The floor, the drain rate ``beta * threshold``, the utility
+    weight and the fairness exponent are fixed when the policy is built.
     """
+
+    __slots__ = (
+        "cfg", "dpp", "queue", "gamma", "clamped_low", "clamped_high",
+        "_floor", "_drain", "_v_weight", "_alpha",
+    )
 
     def __init__(self, cfg: EmfConfig, dpp: DppConfig):
         self.cfg = cfg
@@ -77,8 +79,10 @@ class DppPolicy:
         self.queue = 0.0
         self._floor = cfg.floor
         self._drain = dpp.beta * cfg.threshold
+        self._v_weight = dpp.v_weight
+        self._alpha = dpp.alpha
 
-    def decide(self, budget: float) -> ControlDecision:
+    def decide(self, budget: float) -> DppPolicy:
         """Cap minimizing queue pressure against the fairness utility, then clamped.
 
         An empty queue imposes no penalty, so the unconstrained target is
@@ -86,20 +90,23 @@ class DppPolicy:
         inner objective linear, handled as bang-bang: everything while the
         queue is below the utility weight, the floor once it reaches it. A
         budget below the floor cannot arise under budget-respecting control;
-        if forced, the floor wins and the decision is flagged.
+        if forced, the floor wins and the decision is flagged. Returns ``self``.
         """
+        if not -math.inf < budget < math.inf:
+            raise ValueError("budget must be finite")
         q = self.queue
-        dpp = self.dpp
+        v_weight = self._v_weight
+        alpha = self._alpha
         floor = self._floor
         if q <= 0.0:
             target = math.inf
-        elif dpp.alpha == 1.0:
-            target = dpp.v_weight / q
-        elif dpp.alpha == 0.0:
-            target = math.inf if q < dpp.v_weight else floor
+        elif alpha == 1.0:
+            target = v_weight / q
+        elif alpha == 0.0:
+            target = math.inf if q < v_weight else floor
         else:
             try:
-                target = (dpp.v_weight / q) ** (1.0 / dpp.alpha)
+                target = (v_weight / q) ** (1.0 / alpha)
             except OverflowError:
                 target = math.inf
         gamma = target if target > floor else floor
@@ -107,7 +114,10 @@ class DppPolicy:
             gamma = budget
         if gamma < floor:
             gamma = floor
-        return ControlDecision(gamma, gamma == floor, gamma == budget)
+        self.gamma = gamma
+        self.clamped_low = gamma == floor
+        self.clamped_high = gamma == budget
+        return self
 
     def observe(self, c: float) -> None:
         """Queue grows by the overshoot of ``c`` above ``beta * threshold``, clipped at zero."""
@@ -120,16 +130,22 @@ class DppPolicy:
 class GreedyPolicy:
     """Spends the whole budget every period, never less than the floor."""
 
+    __slots__ = ("cfg", "gamma", "clamped_low", "clamped_high", "_floor")
     queue = 0.0
 
     def __init__(self, cfg: EmfConfig, dpp: DppConfig | None = None):
         self.cfg = cfg
         self._floor = cfg.floor
 
-    def decide(self, budget: float) -> ControlDecision:
+    def decide(self, budget: float) -> GreedyPolicy:
+        if not -math.inf < budget < math.inf:
+            raise ValueError("budget must be finite")
         floor = self._floor
         gamma = budget if budget > floor else floor
-        return ControlDecision(gamma, gamma == floor, gamma == budget)
+        self.gamma = gamma
+        self.clamped_low = gamma == floor
+        self.clamped_high = gamma == budget
+        return self
 
     def observe(self, c: float) -> None:
         pass
@@ -138,6 +154,7 @@ class GreedyPolicy:
 class CautiousPolicy:
     """Holds the cap at the threshold regardless of budget or demand."""
 
+    __slots__ = ("cfg", "gamma", "clamped_low", "clamped_high", "_threshold", "_floor")
     queue = 0.0
 
     def __init__(self, cfg: EmfConfig, dpp: DppConfig | None = None):
@@ -145,8 +162,13 @@ class CautiousPolicy:
         self._threshold = cfg.threshold
         self._floor = cfg.floor
 
-    def decide(self, budget: float) -> ControlDecision:
-        return ControlDecision(self._threshold, self._threshold == self._floor, False)
+    def decide(self, budget: float) -> CautiousPolicy:
+        if not -math.inf < budget < math.inf:
+            raise ValueError("budget must be finite")
+        self.gamma = self._threshold
+        self.clamped_low = self._threshold == self._floor
+        self.clamped_high = False
+        return self
 
     def observe(self, c: float) -> None:
         pass

@@ -196,8 +196,7 @@ def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:
     for d in demands:
         b_ex = exact.budget
         b_co = cons.budget
-        dec = decide(b_co if conservative_drive else b_ex)
-        g = dec.gamma
+        g = decide(b_co if conservative_drive else b_ex).gamma
         q_col.append(policy.queue)
         c = consume(d, g)
         observe(c)
@@ -208,8 +207,8 @@ def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:
         gamma_col.append(g)
         c_col.append(c)
         backlog_col.append(tm.backlog)
-        lo_col.append(dec.clamped_low)
-        hi_col.append(dec.clamped_high)
+        lo_col.append(policy.clamped_low)
+        hi_col.append(policy.clamped_high)
 
     return SimTrace(
         policy_kind=cfg.policy_kind,

@@ -188,6 +188,14 @@ def test_config_file_non_integral_or_non_list_values_exit_2(tmp_path):
     assert run_cli(["bench", "--w-grid", "4,inf", "--out", out]) == 2
 
 
+def test_integer_flag_takes_an_integral_float_as_a_config_file_does(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli(["simulate", "--W", "10", "--horizon", "60", "--out", a]) == 0
+    assert run_cli(["simulate", "--W", "10.0", "--horizon", "60.0", "--out", b]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert read_json(tmp_path / "b.manifest.json")["config"]["W"] == 10
+
+
 def test_config_value_overridden_by_a_flag_is_still_checked(tmp_path):
     cfg = tmp_path / "o.json"
     out = tmp_path / "x.csv"
@@ -360,4 +368,7 @@ def test_bad_values_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys):
         cfg.write_text(doc)
         assert run_cli(["simulate", "--config", cfg]) == 2, doc
     assert run_cli(["simulate", "--c-bar-dbm", "inf"]) == 2
+    # integer flags read non-integer text as a config file reads a number
+    for argv in (["--W", "10.5"], ["--seed", "1e400"], ["--horizon", "nan"]):
+        assert run_cli(["simulate", *argv]) == 2, argv
     assert list(tmp_path.iterdir()) == [cfg]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -281,3 +282,39 @@ def test_policy_kinds_table_dispatch():
 def test_conservative_budget_selector():
     conservative = {kind for kind, (_, reads_conservative) in POLICY_KINDS.items() if reads_conservative}
     assert conservative == {"dpp_conservative", "greedy_conservative"}
+
+
+# ── decide refreshes the policy in place ──────────────────────────────
+
+# SHA-256 of the decision grid below, recorded when ``decide`` still built a
+# record per call; refreshing the policy in place must not move a bit of it
+DECISION_GRID_DIGESTS = {
+    DppPolicy: "ed171405b69fc4004afd567bfcf8e5ccd9670df39d91e187b978c72a656e92f3",
+    GreedyPolicy: "9b84bc14544f9d58781986b7d45f31ea1baafb81b8e26b019f4ca31d7a9418e3",
+    CautiousPolicy: "d88724a6d6d70e2fdd86d68dfe68a764253ec26c2891b57b28c80ddcda8a2744",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
+def test_decide_refreshes_policy_bit_for_bit(kind):
+    cls, _ = POLICY_KINDS[kind]
+    rows = []
+    for cfg in (EMF, EmfConfig(10, 1.3, 0.35)):
+        for alpha in (0.0, 0.5, 1.0, 2.0):
+            for q in (0.0, 0.4, 3.0, 7.0, 55.0, 1e6):
+                policy = cls(cfg, DppConfig(7.0, alpha, 0.9))
+                if cls is DppPolicy:
+                    policy.queue = q
+                for budget in (-1.0, 0.0, 0.1, cfg.floor, 1.0, 2.0, 9.0, cfg.full_budget):
+                    assert policy.decide(budget) is policy
+                    rows.append((policy.gamma, policy.clamped_low, policy.clamped_high))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == DECISION_GRID_DIGESTS[cls]
+
+
+@pytest.mark.parametrize("cls", [DppPolicy, GreedyPolicy, CautiousPolicy])
+def test_policies_are_slotted_and_hold_no_cap_before_deciding(cls):
+    policy = cls(EMF, DPP)
+    assert not hasattr(policy, "__dict__")
+    for name in ("gamma", "clamped_low", "clamped_high"):
+        with pytest.raises(AttributeError):
+            getattr(policy, name)

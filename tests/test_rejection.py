@@ -1,9 +1,11 @@
 """Every input boundary rejects a nan, an infinity or a negative value.
 
 The boundaries are both tracker updates, the controller's ``observe``,
-``TrafficModel.consume``, every real field of the config dataclasses and every
-numeric CLI flag. A library call raises ``ValueError`` and leaves its object
-as it was; the CLI exits 2 and writes nothing.
+every policy's ``decide``, ``TrafficModel.consume``, every real field of the
+config dataclasses and every numeric CLI flag. A library call raises
+``ValueError`` and leaves its object as it was; the CLI exits 2 and writes
+nothing. A policy's budget may be negative (the floor wins), so ``decide``
+rejects only nan and the infinities.
 """
 
 import math
@@ -16,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from emfcap.budget import BudgetState, ConservativeBudgetState, EmfConfig
 from emfcap.cli import COMMANDS, PARAMS, main
-from emfcap.policy import DppConfig, DppPolicy
+from emfcap.policy import CautiousPolicy, DppConfig, DppPolicy, GreedyPolicy
 from emfcap.traffic import TrafficConfig, TrafficModel
 
 # strictly negative floats (-inf included), nan and +inf
@@ -82,6 +84,20 @@ def test_observe_and_consume_reject(bad, level):
     with pytest.raises(ValueError):
         policy.observe(bad)
     assert policy.queue == level
+
+    if not math.isfinite(bad):
+        for cls in (DppPolicy, GreedyPolicy, CautiousPolicy):
+            policy = cls(EmfConfig(), DppConfig())
+            with pytest.raises(ValueError):
+                policy.decide(bad)
+            assert not hasattr(policy, "gamma")
+            if cls is DppPolicy:
+                policy.queue = level
+            policy.decide(level)
+            before = (policy.queue, policy.gamma, policy.clamped_low, policy.clamped_high)
+            with pytest.raises(ValueError):
+                policy.decide(bad)
+            assert (policy.queue, policy.gamma, policy.clamped_low, policy.clamped_high) == before
 
     tm = TrafficModel(TrafficConfig())
     tm.backlog = level
