@@ -1,14 +1,18 @@
 """Command-line front end: simulate, verify, sweep-v, compare-budgets, bench.
 
-Every parameter is declared once, in ``PARAMS``; each command accepts
-exactly the flags of the parameters it reads (``COMMANDS``). Precedence is
+Every parameter is declared once, in ``PARAMS``, together with the config
+dataclass field it sets, if any, whose default it takes; each command accepts
+exactly the flags of the parameters it reads (``COMMANDS``), and fields it
+does not read keep their dataclass defaults. Precedence is
 flag > config file > built-in default. The config file is flat JSON keyed by
 flag names (dashes become underscores), and its values pass the same
 converters as the flags' text; a JSON ``null`` means unset only where the
-default is unset. A run manifest written by a previous invocation is also
-accepted, so any run can be reproduced bit-for-bit from its manifest. All EIRP quantities are
-linear-unit reals normalized so the threshold defaults to 1.0; the optional
-``--c-bar-dbm`` flag only converts a display block in the summary.
+default is unset. Each handler returns its exit code and the files it wrote;
+``main`` then writes the run manifest beside them. A manifest is also
+accepted as a config file, so any run can be reproduced bit-for-bit from it.
+All EIRP quantities are linear-unit reals normalized so the threshold
+defaults to 1.0; the optional ``--c-bar-dbm`` flag only converts a display
+block in the summary.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import MISSING, fields
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, NamedTuple
@@ -103,30 +106,33 @@ class Param(NamedTuple):
     convert: Callable
     default: object  # None: unset, and a JSON null in a config file leaves it unset
     help: str
+    sets: tuple = (None, None)  # (config class, field name) the value sets, if any
 
 
-def _field_defaults(cls) -> dict:
-    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+def _field(cls, name: str, convert: Callable, help: str) -> Param:
+    """A parameter that sets ``cls.name`` and defaults to that dataclass field's default."""
+    return Param(convert, cls.__dataclass_fields__[name].default, help, (cls, name))
 
 
-# Model parameters default to the config dataclasses' field defaults; the
-# flag of each is its name with dashes for underscores.
-_EMF, _DPP, _TRAFFIC, _SIM = map(_field_defaults, (EmfConfig, DppConfig, TrafficConfig, SimConfig))
+# The flag of each parameter is its name with dashes for underscores.
 PARAMS = {
-    "policy": Param(_policy, _SIM["policy_kind"], f"control policy: {', '.join(POLICY_KINDS)}"),
-    "W": Param(_integer, _EMF["window_w"], "sliding window length in periods"),
-    "C_bar": Param(_real, _EMF["threshold"], "averaged-EIRP threshold (linear units)"),
-    "rho": Param(_real, _EMF["guaranteed_ratio"], "guaranteed ratio in [0, 1]"),
-    "alpha": Param(_real, _DPP["alpha"], "fairness exponent (1 = proportional fair)"),
-    "beta": Param(_real, _DPP["beta"], "queue inflation factor in [0, 1]"),
-    "V": Param(_real, _DPP["v_weight"], "utility weight of the queue controller"),
-    "load": Param(_real, _TRAFFIC["load"], "probability of nonzero demand per period"),
-    "zipf_exponent": Param(_real, _TRAFFIC["zipf_exponent"], "demand-level tail exponent (> 1)"),
-    "zipf_support": Param(_integer, _TRAFFIC["zipf_support"], "number of demand levels"),
-    "demand_scale": Param(_real, None, "EIRP units per demand level (default C_bar/4)"),
-    "horizon": Param(_integer, _SIM["horizon"], "periods per run"),
-    "seed": Param(_integer, _TRAFFIC["seed"], "base RNG seed"),
-    "reps": Param(_integer, _SIM["replications"], "replications per grid point"),
+    "policy": _field(SimConfig, "policy_kind", _policy, f"control policy: {', '.join(POLICY_KINDS)}"),
+    "W": _field(EmfConfig, "window_w", _integer, "sliding window length in periods"),
+    "C_bar": _field(EmfConfig, "threshold", _real, "averaged-EIRP threshold (linear units)"),
+    "rho": _field(EmfConfig, "guaranteed_ratio", _real, "guaranteed ratio in [0, 1]"),
+    "alpha": _field(DppConfig, "alpha", _real, "fairness exponent (1 = proportional fair)"),
+    "beta": _field(DppConfig, "beta", _real, "queue inflation factor in [0, 1]"),
+    "V": _field(DppConfig, "v_weight", _real, "utility weight of the queue controller"),
+    "load": _field(TrafficConfig, "load", _real, "probability of nonzero demand per period"),
+    "zipf_exponent": _field(TrafficConfig, "zipf_exponent", _real, "demand-level tail exponent (> 1)"),
+    "zipf_support": _field(TrafficConfig, "zipf_support", _integer, "number of demand levels"),
+    # unset by default: _resolve fills in C_bar / 4
+    "demand_scale": Param(
+        _real, None, "EIRP units per demand level (default C_bar/4)", (TrafficConfig, "demand_scale")
+    ),
+    "horizon": _field(SimConfig, "horizon", _integer, "periods per run"),
+    "seed": _field(TrafficConfig, "seed", _integer, "base RNG seed"),
+    "reps": _field(SimConfig, "replications", _integer, "replications per grid point"),
     "tolerance": Param(_at_least(0.0, _real), TOLERANCE, "absolute tolerance on the windowed average"),
     "loads": Param(_grid(_real), [0.05, 0.2, 0.5, 0.9], "comma list of loads"),
     "v_grid": Param(
@@ -161,6 +167,8 @@ def _load_config_file(path: str) -> dict:
         raise CliError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: cannot decode: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliError(f"{path}: config must be a JSON object")
     if doc.get("tool") == "emfcap" and isinstance(doc.get("config"), dict):
@@ -177,7 +185,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise CliError(f"config file has keys not used by this command: {sorted(unknown)}")
     resolved = {}
     for name in names:
-        convert, default, _ = PARAMS[name]
+        param = PARAMS[name]
+        default = param.default
         flag_text = getattr(args, name)
         supplied = [] if flag_text is None else [flag_text]
         # a JSON null means unset only where the default is unset
@@ -192,7 +201,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             supplied.append(default)
         try:
             # every supplied value is converted, not only the one that wins
-            converted = [convert(value) for value in supplied]
+            converted = [param.convert(value) for value in supplied]
         except (TypeError, ValueError) as exc:
             raise CliError(f"{_flag(name)}: {exc}") from exc
         resolved[name] = converted[0]
@@ -201,25 +210,15 @@ def _resolve(args: argparse.Namespace) -> dict:
     return resolved
 
 
+def _config(cls, cfg: dict, **nested):
+    """A ``cls`` from the resolved values that set its fields; the others keep their defaults."""
+    return cls(**nested, **{PARAMS[n].sets[1]: v for n, v in cfg.items() if PARAMS[n].sets[0] is cls})
+
+
 def _build_sim_config(cfg: dict) -> SimConfig:
-    """Config objects from resolved parameters; those a command has no flag for take their defaults."""
-    cfg = {**{name: param.default for name, param in PARAMS.items()}, **cfg}
-    emf = EmfConfig(window_w=cfg["W"], threshold=cfg["C_bar"], guaranteed_ratio=cfg["rho"])
-    traffic = TrafficConfig(
-        load=cfg["load"],
-        zipf_exponent=cfg["zipf_exponent"],
-        zipf_support=cfg["zipf_support"],
-        demand_scale=cfg["demand_scale"],
-        seed=cfg["seed"],
-    )
-    dpp = DppConfig(v_weight=cfg["V"], alpha=cfg["alpha"], beta=cfg["beta"])
-    return SimConfig(
-        emf=emf,
-        traffic=traffic,
-        dpp=dpp,
-        horizon=cfg["horizon"],
-        policy_kind=cfg["policy"],
-        replications=cfg["reps"],
+    return _config(
+        SimConfig, cfg,
+        emf=_config(EmfConfig, cfg), traffic=_config(TrafficConfig, cfg), dpp=_config(DppConfig, cfg),
     )
 
 
@@ -234,29 +233,13 @@ def _sibling(out: Path, suffix: str) -> Path:
     return out.with_name(out.stem + suffix)
 
 
-def _write_manifest(path: Path, command: str, cfg: dict, outputs: dict, wall_s: float) -> None:
-    manifest = {
-        "tool": "emfcap",
-        "version": __version__,
-        "schema_version": 1,
-        "command": command,
-        "config": cfg,
-        "outputs": {k: str(v) for k, v in outputs.items()},
-        "wall_clock_seconds": wall_s,
-    }
-    atomic_write_text(path, _json_text(manifest))
-
-
-def _emit_table(command: str, cfg: dict, rows: list[dict], columns: tuple, t0: float) -> None:
+def _emit_table(cfg: dict, rows: list[dict], columns: tuple) -> tuple[int, dict]:
     out = Path(cfg["out"])
     table_json = _sibling(out, ".json")
     atomic_write_text(out, csv_chunks(columns, [[row[c] for row in rows] for c in columns]))
     atomic_write_text(table_json, _json_text(rows))
-    _write_manifest(
-        _sibling(out, ".manifest.json"), command, cfg,
-        {"table_csv": out, "table_json": table_json}, perf_counter() - t0,
-    )
     print(_json_text(rows), end="")
+    return 0, {"table_csv": out, "table_json": table_json}
 
 
 def _to_dbm(linear: float, c_bar: float, c_bar_dbm: float):
@@ -268,8 +251,7 @@ def _to_dbm(linear: float, c_bar: float, c_bar_dbm: float):
 # ── subcommands ───────────────────────────────────────────────────────
 
 
-def cmd_simulate(cfg: dict) -> int:
-    t0 = perf_counter()
+def cmd_simulate(cfg: dict) -> tuple[int, dict]:
     sim_cfg = _build_sim_config(cfg)
     trace = run_simulation(sim_cfg)
     summary = trace.summary(tolerance=cfg["tolerance"])
@@ -287,90 +269,70 @@ def cmd_simulate(cfg: dict) -> int:
     summary_path = _sibling(out, ".summary.json")
     trace.write_csv(out)
     atomic_write_text(summary_path, summary_text)
-    _write_manifest(
-        _sibling(out, ".manifest.json"), "simulate", cfg,
-        {"trace_csv": out, "summary_json": summary_path}, perf_counter() - t0,
-    )
     print(summary_text, end="")
-    return 0
+    return 0, {"trace_csv": out, "summary_json": summary_path}
 
 
 def _read_trace_column(path: str, column: str) -> np.ndarray:
+    values = []
     try:
-        fh = open(path, newline="")
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if column not in header:
+                raise CliError(f"{path}: missing required column {column!r} in header")
+            index = header.index(column)
+            # blank lines are skipped and not counted in the row numbers
+            for lineno, row in enumerate(filter(None, reader), start=2):
+                raw = row[index] if index < len(row) else ""
+                if raw == "":
+                    raise CliError(f"{path}: row {lineno}: empty {column!r} cell")
+                try:
+                    value = float(raw)
+                except ValueError as exc:
+                    raise CliError(
+                        f"{path}: row {lineno}, column {column!r}: not a number: {raw!r}"
+                    ) from exc
+                if not math.isfinite(value):
+                    raise CliError(f"{path}: row {lineno}, column {column!r}: not finite: {raw!r}")
+                values.append(value)
     except OSError as exc:
         raise CliError(f"cannot read trace: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if column not in header:
-            raise CliError(f"{path}: missing required column {column!r} in header")
-        index = header.index(column)
-        values = []
-        # blank lines are skipped and not counted in the row numbers
-        for lineno, row in enumerate(filter(None, reader), start=2):
-            raw = row[index] if index < len(row) else ""
-            if raw == "":
-                raise CliError(f"{path}: row {lineno}: empty {column!r} cell")
-            try:
-                value = float(raw)
-            except ValueError as exc:
-                raise CliError(
-                    f"{path}: row {lineno}, column {column!r}: not a number: {raw!r}"
-                ) from exc
-            if not math.isfinite(value):
-                raise CliError(f"{path}: row {lineno}, column {column!r}: not finite: {raw!r}")
-            values.append(value)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: cannot decode: {exc}") from exc
     if not values:
         raise CliError(f"{path}: no data rows")
     return np.asarray(values, dtype=np.float64)
 
 
-def cmd_verify(cfg: dict) -> int:
-    t0 = perf_counter()
+def cmd_verify(cfg: dict) -> tuple[int, dict]:
     if not cfg["trace"]:
         raise CliError("--trace is required")
     c = _read_trace_column(cfg["trace"], "c")
-    emf = EmfConfig(window_w=cfg["W"], threshold=cfg["C_bar"], guaranteed_ratio=0.0)
-    report = verify_compliance(c, emf, tolerance=cfg["tolerance"]).as_dict()
+    report = verify_compliance(c, _config(EmfConfig, cfg), tolerance=cfg["tolerance"]).as_dict()
     print(_json_text(report), end="")
+    outputs = {}
     if cfg["out"]:
-        out = Path(cfg["out"])
-        atomic_write_text(out, _json_text(report))
-        _write_manifest(
-            _sibling(out, ".manifest.json"), "verify", cfg,
-            {"report_json": out}, perf_counter() - t0,
-        )
-    return 0 if report["compliant"] else 1
+        outputs["report_json"] = Path(cfg["out"])
+        atomic_write_text(outputs["report_json"], _json_text(report))
+    return (0 if report["compliant"] else 1), outputs
 
 
-def cmd_sweep_v(cfg: dict) -> int:
-    t0 = perf_counter()
+def cmd_sweep_v(cfg: dict) -> tuple[int, dict]:
     rows = sweep_v(_build_sim_config(cfg), cfg["loads"], cfg["v_grid"])
-    _emit_table("sweep-v", cfg, rows, ("load", "v_star", "mean_score", "ci_half_width"), t0)
-    return 0
+    return _emit_table(cfg, rows, ("load", "v_star", "mean_score", "ci_half_width"))
 
 
-def cmd_compare_budgets(cfg: dict) -> int:
-    t0 = perf_counter()
+def cmd_compare_budgets(cfg: dict) -> tuple[int, dict]:
     rows = compare_budgets(_build_sim_config(cfg), cfg["loads"])
-    _emit_table(
-        "compare-budgets", cfg, rows,
-        ("load", "mean_budget_exact", "mean_budget_conservative", "mean_gap", "all_above_frac"),
-        t0,
+    return _emit_table(
+        cfg, rows, ("load", "mean_budget_exact", "mean_budget_conservative", "mean_gap", "all_above_frac")
     )
-    return 0
 
 
-def cmd_bench(cfg: dict) -> int:
-    t0 = perf_counter()
+def cmd_bench(cfg: dict) -> tuple[int, dict]:
     rows = bench_suite(cfg["w_grid"], updates=cfg["updates"], seed=cfg["seed"])
-    _emit_table(
-        "bench", cfg, rows,
-        ("algorithm", "workload", "window_w", "updates", "p50_ns", "p99_ns"),
-        t0,
-    )
-    return 0
+    return _emit_table(cfg, rows, ("algorithm", "workload", "window_w", "updates", "p50_ns", "p99_ns"))
 
 
 # ── parser ────────────────────────────────────────────────────────────
@@ -415,10 +377,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; write ``<out stem>.manifest.json`` beside any files it wrote."""
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(_resolve(args))
-    except CliError as exc:
+        cfg = _resolve(args)
+        t0 = perf_counter()
+        code, outputs = args.handler(cfg)
+        if outputs:
+            manifest = {
+                "tool": "emfcap",
+                "version": __version__,
+                "schema_version": 1,
+                "command": args.command,
+                "config": cfg,
+                "outputs": {k: str(v) for k, v in outputs.items()},
+                "wall_clock_seconds": perf_counter() - t0,
+            }
+            atomic_write_text(_sibling(Path(cfg["out"]), ".manifest.json"), _json_text(manifest))
+        return code
+    except (CliError, OSError) as exc:
         print(f"emfcap: error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

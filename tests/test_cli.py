@@ -1,10 +1,15 @@
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from emfcap.bench import bench_conservative_update, bench_exact_update, bench_scratch, bench_suite
+from emfcap.budget import EmfConfig
 from emfcap.cli import COMMANDS, _json_text, main
+from emfcap.sim import SimConfig, compare_budgets, run_simulation, verify_compliance
+from emfcap.traffic import TrafficConfig
 
 
 def run_cli(args):
@@ -371,4 +376,84 @@ def test_bad_values_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys):
     # integer flags read non-integer text as a config file reads a number
     for argv in (["--W", "10.5"], ["--seed", "1e400"], ["--horizon", "nan"]):
         assert run_cli(["simulate", *argv]) == 2, argv
+    # an input that is not UTF-8 is named in the message
+    cfg.write_bytes(b"c\n0.5\n\xff\xfe\n")
+    capsys.readouterr()
+    for argv in (["simulate", "--config", cfg], ["verify", "--trace", cfg, "--out", "report.json"]):
+        assert run_cli(argv) == 2, argv
+        assert f"emfcap: error: {cfg}: cannot decode" in capsys.readouterr().err, argv
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_unwritable_output_exits_2_without_a_traceback(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    trace.write_text("c\n0.5\n")
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for argv in (["verify", "--trace", trace], ["simulate", "--horizon", "20"]):
+        assert run_cli([*argv, "--out", taken]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("emfcap: error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+    assert list(taken.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "taken"]
+
+
+# flag name -> (SimConfig field it sets, a non-default value); written out by
+# hand, not derived from the CLI's own table
+SIMULATE_FIELDS = {
+    "policy": ("policy_kind", "greedy_conservative"),
+    "W": ("emf.window_w", 7),
+    "C_bar": ("emf.threshold", 1.3),
+    "rho": ("emf.guaranteed_ratio", 0.3),
+    "alpha": ("dpp.alpha", 2.0),
+    "beta": ("dpp.beta", 0.5),
+    "V": ("dpp.v_weight", 4.0),
+    "load": ("traffic.load", 0.7),
+    "zipf_exponent": ("traffic.zipf_exponent", 3.0),
+    "zipf_support": ("traffic.zipf_support", 5),
+    "demand_scale": ("traffic.demand_scale", 0.6),
+    "horizon": ("horizon", 900),
+    "seed": ("traffic.seed", 9),
+}
+
+
+def with_field(cfg, path, value):
+    if "." in path:
+        part, name = path.split(".")
+        return replace(cfg, **{part: replace(getattr(cfg, part), **{name: value})})
+    return replace(cfg, **{path: value})
+
+
+def test_every_flag_sets_its_config_field(tmp_path, capsys):
+    assert set(SIMULATE_FIELDS) | {"tolerance", "c_bar_dbm", "out"} == set(COMMANDS["simulate"][2])
+    base = SimConfig(emf=EmfConfig(), traffic=TrafficConfig())
+    base_csv = tmp_path / "base.csv"
+    run_simulation(base).write_csv(base_csv)
+    for name, (path, value) in SIMULATE_FIELDS.items():
+        # demand_scale is pinned so that C_bar does not also move it through C_bar / 4
+        flags = {"demand_scale": base.traffic.demand_scale, name: value}
+        argv = [f"--{key.replace('_', '-')}={val}" for key, val in flags.items()]
+        out, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}.ref.csv"
+        assert run_cli(["simulate", *argv, "--out", out]) == 0, name
+        run_simulation(with_field(base, path, value)).write_csv(ref)
+        assert out.read_bytes() == ref.read_bytes(), name
+        assert out.read_bytes() != base_csv.read_bytes(), name
+
+    small = replace(base, horizon=60, replications=1)
+    capsys.readouterr()
+    assert run_cli(["compare-budgets", "--loads", "0.5", "--horizon", "60", "--reps", "3",
+                    "--out", tmp_path / "cmp.csv"]) == 0
+    printed = capsys.readouterr().out
+    assert printed == _json_text(compare_budgets(replace(small, replications=3), [0.5]))
+    assert printed != _json_text(compare_budgets(small, [0.5]))
+
+    c = np.random.default_rng(5).uniform(0.0, 1.2, 60)
+    trace = tmp_path / "c.csv"
+    trace.write_text("c\n" + "".join(f"{v!r}\n" for v in c.tolist()))
+    for emf in (EmfConfig(window_w=3, threshold=0.6), EmfConfig(window_w=25, threshold=0.7)):
+        code = run_cli(["verify", "--trace", trace, "--W", emf.window_w, "--C-bar", emf.threshold])
+        report = verify_compliance(c, emf).as_dict()
+        assert capsys.readouterr().out == _json_text(report)
+        assert code == (0 if report["compliant"] else 1)
+    assert report != verify_compliance(c, EmfConfig()).as_dict()
