@@ -7,9 +7,11 @@ does not read keep their dataclass defaults. Precedence is
 flag > config file > built-in default. The config file is flat JSON keyed by
 flag names (dashes become underscores), and its values pass the same
 converters as the flags' text; a JSON ``null`` means unset only where the
-default is unset. Each handler returns its exit code and the files it wrote;
-``main`` then writes the run manifest beside them. A manifest is also
-accepted as a config file, so any run can be reproduced bit-for-bit from it.
+default is unset. Each handler writes and prints nothing: it returns its
+exit code, its stdout text and its output files as ``(role, path, text)``
+triples. ``main`` adds the run manifest and commits the whole set with one
+``output.commit``, then prints. A manifest is also accepted as a config
+file, so any run can be reproduced bit-for-bit from it.
 All EIRP quantities are linear-unit reals normalized so the threshold
 defaults to 1.0; the optional ``--c-bar-dbm`` flag only converts a display
 block in the summary.
@@ -31,7 +33,7 @@ import numpy as np
 from . import __version__
 from .bench import bench_suite
 from .budget import EmfConfig, as_int
-from .output import atomic_write_text, csv_chunks
+from .output import commit, csv_chunks
 from .policy import POLICY_KINDS, DppConfig
 from .sim import TOLERANCE, SimConfig, compare_budgets, run_simulation, sweep_v, verify_compliance
 from .traffic import TrafficConfig
@@ -233,13 +235,13 @@ def _sibling(out: Path, suffix: str) -> Path:
     return out.with_name(out.stem + suffix)
 
 
-def _emit_table(cfg: dict, rows: list[dict], columns: tuple) -> tuple[int, dict]:
+def _emit_table(cfg: dict, rows: list[dict], columns: tuple) -> tuple[int, str, list]:
     out = Path(cfg["out"])
-    table_json = _sibling(out, ".json")
-    atomic_write_text(out, csv_chunks(columns, [[row[c] for row in rows] for c in columns]))
-    atomic_write_text(table_json, _json_text(rows))
-    print(_json_text(rows), end="")
-    return 0, {"table_csv": out, "table_json": table_json}
+    text = _json_text(rows)
+    return 0, text, [
+        ("table_csv", out, csv_chunks(columns, [[row[c] for row in rows] for c in columns])),
+        ("table_json", _sibling(out, ".json"), text),
+    ]
 
 
 def _to_dbm(linear: float, c_bar: float, c_bar_dbm: float):
@@ -251,7 +253,7 @@ def _to_dbm(linear: float, c_bar: float, c_bar_dbm: float):
 # ── subcommands ───────────────────────────────────────────────────────
 
 
-def cmd_simulate(cfg: dict) -> tuple[int, dict]:
+def cmd_simulate(cfg: dict) -> tuple[int, str, list]:
     sim_cfg = _build_sim_config(cfg)
     trace = run_simulation(sim_cfg)
     summary = trace.summary(tolerance=cfg["tolerance"])
@@ -266,11 +268,10 @@ def cmd_simulate(cfg: dict) -> tuple[int, dict]:
         }
     summary_text = _json_text(summary)
     out = Path(cfg["out"])
-    summary_path = _sibling(out, ".summary.json")
-    trace.write_csv(out)
-    atomic_write_text(summary_path, summary_text)
-    print(summary_text, end="")
-    return 0, {"trace_csv": out, "summary_json": summary_path}
+    return 0, summary_text, [
+        ("trace_csv", out, trace.csv_chunks()),
+        ("summary_json", _sibling(out, ".summary.json"), summary_text),
+    ]
 
 
 def _read_trace_column(path: str, column: str) -> np.ndarray:
@@ -305,32 +306,29 @@ def _read_trace_column(path: str, column: str) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def cmd_verify(cfg: dict) -> tuple[int, dict]:
+def cmd_verify(cfg: dict) -> tuple[int, str, list]:
     if not cfg["trace"]:
         raise CliError("--trace is required")
     c = _read_trace_column(cfg["trace"], "c")
     report = verify_compliance(c, _config(EmfConfig, cfg), tolerance=cfg["tolerance"]).as_dict()
-    print(_json_text(report), end="")
-    outputs = {}
-    if cfg["out"]:
-        outputs["report_json"] = Path(cfg["out"])
-        atomic_write_text(outputs["report_json"], _json_text(report))
-    return (0 if report["compliant"] else 1), outputs
+    text = _json_text(report)
+    files = [("report_json", Path(cfg["out"]), text)] if cfg["out"] else []
+    return (0 if report["compliant"] else 1), text, files
 
 
-def cmd_sweep_v(cfg: dict) -> tuple[int, dict]:
+def cmd_sweep_v(cfg: dict) -> tuple[int, str, list]:
     rows = sweep_v(_build_sim_config(cfg), cfg["loads"], cfg["v_grid"])
     return _emit_table(cfg, rows, ("load", "v_star", "mean_score", "ci_half_width"))
 
 
-def cmd_compare_budgets(cfg: dict) -> tuple[int, dict]:
+def cmd_compare_budgets(cfg: dict) -> tuple[int, str, list]:
     rows = compare_budgets(_build_sim_config(cfg), cfg["loads"])
     return _emit_table(
         cfg, rows, ("load", "mean_budget_exact", "mean_budget_conservative", "mean_gap", "all_above_frac")
     )
 
 
-def cmd_bench(cfg: dict) -> tuple[int, dict]:
+def cmd_bench(cfg: dict) -> tuple[int, str, list]:
     rows = bench_suite(cfg["w_grid"], updates=cfg["updates"], seed=cfg["seed"])
     return _emit_table(cfg, rows, ("algorithm", "workload", "window_w", "updates", "p50_ns", "p99_ns"))
 
@@ -376,31 +374,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _manifest(command: str, cfg: dict, files: list, t0: float):
+    """The run manifest as one chunk, rendered when ``commit`` reaches it, after the other temp files."""
+    yield _json_text({
+        "tool": "emfcap",
+        "version": __version__,
+        "schema_version": 1,
+        "command": command,
+        "config": cfg,
+        "outputs": {role: str(path) for role, path, _ in files},
+        "wall_clock_seconds": perf_counter() - t0,
+    })
+
+
 def main(argv=None) -> int:
-    """Run one command; write ``<out stem>.manifest.json`` beside any files it wrote."""
+    """Run one command; commit its files and ``<out stem>.manifest.json`` as one set, then print.
+
+    On exit 2 nothing is printed to stdout and, short of the rename race that
+    ``commit`` describes, no output file is left.
+    """
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
         t0 = perf_counter()
-        code, outputs = args.handler(cfg)
-        if outputs:
-            manifest = {
-                "tool": "emfcap",
-                "version": __version__,
-                "schema_version": 1,
-                "command": args.command,
-                "config": cfg,
-                "outputs": {k: str(v) for k, v in outputs.items()},
-                "wall_clock_seconds": perf_counter() - t0,
-            }
-            atomic_write_text(_sibling(Path(cfg["out"]), ".manifest.json"), _json_text(manifest))
-        return code
+        code, stdout, files = args.handler(cfg)
+        if files:
+            manifest = (_sibling(Path(cfg["out"]), ".manifest.json"), _manifest(args.command, cfg, files, t0))
+            commit([*((path, text) for _, path, text in files), manifest])
     except (CliError, OSError) as exc:
         print(f"emfcap: error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"emfcap: invalid configuration: {exc}", file=sys.stderr)
         return 2
+    print(stdout, end="")
+    return code
 
 
 def entrypoint() -> None:

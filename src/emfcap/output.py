@@ -1,7 +1,8 @@
-"""Output files: the one CSV writer and the atomic text write every output goes through."""
+"""Output files: the one CSV writer and the one commit every output file goes through."""
 
 from __future__ import annotations
 
+import errno
 import os
 from pathlib import Path
 
@@ -10,28 +11,56 @@ import numpy as np
 _CHUNK_ROWS = 4096
 
 
-def atomic_write_text(path, text) -> None:
-    """Write ``text`` with LF line endings to a sibling temp file, then rename it over ``path``.
+def commit(files) -> None:
+    """Write every ``(path, text)`` of ``files`` to its path, or none of them.
 
-    ``text`` is a ``str`` or an iterable of ``str`` chunks, written one at a
-    time, so a generator never has the whole file in memory. The temp file
-    is created like a plain ``open`` would create it (mode ``0o666`` less the
-    umask), so the output does not inherit the owner-only mode of
-    ``tempfile.mkstemp``.
+    ``text`` is a ``str`` or an iterable of ``str`` chunks, written with LF
+    line endings one chunk at a time, so a generator never has the whole file
+    in memory. Each text goes to a sibling temp file, in order, so a generator
+    placed last runs after every other temp file is written. A temp file gets
+    the mode a plain ``open`` would give it (``0o666`` less the umask), not
+    the owner-only mode of ``tempfile.mkstemp``. Only when all are written and
+    no target is a directory are they renamed over their targets. Missing
+    parent directories are created, and stay.
+
+    A set that names one path twice is rejected before anything is written.
+    On any failure every temp file still present is removed, and a failed
+    file operation raises ``OSError`` whose message starts with the target
+    path, never the temp file's. The set is not atomic: a target that changes
+    between the directory check and its rename can fail that rename, and the
+    targets renamed before it stay.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+    files = [(Path(path), text) for path, text in files]
+    seen = set()
+    for path, _ in files:
+        if os.path.abspath(path) in seen:
+            raise OSError(f"{path}: named twice in one set of outputs")
+        seen.add(os.path.abspath(path))
+    pending = []  # (temp file, target) not yet renamed
+    target = None  # the file being written, checked or renamed
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            for chunk in (text,) if isinstance(text, str) else text:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        for target, text in files:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            tmp = target.with_name(f"{target.name}{os.urandom(8).hex()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+            pending.append((tmp, target))
+            with os.fdopen(fd, "w", newline="\n") as fh:
+                for chunk in (text,) if isinstance(text, str) else text:
+                    fh.write(chunk)
+        for _, target in pending:
+            # os.replace replaces a symlink itself, so only a real directory blocks it
+            if os.path.isdir(target) and not os.path.islink(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        while pending:
+            tmp, target = pending[0]
+            os.replace(tmp, target)
+            pending.pop(0)
+    except OSError as exc:
+        raise OSError(f"{target}: {exc.strerror or exc}") from exc
+    finally:
+        for tmp, _ in pending:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _cell(v) -> str:
@@ -62,7 +91,7 @@ def csv_chunks(names, columns):
     Floats are written by ``repr`` (shortest round-trip form), integers in
     decimal, booleans as ``0``/``1`` and ``None`` as an empty cell. Yields
     the header line, then one chunk per block of rows, so no block's strings
-    outlive it; pass the generator to ``atomic_write_text``.
+    outlive it; pass the generator to ``commit``.
     """
     yield ",".join(names) + "\n"
     n = len(columns[0]) if columns else 0

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .budget import BudgetState, ConservativeBudgetState, EmfConfig, as_int
-from .output import atomic_write_text, csv_chunks
+from .output import commit, csv_chunks
 from .policy import POLICY_KINDS, DppConfig
 from .traffic import TrafficConfig, TrafficModel
 
@@ -156,9 +156,13 @@ class SimTrace:
             "compliance_margin": float(report.margin),
         }
 
+    def csv_chunks(self):
+        """The trace CSV in chunks: one row per period, numeric columns only, LF line endings."""
+        return csv_chunks(TRACE_COLUMNS, [getattr(self, name) for name in TRACE_COLUMNS])
+
     def write_csv(self, path) -> None:
-        """One row per period, numeric columns only, LF line endings; written atomically."""
-        atomic_write_text(path, csv_chunks(TRACE_COLUMNS, [getattr(self, name) for name in TRACE_COLUMNS]))
+        """Write ``csv_chunks`` to ``path`` through ``output.commit``."""
+        commit([(path, self.csv_chunks())])
 
 
 def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:

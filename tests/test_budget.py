@@ -13,6 +13,7 @@ from emfcap.budget import (
     budget_scratch,
     omega_naive,
 )
+from emfcap.sim import verify_compliance
 
 CFG = EmfConfig(window_w=4, threshold=1.0, guaranteed_ratio=0.2)
 
@@ -498,3 +499,34 @@ def test_rebase_keeps_older_of_prefixes_rounded_together():
     assert state.period == 202
     assert state.omega == 100.0
     assert state.argmax_len == 101
+
+
+# ── the budget against its definition ─────────────────────────────────
+#
+# The budget is the largest consumption this period that keeps every
+# windowed average at or under C while every later period can still take
+# the floor. Checked only with verify_compliance, which shares no code with
+# the trackers: spending the budget and then the floor for W - 1 periods is
+# compliant, and for the exact tracker spending any more is not.
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    w=st.sampled_from([1, 2, 3, 5, 10, 32]),
+    rho=st.sampled_from([0.0, 0.15, 0.5, 1.0]),
+    shares=st.lists(st.floats(0.0, 1.0), max_size=59),
+)
+def test_budget_is_the_largest_compliant_consumption(w, rho, shares):
+    cfg = EmfConfig(w, 1.0, rho)
+    tail = [cfg.floor] * (w - 1)
+    for state_cls in (BudgetState, ConservativeBudgetState):
+        # each tracker spends a share of its own budget every period
+        state, history = state_cls(cfg), []
+        for share in shares:
+            history.append(share * max(state.budget, 0.0))
+            state.update(history[-1])
+        b = state.budget
+        assert verify_compliance(history + [b] + tail, cfg, tolerance=1e-12).compliant, state_cls
+        if state_cls is BudgetState:
+            over = b + 1e-9 * max(1.0, b)
+            assert not verify_compliance(history + [over] + tail, cfg, tolerance=0.0).compliant

@@ -388,15 +388,26 @@ def test_bad_values_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys):
 def test_unwritable_output_exits_2_without_a_traceback(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     trace.write_text("c\n0.5\n")
-    taken = tmp_path / "taken"
-    taken.mkdir()
-    for argv in (["verify", "--trace", trace], ["simulate", "--horizon", "20"]):
-        assert run_cli([*argv, "--out", taken]) == 2, argv
-        err = capsys.readouterr().err
-        assert err.startswith("emfcap: error: ") and err.count("\n") == 1, err
-        assert "Traceback" not in err
-    assert list(taken.iterdir()) == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "taken"]
+    adir, summary_dir = tmp_path / "adir", tmp_path / "x.summary.json"
+    adir.mkdir()
+    summary_dir.mkdir()
+    # argv -> the target path its error names; each set fails as a whole
+    for argv, target in (
+        (["verify", "--trace", trace, "--out", adir], adir),
+        (["simulate", "--horizon", "20", "--out", adir], adir),
+        # the trace could be written, its summary cannot
+        (["simulate", "--horizon", "20", "--out", tmp_path / "x.csv"], summary_dir),
+        # a .json table path is also the JSON table's path
+        (["bench", "--w-grid", "10", "--updates", "50", "--out", tmp_path / "b.json"], tmp_path / "b.json"),
+    ):
+        assert run_cli(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        err = captured.err
+        assert err.startswith(f"emfcap: error: {target}: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and ".tmp" not in err, err
+    assert list(adir.iterdir()) == [] and list(summary_dir.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "t.csv", "x.summary.json"]
 
 
 # flag name -> (SimConfig field it sets, a non-default value); written out by
