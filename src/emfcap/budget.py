@@ -15,9 +15,11 @@ maintain.
 :class:`BudgetState` is exact: it tracks the worst cumulative overshoot over
 every span of the stored window as a sliding minimum over prefix sums, in
 amortized constant time per update on any traffic.
-:class:`ConservativeBudgetState` replaces the worst-span maximum by a sum of
-per-period clipped overshoots; it never exceeds the exact budget and updates
-in constant time.
+:class:`ConservativeBudgetState` replaces the worst-span maximum by the sum
+of per-period clipped overshoots, read as a difference of two prefix sums of
+the clipped overshoot; its budget never exceeds the exact one and it updates
+in constant time. Both trackers re-base their prefixes every ``W`` periods,
+so their rounding error stays bounded over any horizon.
 
 ``omega_naive`` and ``budget_oracle_minform`` are brute-force reference
 evaluations used by the test suite; they are deliberately independent of the
@@ -31,6 +33,7 @@ nothing shared internally, safe to hand off between threads.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -62,12 +65,14 @@ class EmfConfig:
         object.__setattr__(self, "window_w", as_int(self.window_w, "window_w"))
         object.__setattr__(self, "threshold", float(self.threshold))
         object.__setattr__(self, "guaranteed_ratio", float(self.guaranteed_ratio))
-        if self.window_w < 1:
-            raise ValueError("window_w must be >= 1")
+        if not 1 <= self.window_w <= sys.maxsize:
+            raise ValueError(f"window_w must lie in [1, {sys.maxsize}]")
         if not 0.0 < self.threshold < math.inf:
             raise ValueError("threshold must be positive and finite")
         if not 0.0 <= self.guaranteed_ratio <= 1.0:
             raise ValueError("guaranteed_ratio must lie in [0, 1]")
+        if not self.full_budget < math.inf:
+            raise ValueError("full budget floor + threshold * (1 - ratio) * window_w must be finite")
 
     @property
     def floor(self) -> float:
@@ -244,19 +249,23 @@ class BudgetState:
 
 
 class ConservativeBudgetState:
-    """Constant-time conservative tracker: clipped overshoots summed over the window.
+    """Constant-time conservative tracker: a difference of clipped prefix sums.
 
-    Every sample below the floor is over-counted as if it sat exactly at the
-    floor, so the tracked excess is an upper bound on the exact one and the
-    resulting budget a lower bound on the exact budget.
+    With ``Q_t`` the prefix sum of ``max(c - floor, 0)``, the excess is
+    ``Q_t - Q_{t-W+1}``: a sample below the floor counts as one at the floor,
+    so the excess bounds the exact one from above and the budget the exact
+    budget from below, and it is nonnegative as ``Q`` never decreases. A
+    deque keeps the last ``W`` prefixes, zero before the first period. Every
+    ``W`` periods, as in :class:`BudgetState`, the oldest stored prefix
+    becomes the origin; older prefixes are shifted as they are read, bit for
+    bit the eager shift of every stored prefix but in constant time.
 
     ``omega_tilde`` and ``budget`` are plain attributes, read-only by
     convention: ``update`` refreshes both, with
-    ``budget == budget_from_omega(omega_tilde, cfg)`` bit for bit. ``window``
-    holds the stored consumptions, oldest first.
+    ``budget == budget_from_omega(omega_tilde, cfg)`` bit for bit.
     """
 
-    __slots__ = ("cfg", "omega_tilde", "budget", "period", "_floor", "_full", "_window")
+    __slots__ = ("cfg", "omega_tilde", "budget", "period", "_floor", "_full", "_q", "_top", "_lag", "_rebase_at")
 
     def __init__(self, cfg: EmfConfig):
         self.cfg = cfg
@@ -264,30 +273,26 @@ class ConservativeBudgetState:
         self.period = 0
         self._floor = cfg.floor
         self._full = cfg.full_budget
-        self._window = deque([0.0] * (cfg.window_w - 1), maxlen=cfg.window_w - 1)
+        self._q = deque([0.0], maxlen=cfg.window_w)
+        self._top = self._lag = 0.0  # newest prefix and previous origin
+        self._rebase_at = cfg.window_w
         self.budget = self._full - self.omega_tilde
 
-    @property
-    def window(self) -> tuple:
-        return tuple(self._window)
-
     def update(self, c: float) -> "ConservativeBudgetState":
-        """Add the incoming clipped overshoot, drop the outgoing one."""
+        """Advance one period after consuming ``c``. Returns ``self``."""
         if not 0.0 <= c < math.inf:
             raise ValueError("consumption must be finite and nonnegative")
-        floor = self._floor
-        win = self._window
-        # the stored window is always full, so it is empty only at W == 1
-        evicted = win[0] if win else c
-        gained = c - floor
-        lost = evicted - floor
-        omega = self.omega_tilde
-        if gained > 0.0:
-            omega += gained
-        if lost > 0.0:
-            omega -= lost
-        omega = self.omega_tilde = omega if omega > 0.0 else 0.0
+        q = self._q
+        gained = c - self._floor
+        top = self._top + gained if gained > 0.0 else self._top
+        q.append(top)
+        t = self.period = self.period + 1
+        if t == self._rebase_at:
+            omega = top = top - q[0]  # every stored prefix is from the last W periods
+            self._lag = q[0]
+            self._rebase_at = t + q.maxlen
+        else:
+            omega = top - (q[0] - self._lag)
+        self._top, self.omega_tilde = top, omega
         self.budget = self._full - omega
-        win.append(c)
-        self.period += 1
         return self

@@ -95,7 +95,8 @@ def budget_suite():
             gt = cons.budget
             if gt - g > worst_order:
                 worst_order = gt - g
-            window = cons.window
+            # the W - 1 most recent consumptions; pre-history counts as zero
+            window = [0.0] * (w - 1 - t) + c[max(0, t - w + 1):t]
             if all(x >= floor for x in window):
                 above_cases += 1
                 if abs(g - gt) > max_equal_dev:

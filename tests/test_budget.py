@@ -1,4 +1,7 @@
 import math
+import sys
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -50,6 +53,13 @@ def test_config_rejects_bad_values():
         EmfConfig(4, math.nan, 0.2)
     with pytest.raises(ValueError):
         EmfConfig(4, 1.0, math.nan)
+    # a window Python cannot index, and a full budget that overflows to inf
+    for bad in ((sys.maxsize + 1, 1.0, 0.2), (10**400, 1.0, 0.2), (10, 1e308, 0.15), (sys.maxsize, 1e300, 0.2)):
+        with pytest.raises(ValueError):
+            EmfConfig(*bad)
+    cfg = EmfConfig(sys.maxsize, 1.0, 0.2)
+    for state_cls in (BudgetState, ConservativeBudgetState):
+        assert math.isfinite(state_cls(cfg).update(0.5).budget)
 
 
 def test_config_window_must_be_integral():
@@ -296,10 +306,65 @@ def test_conservative_matches_direct_window_sum():
     for w, rho in ((2, 0.3), (6, 0.15), (9, 0.8)):
         cfg = EmfConfig(w, 1.0, rho)
         state = ConservativeBudgetState(cfg)
+        history = []
         for c in rng.uniform(0.0, 2.0, size=300):
             state.update(c)
-            direct = sum(max(x - cfg.floor, 0.0) for x in state.window)
+            history.append(c)
+            direct = sum(max(x - cfg.floor, 0.0) for x in _stored_window(history, w))
             assert state.omega_tilde == pytest.approx(direct, abs=1e-12)
+
+
+def _eager_conservative(values, cfg):
+    """Conservative excess after each value, shifting every stored prefix at each re-base."""
+    w, floor = cfg.window_w, cfg.floor
+    q = deque([0.0], maxlen=w)
+    out = []
+    for t, c in enumerate(values, 1):
+        q.append(q[-1] + max(c - floor, 0.0))
+        out.append(q[-1] - q[0])
+        if t % w == 0:
+            shift = q[0]
+            q = deque([v - shift for v in q], maxlen=w)
+    return out
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 10, 37])
+def test_conservative_lazy_rebase_is_the_eager_rebase_bit_for_bit(w):
+    cfg = EmfConfig(w, 1.0, 0.15)
+    rng = np.random.default_rng([17, w])
+    values = rng.uniform(0.0, 2.0, size=20 * w + 100)
+    values[rng.random(values.size) < 0.3] = 0.0
+    state = ConservativeBudgetState(cfg)
+    assert [state.update(c).omega_tilde for c in values.tolist()] == _eager_conservative(values.tolist(), cfg)
+
+
+@pytest.mark.parametrize("w", [10, 1000])
+def test_conservative_drift_stays_bounded_over_long_runs(w):
+    # 2*10^6 all-above periods cross 2*10^5 (W=10) and 2*10^3 (W=1000) re-bases;
+    # the bound is a few ulp of twice the window's clipped sum, whatever the horizon
+    cfg = EmfConfig(w, 1.0, 0.15)
+    rng = np.random.default_rng([23, w])
+    values = rng.uniform(cfg.floor, 2.0, size=2 * 10**6)
+    bound = 4 * w * 2**-53 * (2 * w * (2.0 - cfg.floor))
+    state = ConservativeBudgetState(cfg)
+    update = state.update
+    step = 10**5 + 1
+    for t in range(step, values.size + 1, step):
+        for c in values[t - step : t].tolist():
+            update(c)
+        direct = math.fsum(max(x - cfg.floor, 0.0) for x in values[t - (w - 1) : t].tolist())
+        assert abs(state.omega_tilde - direct) <= bound, t
+
+
+def test_conservative_allocates_no_window_up_front():
+    tracemalloc.start()
+    try:
+        state = ConservativeBudgetState(EmfConfig(window_w=10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert state.update(0.5).omega_tilde == 0.5 - state.cfg.floor
 
 
 # ── budget attribute ──────────────────────────────────────────────────

@@ -376,6 +376,11 @@ def test_bad_values_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys):
     # integer flags read non-integer text as a config file reads a number
     for argv in (["--W", "10.5"], ["--seed", "1e400"], ["--horizon", "nan"]):
         assert run_cli(["simulate", *argv]) == 2, argv
+    # a window too long to index, and a threshold whose full budget overflows to inf
+    cfg.write_text("c\n0.5\n")
+    for argv in (["--W", "1" + "0" * 400], ["--C-bar", "1e308"]):
+        assert run_cli(["simulate", *argv]) == 2, argv
+        assert run_cli(["verify", "--trace", cfg, "--out", "report.json", *argv]) == 2, argv
     # an input that is not UTF-8 is named in the message
     cfg.write_bytes(b"c\n0.5\n\xff\xfe\n")
     capsys.readouterr()

@@ -336,29 +336,30 @@ def test_trace_csv_is_replaced_atomically_with_plain_file_mode(tmp_path):
 
 # Digests of the trace CSV bytes and of the sorted-key summary JSON, recorded
 # from the implementation these outputs must stay byte-identical to (last
-# re-recorded when the exact tracker became a sliding prefix-sum minimum,
-# which rounds budget_exact differently in the last bits).
+# re-recorded when the conservative tracker became a difference of clipped
+# prefix sums, which rounds budget_conservative, and through it the
+# *_conservative runs, differently in the last bits).
 PINNED_DIGESTS = {
-    ("dpp_exact", 0.2, 0): ("1364e611ada2b9ffb6bbfe808be76a4e2428a5adbd21df2329ae78633a35e2d3", "9a9a33880b5c54f715a374ddcc977b8c3e64e2c471ac7cd4e41a38e11f34aa99"),
-    ("dpp_exact", 0.2, 1): ("aae77d94588797f8837d8db5311675fcec526ae18333d4a151e9c523577e49fc", "027f4b3ecdc4520ce102542d8a5e5e2575ae2a8873b8d7bf9cd5c2b885bcdc74"),
-    ("dpp_exact", 0.9, 0): ("65fdca789d7886192fb00083096de4d5ff4e08c3a9618f955a9cde0e77a539d6", "ed7db34bcdd820f36c6f5bcb68dc79c5fda170f863c20e62754cb8826259366e"),
-    ("dpp_exact", 0.9, 1): ("a63ce68af2f1945347ecf80227fe914b65a555f2e5f8ee42864809a8d776ddbd", "f70e305306f20616abf952fd4beea65b6a5948a27f597dd7f36da482ac32b872"),
-    ("dpp_conservative", 0.2, 0): ("a0bc9da0639675638977c60f05543ba5b601e75c7290c5ade7feb21f37e9b173", "a7356fd1eb4d05d1efae9cb66102130f8a2cbb97477fa1524612474da7ee9429"),
-    ("dpp_conservative", 0.2, 1): ("945ef2d3e555dce5e1636340b1037da96e2ca50c6b17f3d5b68c7baef5afc724", "382f411ad749907bf73c0054006f2521dbad7aecdf833698b713e4ac0c610416"),
-    ("dpp_conservative", 0.9, 0): ("d5c187dd592ae298acb85c4719a9e1e152627a7bd5fa178132ba4d0dbe275298", "54758ea035f5c5d0a59e06efec3f3d750e6b1e58eabc717ec10db71f2e55569a"),
-    ("dpp_conservative", 0.9, 1): ("c9fb354caee3c30870991e3ad6cd7915563f710e69cf0e724cbdf20c246ad668", "aacb4513173542d0b1096b909b50fc7dbdaa815e0eda9dc9ac8a417432e21aff"),
-    ("greedy_exact", 0.2, 0): ("6bf2e1a456cd270197d8e7b336391045453d7f4463d35dab30159b9acf7de9e9", "a4285f04cd63fe8a84fd343d6b2c0915d5e292ac0859c3e43bde7c3705565a0f"),
-    ("greedy_exact", 0.2, 1): ("7cbeb35e34da5c2e3235f4dbebd9f64771ae0c8ec36a09f808aaf2d87763bd24", "9d01bb8b54072e7d10d9b9610b22fbb373fc240443c5cdbbef901951cb2bd043"),
-    ("greedy_exact", 0.9, 0): ("ec188ace847b2e5c54bdb9a9fa7227d029379bdcc8c30f153337d4dfab306d24", "575d9e5b73d46289e6b116cb4c3bf248ea90cbf4892d91194dc9bf4a5dff6717"),
+    ("dpp_exact", 0.2, 0): ("f7d1d01a68aa6dbac60160683a57dbc81a31dc86ac2a6fb51c546693f370ce12", "eff15b5ebb10e9f1329f5a92707c1df0a5150c0712da3655f2f01cdde131aa4f"),
+    ("dpp_exact", 0.2, 1): ("8baf48ef81a0f349aa615701fe31c7ebb8d62e1c58e29e45618c0681def4a444", "957b26f2322fa1f7337a6bc3d46dd8a031597548f25b2e628e9d5bea113772a6"),
+    ("dpp_exact", 0.9, 0): ("3aa5124bee29c16919f8400623b1d943b469119bdbc3c28467ae9a7c75507348", "73b7bf766533b416ea752a55122a4f770c56db2469d98b09af6a8359576cf32c"),
+    ("dpp_exact", 0.9, 1): ("e1a64838b4158efcfb06fc293586ae1c962a855efe74764e3251c509aa239b3e", "c9b9e6701d531949fcbaba3b77752d3c6d34b1bb36cb3169a1512f7a0d791dd3"),
+    ("dpp_conservative", 0.2, 0): ("fa21a49655c41492e6a6491d4b41a56797c4313b3f988030d5c4d2aca89b3cf6", "144bf70f2a29eeb06eaa82277f93e1d020e58447292949a61a91d42776033d79"),
+    ("dpp_conservative", 0.2, 1): ("1a775eccb105d97d37187dcaf50ab94d68af1525ae9bb4c1a662e4b452464ccf", "f8b5a0ca5fb92d3cf33270d3d48153ef7dbf4c189b5acf4207152efc601f1e20"),
+    ("dpp_conservative", 0.9, 0): ("3aa5124bee29c16919f8400623b1d943b469119bdbc3c28467ae9a7c75507348", "9bd90bb45cab3c511277fc6cb936e65715220757d9eeeffed2ac6e4bd5733722"),
+    ("dpp_conservative", 0.9, 1): ("e1a64838b4158efcfb06fc293586ae1c962a855efe74764e3251c509aa239b3e", "9deea21cc3bc7fe1d8d8d27b07993b7b11f9e9b8b56a0b956d4d2a1b080ba147"),
+    ("greedy_exact", 0.2, 0): ("baa04ca75540a5509863724143c2d2fc5b54683ff0ac99013e6534ff603e04cd", "17daaf63a9eafbdee6c9978ef3234cd65c8bd03f131e0ff9cf505bc83ea1ffc4"),
+    ("greedy_exact", 0.2, 1): ("e6031182d19a4e1c00d60595dea3ca34d5344837ddcbac44e2b8a8665a2b7c21", "8720e9cd02120137ffa6019c32c64cf419b630f29b5f0123ab1275dea9048d52"),
+    ("greedy_exact", 0.9, 0): ("6765e6c591a4d3409a51f05f863030a995e7fd55b30b6157ba12fc8eb4a37b2a", "17fe3ba3c2da56ae30ba847f1064596853971d563ec0ff1556f0be57bf9a72b0"),
     ("greedy_exact", 0.9, 1): ("70622b7dbf95dcea773a3fcc535af4a48d010eb77f33cb9a07d261cb887cdf12", "4ea177807b0d6a0b84bee7a41cc7e8b8b23976cc89c3fe08e86a11dc9d61f055"),
-    ("greedy_conservative", 0.2, 0): ("071d6d636922110fcef128defb54fe9bfedd21948633a597227e14695134ad7a", "21ead8ada48a5d150f766a518320dcebcb0564b740d7e2dcf586f0193acdf92a"),
-    ("greedy_conservative", 0.2, 1): ("0a186e331bbe4638cb4b7d33a5feb4beceb39bb2b9699c56fde295b1911c6319", "1c83a512660fedf292609c68d6415fafd93ff518d4e1ceff49b2365bcb4ad7a0"),
-    ("greedy_conservative", 0.9, 0): ("3367d83a9ecb7f64efc4fd8caca201ad2fca8e989ef901159e68c8ae48880038", "ca7788c88503709f706cac6684cc082954d877d595d3393bca83725e0f6cdef1"),
+    ("greedy_conservative", 0.2, 0): ("59956ac40fbb15620a52052c24838cd321ad716c42e2ce3871cb36088aba39d3", "9d75196591f6fe6940ad1b14c847a2397da157b1bd33a9ed4862a5f94318138e"),
+    ("greedy_conservative", 0.2, 1): ("a17e64cca9117178fb58a8d2e8fb85b9f8a805218e13db72507136dcd2673c5c", "43e5e13f5d2e3fa800bf104c5cc1af12dc42a10d7765e5441a1efa92dd617d55"),
+    ("greedy_conservative", 0.9, 0): ("6765e6c591a4d3409a51f05f863030a995e7fd55b30b6157ba12fc8eb4a37b2a", "981ff36c2c7da5523586055f67f8d74ad8ddafc8c5239ca9cf54cfa0679a7a82"),
     ("greedy_conservative", 0.9, 1): ("70622b7dbf95dcea773a3fcc535af4a48d010eb77f33cb9a07d261cb887cdf12", "d20254c4d2e0f6562a5f1e444ff6e8f8936884a23a44a4bddd8898d78c397b19"),
-    ("cautious", 0.2, 0): ("bb98dd166a3774cf7b967acb5c603e03d0e69696525c83d5ad76da0df5cdca01", "c10147ed1f9be941cc90300e4fe1af59a813a73673267778a4075b66dd171915"),
-    ("cautious", 0.2, 1): ("b28809269d0f7bfb595191c949e6a5ba7429ef28cd8128f6bef87475604599d1", "ac5aa0fba87f6aa3dbc03d1446f3b42c35eb90b2d11d548f929857cee62ec5ba"),
-    ("cautious", 0.9, 0): ("e08634ce4b58861798e297301cb7a78bdf8d835fc7161ca81c1c68c8453244e9", "230ce6e1ee43688c5d62866fe1d71af28a8893dd27976381cad40dbf332f718f"),
-    ("cautious", 0.9, 1): ("2d4c42b65a6894305e0767e7268abe5aa0e6b72df4191a5604df6ab59ccbf6d0", "c60200e268402e4db9b4c846d0b792c1d373721f781add644968670adc83b91d"),
+    ("cautious", 0.2, 0): ("066a297aa47ced01e845c7d773c302707eed0ebfa4db2fd6c81e669ff37676fe", "1efc64c92f075ba7cc778ad7f1340788f51a24c063fae7f795b9e3dba15c5867"),
+    ("cautious", 0.2, 1): ("2faf869aa2de67158dcacfc49f927a178dd55faa0a0804c0615c356bda89ba60", "9ff1021954c00286c5125a63dfffa176faff42d3edb1095ac9222cd3e404c2c2"),
+    ("cautious", 0.9, 0): ("6064a8f1d13384c0f3066e6f2de28bac3f6f38d22a6f5ddf145dbe585bc9cdc8", "6893109df7b24af4b57221fc2dd217e15c0fa0cdff3e463ec0667ef7af4b5453"),
+    ("cautious", 0.9, 1): ("54dbb0752f9162d7fc5abd22c6b406b442f421df959bab9e93787b37647aa3b5", "8faa85a4112bdc8993c49c08162f3bc45108f4458ea52bcd4ae4c7b1f7cf6a4b"),
 }
 
 
