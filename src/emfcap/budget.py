@@ -193,10 +193,9 @@ class BudgetState:
     keeps only the prefix minima.
     """
 
-    __slots__ = ("cfg", "omega", "budget", "period", "_floor", "_full", "_w", "_idx", "_pre", "_rebase_at")
+    __slots__ = ("omega", "budget", "period", "_floor", "_full", "_w", "_idx", "_pre", "_rebase_at")
 
     def __init__(self, cfg: EmfConfig):
-        self.cfg = cfg
         self.omega = 0.0
         self.period = 0
         self._floor = cfg.floor
@@ -260,15 +259,18 @@ class ConservativeBudgetState:
     becomes the origin; older prefixes are shifted as they are read, bit for
     bit the eager shift of every stored prefix but in constant time.
 
+    It is bit for bit a :class:`BudgetState` fed ``max(c, floor)``, whose
+    sliding minimum is then always the oldest prefix; the deque of minima
+    would only cost more per update.
+
     ``omega_tilde`` and ``budget`` are plain attributes, read-only by
     convention: ``update`` refreshes both, with
     ``budget == budget_from_omega(omega_tilde, cfg)`` bit for bit.
     """
 
-    __slots__ = ("cfg", "omega_tilde", "budget", "period", "_floor", "_full", "_q", "_top", "_lag", "_rebase_at")
+    __slots__ = ("omega_tilde", "budget", "period", "_floor", "_full", "_q", "_top", "_lag", "_rebase_at")
 
     def __init__(self, cfg: EmfConfig):
-        self.cfg = cfg
         self.omega_tilde = 0.0
         self.period = 0
         self._floor = cfg.floor

@@ -2,11 +2,11 @@
 
 Every policy exposes ``decide(budget)`` and ``observe(consumption)``; that
 pair is the whole policy API. As a budget tracker's ``update`` refreshes its
-``budget``, ``decide`` refreshes the plain attributes ``gamma``,
-``clamped_low`` and ``clamped_high`` (read-only by convention; unset until the
-first ``decide``) and returns the policy itself, so a control step builds no
-per-period object. A nan or infinite budget raises ``ValueError`` and
-changes nothing.
+``budget``, ``decide`` refreshes the plain attribute ``gamma``, the granted
+cap (read-only by convention; unset until the first ``decide``), and returns
+the policy itself, so a control step builds no per-period object. A nan or
+infinite budget raises ``ValueError`` and changes nothing. The trace, not
+the policy, defines the clamp flags (``SimTrace.clamped_low``/``clamped_high``).
 
 The drift-plus-penalty controller throttles through a virtual queue that
 integrates consumption overshoot above ``beta * threshold``: the fuller the
@@ -14,11 +14,11 @@ queue, the smaller the granted cap. The greedy and cautious baselines bracket
 its behaviour (spend the whole budget versus hold a constant cap at the
 threshold).
 
-``POLICY_KINDS`` maps each policy kind to its class and to whether it reads
-the conservative budget instead of the exact one.
+``POLICY_KINDS`` maps each policy kind to its class and to the trace budget
+column it reads, ``None`` for the cautious baseline, which reads no budget.
 
 Policies are single-owner: the only state is the controller's queue and the
-last decision, nothing is shared, and no operation needs synchronization.
+last cap, nothing is shared, and no operation needs synchronization.
 """
 
 from __future__ import annotations
@@ -68,14 +68,9 @@ class DppPolicy:
     weight and the fairness exponent are fixed when the policy is built.
     """
 
-    __slots__ = (
-        "cfg", "dpp", "queue", "gamma", "clamped_low", "clamped_high",
-        "_floor", "_drain", "_v_weight", "_alpha",
-    )
+    __slots__ = ("queue", "gamma", "_floor", "_drain", "_v_weight", "_alpha")
 
     def __init__(self, cfg: EmfConfig, dpp: DppConfig):
-        self.cfg = cfg
-        self.dpp = dpp
         self.queue = 0.0
         self._floor = cfg.floor
         self._drain = dpp.beta * cfg.threshold
@@ -90,7 +85,7 @@ class DppPolicy:
         inner objective linear, handled as bang-bang: everything while the
         queue is below the utility weight, the floor once it reaches it. A
         budget below the floor cannot arise under budget-respecting control;
-        if forced, the floor wins and the decision is flagged. Returns ``self``.
+        if forced, the floor wins. Returns ``self``.
         """
         if not -math.inf < budget < math.inf:
             raise ValueError("budget must be finite")
@@ -115,8 +110,6 @@ class DppPolicy:
         if gamma < floor:
             gamma = floor
         self.gamma = gamma
-        self.clamped_low = gamma == floor
-        self.clamped_high = gamma == budget
         return self
 
     def observe(self, c: float) -> None:
@@ -130,21 +123,17 @@ class DppPolicy:
 class GreedyPolicy:
     """Spends the whole budget every period, never less than the floor."""
 
-    __slots__ = ("cfg", "gamma", "clamped_low", "clamped_high", "_floor")
+    __slots__ = ("gamma", "_floor")
     queue = 0.0
 
     def __init__(self, cfg: EmfConfig, dpp: DppConfig | None = None):
-        self.cfg = cfg
         self._floor = cfg.floor
 
     def decide(self, budget: float) -> GreedyPolicy:
         if not -math.inf < budget < math.inf:
             raise ValueError("budget must be finite")
         floor = self._floor
-        gamma = budget if budget > floor else floor
-        self.gamma = gamma
-        self.clamped_low = gamma == floor
-        self.clamped_high = gamma == budget
+        self.gamma = budget if budget > floor else floor
         return self
 
     def observe(self, c: float) -> None:
@@ -154,31 +143,27 @@ class GreedyPolicy:
 class CautiousPolicy:
     """Holds the cap at the threshold regardless of budget or demand."""
 
-    __slots__ = ("cfg", "gamma", "clamped_low", "clamped_high", "_threshold", "_floor")
+    __slots__ = ("gamma", "_threshold")
     queue = 0.0
 
     def __init__(self, cfg: EmfConfig, dpp: DppConfig | None = None):
-        self.cfg = cfg
         self._threshold = cfg.threshold
-        self._floor = cfg.floor
 
     def decide(self, budget: float) -> CautiousPolicy:
         if not -math.inf < budget < math.inf:
             raise ValueError("budget must be finite")
         self.gamma = self._threshold
-        self.clamped_low = self._threshold == self._floor
-        self.clamped_high = False
         return self
 
     def observe(self, c: float) -> None:
         pass
 
 
-# kind -> (policy class, reads the conservative budget)
+# kind -> (policy class, the trace budget column it reads, or None)
 POLICY_KINDS = {
-    "dpp_exact": (DppPolicy, False),
-    "dpp_conservative": (DppPolicy, True),
-    "greedy_exact": (GreedyPolicy, False),
-    "greedy_conservative": (GreedyPolicy, True),
-    "cautious": (CautiousPolicy, False),
+    "dpp_exact": (DppPolicy, "budget_exact"),
+    "dpp_conservative": (DppPolicy, "budget_conservative"),
+    "greedy_exact": (GreedyPolicy, "budget_exact"),
+    "greedy_conservative": (GreedyPolicy, "budget_conservative"),
+    "cautious": (CautiousPolicy, None),
 }

@@ -108,11 +108,20 @@ class SimTrace:
     budget_exact: np.ndarray
     budget_conservative: np.ndarray
     queue: np.ndarray
-    clamped_low: np.ndarray
-    clamped_high: np.ndarray
 
     def __len__(self) -> int:
         return len(self.t)
+
+    @property
+    def clamped_low(self) -> np.ndarray:
+        """Periods whose cap sits at the guaranteed floor."""
+        return self.gamma == self.emf.floor
+
+    @property
+    def clamped_high(self) -> np.ndarray:
+        """Periods whose cap equals the budget its policy reads; all ``False`` when it reads none."""
+        reads = POLICY_KINDS[self.policy_kind][1]
+        return self.gamma == getattr(self, reads) if reads else np.zeros(len(self), dtype=bool)
 
     def summary(self, tolerance: float = TOLERANCE) -> dict:
         """Headline numbers for one run; ``mean_utility`` is null when undefined.
@@ -174,7 +183,8 @@ def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:
     policy, so any trace supports the exact-versus-conservative comparison.
     """
     emf = cfg.emf
-    policy_cls, conservative_drive = POLICY_KINDS[cfg.policy_kind]
+    policy_cls, reads = POLICY_KINDS[cfg.policy_kind]
+    conservative_drive = reads == "budget_conservative"
     policy = policy_cls(emf, cfg.dpp)
     tm = TrafficModel(cfg.traffic, replication=replication)
     demands = tm.sample_demands(cfg.horizon).tolist()
@@ -188,8 +198,6 @@ def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:
     b_ex_col = []
     b_co_col = []
     q_col = []
-    lo_col = []
-    hi_col = []
 
     decide = policy.decide
     observe = policy.observe
@@ -211,8 +219,6 @@ def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:
         gamma_col.append(g)
         c_col.append(c)
         backlog_col.append(tm.backlog)
-        lo_col.append(policy.clamped_low)
-        hi_col.append(policy.clamped_high)
 
     return SimTrace(
         policy_kind=cfg.policy_kind,
@@ -228,8 +234,6 @@ def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:
         budget_exact=np.asarray(b_ex_col, dtype=np.float64),
         budget_conservative=np.asarray(b_co_col, dtype=np.float64),
         queue=np.asarray(q_col, dtype=np.float64),
-        clamped_low=np.asarray(lo_col, dtype=bool),
-        clamped_high=np.asarray(hi_col, dtype=bool),
     )
 
 
@@ -308,12 +312,16 @@ def sweep_v(base: SimConfig, loads, v_grid) -> list[dict]:
 
     Every (load, replication) pair reuses the identical demand realization
     across the whole weight grid, so grid points differ only through the
-    policy. Ties resolve toward the smaller weight.
+    policy. Ties resolve toward the smaller weight. A zero floor raises
+    ``ValueError`` before the first run: the controller may then grant a zero
+    cap, which has no fairness score.
     """
     loads = [float(x) for x in loads]
     vs = sorted(float(v) for v in v_grid)
     if not loads or not vs:
         raise ValueError("loads and v_grid must be nonempty")
+    if base.emf.floor == 0.0:
+        raise ValueError(f"the weight sweep needs guaranteed_ratio > 0, got {base.emf.guaranteed_ratio!r}")
     reps = base.replications
     rows = []
     for load in loads:

@@ -338,6 +338,26 @@ def test_conservative_lazy_rebase_is_the_eager_rebase_bit_for_bit(w):
     assert [state.update(c).omega_tilde for c in values.tolist()] == _eager_conservative(values.tolist(), cfg)
 
 
+@pytest.mark.parametrize("w", [1, 2, 3, 7, 10, 37, 1000])
+def test_conservative_is_exact_tracker_fed_clipped_consumption_bit_for_bit(w):
+    # 2*10^4 periods cross many re-bases at every W but the largest
+    for rho in (0.0, 0.15, 0.5, 1.0):
+        cfg = EmfConfig(w, 1.0, rho)
+        floor = cfg.floor
+        for idle in (0.0, 0.3, 0.8):
+            rng = np.random.default_rng([29, w, int(100 * rho), int(10 * idle)])
+            values = rng.uniform(0.0, 2.0, size=2 * 10**4)
+            u = rng.random(values.size)
+            values[u < idle] = 0.0
+            values[(u >= idle) & (u < idle + 0.05)] = floor
+            cons = ConservativeBudgetState(cfg)
+            exact = BudgetState(cfg)
+            for t, c in enumerate(values.tolist()):
+                cons.update(c)
+                exact.update(c if c > floor else floor)
+                assert (cons.budget, cons.omega_tilde) == (exact.budget, exact.omega), (rho, idle, t)
+
+
 @pytest.mark.parametrize("w", [10, 1000])
 def test_conservative_drift_stays_bounded_over_long_runs(w):
     # 2*10^6 all-above periods cross 2*10^5 (W=10) and 2*10^3 (W=1000) re-bases;
@@ -359,12 +379,13 @@ def test_conservative_drift_stays_bounded_over_long_runs(w):
 def test_conservative_allocates_no_window_up_front():
     tracemalloc.start()
     try:
-        state = ConservativeBudgetState(EmfConfig(window_w=10**6))
+        cfg = EmfConfig(window_w=10**6)
+        state = ConservativeBudgetState(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert state.update(0.5).omega_tilde == 0.5 - state.cfg.floor
+    assert state.update(0.5).omega_tilde == 0.5 - cfg.floor
 
 
 # ── budget attribute ──────────────────────────────────────────────────

@@ -243,6 +243,15 @@ def test_sweep_v_empty_grid_exits_2(tmp_path):
                     "--out", tmp_path / "s.csv"]) == 2
 
 
+def test_sweep_v_zero_floor_exits_2_before_simulating(tmp_path, capsys):
+    # a zero floor lets the controller grant a zero cap, which has no score
+    assert run_cli(["sweep-v", "--rho", "0", "--loads", "0.05", "--out", tmp_path / "s.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "guaranteed_ratio" in captured.err and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_budgets_zero_load(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     code = run_cli(["compare-budgets", "--loads", "0", "--reps", "2",

@@ -120,26 +120,23 @@ def test_dpp_config_validation():
 def test_dpp_empty_queue_grants_whole_budget():
     dec = DppPolicy(EMF, DPP).decide(5.0)
     assert dec.gamma == 5.0
-    assert dec.clamped_high and not dec.clamped_low
 
 
 def test_dpp_floor_boundary_flags_low():
     dec = dpp_at(100.0).decide(5.0)
-    assert dec.gamma == 0.15
-    assert dec.clamped_low
+    assert dec.gamma == EMF.floor == 0.15
 
 
 def test_dpp_budget_cap_flags_high():
     dec = dpp_at(10.0).decide(1.2)
-    assert dec.gamma == 1.2
-    assert dec.clamped_high and not dec.clamped_low
+    assert dec.gamma == 1.2 != EMF.floor
 
 
 def test_dpp_interior_target_no_flags():
     dpp = DppConfig(16.0, 2.0, 0.95)
     dec = dpp_at(4.0, dpp=dpp).decide(3.0)
     assert dec.gamma == pytest.approx(2.0)
-    assert not dec.clamped_low and not dec.clamped_high
+    assert dec.gamma not in (EMF.floor, 3.0)
 
 
 def test_dpp_linear_utility_is_bang_bang():
@@ -151,8 +148,7 @@ def test_dpp_linear_utility_is_bang_bang():
 
 def test_dpp_budget_below_floor_keeps_guarantee():
     dec = dpp_at(1.0).decide(0.05)
-    assert dec.gamma == EMF.floor
-    assert dec.clamped_low and not dec.clamped_high
+    assert dec.gamma == EMF.floor != 0.05
 
 
 def test_dpp_gamma_monotone_in_queue_and_weight():
@@ -188,10 +184,7 @@ def test_dpp_matches_config_formulas_bit_for_bit(alpha):
             target = (dpp.v_weight / q) ** (1.0 / alpha)
         for budget in (0.1, cfg.floor, 2.0, 9.0):
             want = max(min(max(target, cfg.floor), budget), cfg.floor)
-            dec = dpp_at(q, cfg, dpp).decide(budget)
-            assert (dec.gamma, dec.clamped_low, dec.clamped_high) == (
-                want, want == cfg.floor, want == budget
-            )
+            assert dpp_at(q, cfg, dpp).decide(budget).gamma == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -213,15 +206,13 @@ def test_dpp_decision_always_within_bounds(q, budget, v, alpha, rho):
 
 def test_greedy_takes_whole_budget():
     dec = GreedyPolicy(EMF).decide(3.4)
-    assert dec.gamma == 3.4
-    assert dec.clamped_high and not dec.clamped_low
+    assert dec.gamma == 3.4 != EMF.floor
 
 
 def test_greedy_depleted_budget_sits_at_floor():
     greedy = GreedyPolicy(EMF)
     dec = greedy.decide(EMF.floor)
     assert dec.gamma == EMF.floor
-    assert dec.clamped_low and dec.clamped_high
     assert greedy.decide(0.01).gamma == EMF.floor
 
 
@@ -243,8 +234,7 @@ def test_greedy_saturation_drains_budget_within_window():
 def test_cautious_is_constant_threshold():
     policy = CautiousPolicy(EMF)
     dec = policy.decide(EMF.threshold)
-    assert dec.gamma == EMF.threshold
-    assert not dec.clamped_high and not dec.clamped_low
+    assert dec.gamma == EMF.threshold != EMF.floor
     assert policy.decide(0.2).gamma == EMF.threshold
     assert policy.decide(8.65).gamma == EMF.threshold
 
@@ -280,8 +270,13 @@ def test_policy_kinds_table_dispatch():
 
 
 def test_conservative_budget_selector():
-    conservative = {kind for kind, (_, reads_conservative) in POLICY_KINDS.items() if reads_conservative}
-    assert conservative == {"dpp_conservative", "greedy_conservative"}
+    assert {kind: reads for kind, (_, reads) in POLICY_KINDS.items()} == {
+        "dpp_exact": "budget_exact",
+        "dpp_conservative": "budget_conservative",
+        "greedy_exact": "budget_exact",
+        "greedy_conservative": "budget_conservative",
+        "cautious": None,
+    }
 
 
 # ── decide refreshes the policy in place ──────────────────────────────
@@ -297,7 +292,8 @@ DECISION_GRID_DIGESTS = {
 
 @pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
 def test_decide_refreshes_policy_bit_for_bit(kind):
-    cls, _ = POLICY_KINDS[kind]
+    # each row also holds the clamp flags as the trace derives them
+    cls, reads = POLICY_KINDS[kind]
     rows = []
     for cfg in (EMF, EmfConfig(10, 1.3, 0.35)):
         for alpha in (0.0, 0.5, 1.0, 2.0):
@@ -307,7 +303,8 @@ def test_decide_refreshes_policy_bit_for_bit(kind):
                     policy.queue = q
                 for budget in (-1.0, 0.0, 0.1, cfg.floor, 1.0, 2.0, 9.0, cfg.full_budget):
                     assert policy.decide(budget) is policy
-                    rows.append((policy.gamma, policy.clamped_low, policy.clamped_high))
+                    gamma = policy.gamma
+                    rows.append((gamma, gamma == cfg.floor, reads is not None and gamma == budget))
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == DECISION_GRID_DIGESTS[cls]
 
 
@@ -315,6 +312,8 @@ def test_decide_refreshes_policy_bit_for_bit(kind):
 def test_policies_are_slotted_and_hold_no_cap_before_deciding(cls):
     policy = cls(EMF, DPP)
     assert not hasattr(policy, "__dict__")
-    for name in ("gamma", "clamped_low", "clamped_high"):
-        with pytest.raises(AttributeError):
-            getattr(policy, name)
+    with pytest.raises(AttributeError):
+        policy.gamma
+    policy.decide(EMF.full_budget)
+    for name in ("cfg", "dpp", "clamped_low", "clamped_high"):
+        assert not hasattr(policy, name)

@@ -116,6 +116,32 @@ def test_every_policy_is_compliant_and_respects_bounds():
             )
 
 
+# the budget column each kind reads, written out by hand, not taken from POLICY_KINDS
+READS = {
+    "dpp_exact": "budget_exact",
+    "dpp_conservative": "budget_conservative",
+    "greedy_exact": "budget_exact",
+    "greedy_conservative": "budget_conservative",
+    "cautious": None,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READS))
+def test_clamp_flags_compare_the_cap_with_floor_and_read_budget(kind):
+    for rho in (0.15, 1.0):
+        emf = EmfConfig(10, 1.0, rho)
+        trace = run_simulation(make_cfg(policy=kind, load=0.9, horizon=300, scale=2.0, emf=emf))
+        assert np.array_equal(trace.clamped_low, trace.gamma == emf.floor)
+        reads = READS[kind]
+        high = trace.gamma == getattr(trace, reads) if reads else np.zeros(len(trace), dtype=bool)
+        assert np.array_equal(trace.clamped_high, high)
+        # at rho = 1 the floor, the threshold and the full budget coincide
+        if rho == 1.0 and kind == "cautious":
+            assert np.all(trace.gamma == trace.budget_exact) and not trace.clamped_high.any()
+        if rho == 1.0 and kind == "greedy_exact":
+            assert trace.clamped_low.all() and trace.clamped_high.all()
+
+
 def test_shortage_metric_counts_floored_periods_with_backlog():
     trace = run_simulation(make_cfg(policy="greedy_exact", load=0.9, horizon=800, scale=2.0, seed=3))
     s = trace.summary()
@@ -281,6 +307,15 @@ def test_sweep_rejects_empty_grids():
         sweep_v(base, loads=[], v_grid=[1.0])
     with pytest.raises(ValueError):
         sweep_v(base, loads=[0.1], v_grid=[])
+
+
+def test_sweep_rejects_zero_floor_before_any_run(monkeypatch):
+    runs = []
+    monkeypatch.setattr("emfcap.sim.run_simulation", lambda *args, **kwargs: runs.append(args))
+    base = make_cfg(horizon=50, emf=EmfConfig(10, 1.0, 0.0))
+    with pytest.raises(ValueError, match="guaranteed_ratio"):
+        sweep_v(base, loads=[0.05], v_grid=[1.0])
+    assert runs == []
 
 
 def test_compare_budgets_zero_load_has_zero_gap():
