@@ -37,6 +37,8 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 
+_INF = math.inf  # the per-update guards read a module global, faster than math.inf
+
 
 def as_int(value, name: str) -> int:
     """``value`` as an ``int``; ``ValueError`` unless it is integral.
@@ -213,7 +215,7 @@ class BudgetState:
 
     def update(self, c: float) -> "BudgetState":
         """Advance one period after consuming ``c``. Returns ``self``."""
-        if not 0.0 <= c < math.inf:
+        if not 0.0 <= c < _INF:
             raise ValueError("consumption must be finite and nonnegative")
         idx = self._idx
         pre = self._pre
@@ -282,11 +284,12 @@ class ConservativeBudgetState:
 
     def update(self, c: float) -> "ConservativeBudgetState":
         """Advance one period after consuming ``c``. Returns ``self``."""
-        if not 0.0 <= c < math.inf:
+        if not 0.0 <= c < _INF:
             raise ValueError("consumption must be finite and nonnegative")
         q = self._q
-        gained = c - self._floor
-        top = self._top + gained if gained > 0.0 else self._top
+        floor = self._floor
+        # exact: for finite values c - floor > 0.0 iff c > floor
+        top = self._top + (c - floor) if c > floor else self._top
         q.append(top)
         t = self.period = self.period + 1
         if t == self._rebase_at:

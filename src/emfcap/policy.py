@@ -28,6 +28,10 @@ from dataclasses import dataclass
 
 from .budget import EmfConfig
 
+# the per-period guards read module globals, which is faster than math.inf
+_INF = math.inf
+_NEG_INF = -math.inf
+
 
 def alpha_fair(x: float, alpha: float) -> float:
     """Concave fairness utility ``x**(1-alpha) / (1-alpha)``, natural log at ``alpha == 1``."""
@@ -81,29 +85,31 @@ class DppPolicy:
         """Cap minimizing queue pressure against the fairness utility, then clamped.
 
         An empty queue imposes no penalty, so the unconstrained target is
-        infinite and the whole budget is granted. ``alpha == 0`` makes the
-        inner objective linear, handled as bang-bang: everything while the
-        queue is below the utility weight, the floor once it reaches it. A
-        budget below the floor cannot arise under budget-respecting control;
-        if forced, the floor wins. Returns ``self``.
+        infinite and the cap is the budget, never below the floor; that case
+        returns before the utility weight and exponent are read. ``alpha ==
+        0`` makes the inner objective linear, handled as bang-bang: everything
+        while the queue is below the utility weight, the floor once it reaches
+        it. A budget below the floor cannot arise under budget-respecting
+        control; if forced, the floor wins. Returns ``self``.
         """
-        if not -math.inf < budget < math.inf:
+        if not _NEG_INF < budget < _INF:
             raise ValueError("budget must be finite")
         q = self.queue
-        v_weight = self._v_weight
-        alpha = self._alpha
         floor = self._floor
         if q <= 0.0:
-            target = math.inf
-        elif alpha == 1.0:
+            self.gamma = floor if budget < floor else budget
+            return self
+        v_weight = self._v_weight
+        alpha = self._alpha
+        if alpha == 1.0:
             target = v_weight / q
         elif alpha == 0.0:
-            target = math.inf if q < v_weight else floor
+            target = _INF if q < v_weight else floor
         else:
             try:
                 target = (v_weight / q) ** (1.0 / alpha)
             except OverflowError:
-                target = math.inf
+                target = _INF
         gamma = target if target > floor else floor
         if gamma > budget:
             gamma = budget
@@ -114,7 +120,7 @@ class DppPolicy:
 
     def observe(self, c: float) -> None:
         """Queue grows by the overshoot of ``c`` above ``beta * threshold``, clipped at zero."""
-        if not 0.0 <= c < math.inf:
+        if not 0.0 <= c < _INF:
             raise ValueError("consumption must be finite and nonnegative")
         q = self.queue + c - self._drain
         self.queue = q if q > 0.0 else 0.0
@@ -130,7 +136,7 @@ class GreedyPolicy:
         self._floor = cfg.floor
 
     def decide(self, budget: float) -> GreedyPolicy:
-        if not -math.inf < budget < math.inf:
+        if not _NEG_INF < budget < _INF:
             raise ValueError("budget must be finite")
         floor = self._floor
         self.gamma = budget if budget > floor else floor
@@ -150,7 +156,7 @@ class CautiousPolicy:
         self._threshold = cfg.threshold
 
     def decide(self, budget: float) -> CautiousPolicy:
-        if not -math.inf < budget < math.inf:
+        if not _NEG_INF < budget < _INF:
             raise ValueError("budget must be finite")
         self.gamma = self._threshold
         return self

@@ -22,6 +22,7 @@ import numpy as np
 from .budget import as_int
 
 _MAX_SEED = 2**64 - 1
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class TrafficModel:
 
     def consume(self, demand: float, gamma: float) -> float:
         """Serve backlog plus new demand up to ``gamma``; the shortfall stays buffered."""
-        if not 0.0 <= demand < math.inf:
+        if not 0.0 <= demand < _INF:
             raise ValueError("demand must be finite and nonnegative")
         if not gamma >= 0.0:
             raise ValueError("gamma must be nonnegative")

@@ -201,6 +201,57 @@ def test_dpp_decision_always_within_bounds(q, budget, v, alpha, rho):
     assert cfg.floor <= dec.gamma <= max(budget, cfg.floor)
 
 
+def full_chain_gamma(q, budget, floor, v_weight, alpha):
+    """The cap through the whole target/clamp chain, for every queue.
+
+    ``decide`` returns early on an empty queue; this is the chain it must
+    match there, with the target ``inf``. It is written with comparisons, not
+    ``max``/``min``: those return their first argument on a tie, so they
+    differ on signed zeros (``max(-0.0, 0.0)`` is ``-0.0``, while
+    ``-0.0 if -0.0 > 0.0 else 0.0`` is ``0.0``).
+    """
+    if q <= 0.0:
+        target = math.inf
+    elif alpha == 1.0:
+        target = v_weight / q
+    elif alpha == 0.0:
+        target = math.inf if q < v_weight else floor
+    else:
+        try:
+            target = (v_weight / q) ** (1.0 / alpha)
+        except OverflowError:
+            target = math.inf
+    gamma = target if target > floor else floor
+    if gamma > budget:
+        gamma = budget
+    if gamma < floor:
+        gamma = floor
+    return gamma
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    q=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, exclude_min=True, allow_infinity=False)),
+    alpha=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 1e3)),
+    v=st.floats(1e-6, 1e6),
+    rho=st.one_of(st.sampled_from([0.0, 0.15, 1.0]), st.floats(0.0, 1.0)),
+    data=st.data(),
+)
+def test_dpp_decide_is_the_full_chain_bit_for_bit(q, alpha, v, rho, data):
+    cfg = EmfConfig(10, 1.0, rho)
+    floor = cfg.floor
+    budget = data.draw(
+        st.one_of(
+            st.sampled_from([-0.0, 0.0, floor, math.nextafter(floor, -math.inf), floor / 2, -floor]),
+            st.floats(-2.0 * floor - 1.0, floor),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        label="budget",
+    )
+    got = dpp_at(q, cfg, DppConfig(v, alpha, 0.95)).decide(budget).gamma
+    assert repr(got) == repr(full_chain_gamma(q, budget, floor, v, alpha))
+
+
 # ── baselines ─────────────────────────────────────────────────────────
 
 
