@@ -24,6 +24,7 @@ import csv
 import json
 import math
 import sys
+from array import array
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, NamedTuple
@@ -275,7 +276,7 @@ def cmd_simulate(cfg: dict) -> tuple[int, str, list]:
 
 
 def _read_trace_column(path: str, column: str) -> np.ndarray:
-    values = []
+    values = array("d")  # packed, 8 B a row
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -303,7 +304,7 @@ def _read_trace_column(path: str, column: str) -> np.ndarray:
         raise CliError(f"{path}: cannot decode: {exc}") from exc
     if not values:
         raise CliError(f"{path}: no data rows")
-    return np.asarray(values, dtype=np.float64)
+    return np.frombuffer(values)
 
 
 def cmd_verify(cfg: dict) -> tuple[int, str, list]:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 1024
 
 
 def commit(files) -> None:

@@ -93,7 +93,12 @@ class ComplianceReport:
 
 @dataclass
 class SimTrace:
-    """Per-period record of one simulated run plus its configuration echo."""
+    """Per-period record of one simulated run plus its configuration echo.
+
+    From ``run_simulation``, the six float columns ``backlog``, ``gamma``,
+    ``c``, ``budget_exact``, ``budget_conservative`` and ``queue`` are the
+    rows of one float64 block, and ``d`` is the drawn demand array itself.
+    """
 
     policy_kind: str
     emf: EmfConfig
@@ -187,17 +192,14 @@ def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:
     conservative_drive = reads == "budget_conservative"
     policy = policy_cls(emf, cfg.dpp)
     tm = TrafficModel(cfg.traffic, replication=replication)
-    demands = tm.sample_demands(cfg.horizon).tolist()
+    # drawn before the block is allocated, so the draw's temporaries are freed first
+    demands = tm.sample_demands(cfg.horizon)
 
     exact = BudgetState(emf)
     cons = ConservativeBudgetState(emf)
 
-    backlog_col = []
-    gamma_col = []
-    c_col = []
-    b_ex_col = []
-    b_co_col = []
-    q_col = []
+    block = np.empty((6, cfg.horizon), dtype=np.float64)
+    backlog_col, gamma_col, c_col, b_ex_col, b_co_col, q_col = map(memoryview, block)
 
     decide = policy.decide
     observe = policy.observe
@@ -205,21 +207,22 @@ def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:
     ex_update = exact.update
     co_update = cons.update
 
-    for d in demands:
+    for i, d in enumerate(memoryview(demands)):
         b_ex = exact.budget
         b_co = cons.budget
         g = decide(b_co if conservative_drive else b_ex).gamma
-        q_col.append(policy.queue)
+        q_col[i] = policy.queue
         c = consume(d, g)
         observe(c)
         ex_update(c)
         co_update(c)
-        b_ex_col.append(b_ex)
-        b_co_col.append(b_co)
-        gamma_col.append(g)
-        c_col.append(c)
-        backlog_col.append(tm.backlog)
+        b_ex_col[i] = b_ex
+        b_co_col[i] = b_co
+        gamma_col[i] = g
+        c_col[i] = c
+        backlog_col[i] = tm.backlog
 
+    backlog, gamma, c, budget_exact, budget_conservative, queue = block
     return SimTrace(
         policy_kind=cfg.policy_kind,
         emf=emf,
@@ -227,13 +230,13 @@ def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:
         seed=cfg.traffic.seed,
         replication=tm.replication,
         t=np.arange(cfg.horizon, dtype=np.int64),
-        d=np.asarray(demands, dtype=np.float64),
-        backlog=np.asarray(backlog_col, dtype=np.float64),
-        gamma=np.asarray(gamma_col, dtype=np.float64),
-        c=np.asarray(c_col, dtype=np.float64),
-        budget_exact=np.asarray(b_ex_col, dtype=np.float64),
-        budget_conservative=np.asarray(b_co_col, dtype=np.float64),
-        queue=np.asarray(q_col, dtype=np.float64),
+        d=demands,
+        backlog=backlog,
+        gamma=gamma,
+        c=c,
+        budget_exact=budget_exact,
+        budget_conservative=budget_conservative,
+        queue=queue,
     )
 
 

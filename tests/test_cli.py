@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from emfcap.bench import bench_conservative_update, bench_exact_update, bench_scratch, bench_suite
 from emfcap.budget import EmfConfig
-from emfcap.cli import COMMANDS, _json_text, main
+from emfcap.cli import COMMANDS, _json_text, _read_trace_column, main
 from emfcap.sim import SimConfig, compare_budgets, run_simulation, verify_compliance
 from emfcap.traffic import TrafficConfig
 
@@ -146,6 +147,55 @@ def test_verify_malformed_csv_exits_2(tmp_path, capsys):
     bad_cfg.write_text('{"tolerance": "x"}')
     assert run_cli(["verify", "--config", bad_cfg, "--trace", good]) == 2
     assert "--tolerance" in capsys.readouterr().err
+
+
+# stderr of ``verify`` on each malformed trace, with ``{path}`` for the trace's path
+READER_ERRORS = {
+    "t,gamma\n0,1.0\n": "{path}: missing required column 'c' in header",
+    "": "{path}: missing required column 'c' in header",
+    "c\n0.5\nnot-a-number\n": "{path}: row 3, column 'c': not a number: 'not-a-number'",
+    # blank lines are skipped and not counted in the row numbers
+    "c\n0.5\n\n0.25\n\nx\n": "{path}: row 4, column 'c': not a number: 'x'",
+    "t,c\n0,0.5\n1\n": "{path}: row 3: empty 'c' cell",
+    "t,c\n0,0.5\n1,\n": "{path}: row 3: empty 'c' cell",
+    "c\n0.5\nnan\n": "{path}: row 3, column 'c': not finite: 'nan'",
+    "c\n0.5\n-inf\n": "{path}: row 3, column 'c': not finite: '-inf'",
+    "c\n": "{path}: no data rows",
+    "c\n\n\n": "{path}: no data rows",
+}
+
+
+def test_verify_reader_error_messages_are_pinned(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    for text, message in READER_ERRORS.items():
+        path.write_text(text)
+        assert run_cli(["verify", "--trace", path]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "emfcap: error: " + message.format(path=path) + "\n", text
+
+
+def test_reader_returns_a_writable_float64_column(tmp_path):
+    path = tmp_path / "ok.csv"
+    path.write_text("t,c\n0,0.5\n\n1,0.25\n2,1e-300\n")
+    c = _read_trace_column(str(path), "c")
+    assert c.dtype == np.float64 and c.tolist() == [0.5, 0.25, 1e-300]
+    assert c.flags.writeable
+
+
+def test_reader_holds_a_packed_column(tmp_path):
+    rows = 50_000
+    trace = run_simulation(SimConfig(emf=EmfConfig(), traffic=TrafficConfig(load=0.5), horizon=rows))
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    tracemalloc.start()
+    try:
+        c = _read_trace_column(str(path), "c")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(c, trace.c)
+    assert peak / rows <= 16
 
 
 def test_json_output_is_strict():

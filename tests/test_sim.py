@@ -1,13 +1,14 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from emfcap.budget import EmfConfig, budget_from_omega, omega_naive
-from emfcap.policy import DppConfig
+from emfcap.policy import POLICY_KINDS, DppConfig
 from emfcap.sim import (
     SimConfig,
     TRACE_COLUMNS,
@@ -398,14 +399,18 @@ PINNED_DIGESTS = {
 }
 
 
+def output_digests(trace, tmp_path):
+    """SHA-256 of the trace CSV bytes and of the sorted-key summary JSON."""
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    summary = json.dumps(trace.summary(), sort_keys=True).encode()
+    return hashlib.sha256(path.read_bytes()).hexdigest(), hashlib.sha256(summary).hexdigest()
+
+
 @pytest.mark.parametrize("kind, load, seed", sorted(PINNED_DIGESTS))
 def test_outputs_match_pinned_digests(tmp_path, kind, load, seed):
     trace = run_simulation(make_cfg(policy=kind, load=load, horizon=500, seed=seed))
-    path = tmp_path / "trace.csv"
-    trace.write_csv(path)
-    csv_digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    summary_digest = hashlib.sha256(json.dumps(trace.summary(), sort_keys=True).encode()).hexdigest()
-    assert (csv_digest, summary_digest) == PINNED_DIGESTS[kind, load, seed]
+    assert output_digests(trace, tmp_path) == PINNED_DIGESTS[kind, load, seed]
 
 
 @pytest.mark.parametrize("kind, load, seed", sorted(PINNED_DIGESTS))
@@ -417,6 +422,25 @@ def test_exact_budget_column_matches_oracle(kind, load, seed):
         assert abs(trace.budget_exact[t] - want) <= 1e-12, t
 
 
+# The same digests for one run per policy kind at horizon 5000, which crosses
+# every 1024- and 4096-row block boundary of the CSV writer up to it. Recorded
+# at commit 945db9f, before the trace columns became rows of one float64 block
+# and the writer's block shrank from 4096 to 1024 rows.
+PINNED_DIGESTS_5000 = {
+    "dpp_exact": ("401c9052f4057cc0f4e18f2e2dd496c2005af719b5a9e95235331e257c1753aa", "2901b4fc5697e3fae61fdac3eb064f8ee921233d41d0cdaf5f9182bc3eaae6ae"),
+    "dpp_conservative": ("01e8cdbe158f69ef37486583896c07df662f7fedada2f69d4c0aa8907b0a93a7", "f7ab8104548a8e700d07548ab26230b47c633c65c37b7b40ba60deb6e14b8e03"),
+    "greedy_exact": ("ccceac5752858c1e684b827d3625b7b97cd5b802bbe00e09eca2e917002bfd01", "f0d5a7a3a2f241b789c42dd9d9e2bb26708c2aa875c0b54dae47012742edb4dd"),
+    "greedy_conservative": ("9133d3a41c41acbbf289424dbce55ece5d72605f545ee0908c07de034bd30b97", "22dd0b5bdbe6dcdb99c812510d4ca5796ec636744de4b0fd5cdb9b9a2b5ab965"),
+    "cautious": ("d6c9c7f0017e53ae3c379ecd81273cbcf8d7ad6944fb854bb10b2aa434db8cae", "8defebddfb5921eb0cfb1e070143f2ff1e1ab62b7beb4ea9ee8994a21241e2a2"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_DIGESTS_5000))
+def test_outputs_across_csv_blocks_match_pinned_digests(tmp_path, kind):
+    trace = run_simulation(make_cfg(policy=kind, load=0.5, horizon=5000, seed=3))
+    assert output_digests(trace, tmp_path) == PINNED_DIGESTS_5000[kind]
+
+
 def test_trace_length_and_summary_fields():
     trace = run_simulation(make_cfg(load=0.2, horizon=77))
     assert len(trace) == 77
@@ -424,3 +448,34 @@ def test_trace_length_and_summary_fields():
     assert s["periods"] == 77
     assert s["policy"] == "dpp_exact"
     assert isinstance(s["compliant"], bool)
+
+
+# ── memory ────────────────────────────────────────────────────────────
+# tracemalloc counts numpy's buffers as well as Python objects, so these
+# peaks are the same on every host.
+
+
+def traced_peak(fn, *args):
+    """``(result, peak bytes traced while fn(*args) ran)``."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
+def test_run_peak_memory_is_the_trace_itself(kind):
+    # the trace keeps 64 B/period: t, d and six float64 rows of one block
+    horizon = 200_000
+    run_simulation(make_cfg(policy=kind, horizon=10))  # imports made on a first run are not counted
+    trace, peak = traced_peak(run_simulation, make_cfg(policy=kind, load=0.5, horizon=horizon))
+    assert len(trace) == horizon
+    assert peak / horizon <= 72
+
+
+def test_csv_writer_holds_one_block_at_a_time():
+    trace = run_simulation(make_cfg(load=0.5, horizon=20_000))
+    _, peak = traced_peak(lambda: sum(map(len, trace.csv_chunks())))
+    assert peak <= 2 * 2**20
