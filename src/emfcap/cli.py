@@ -236,9 +236,10 @@ def _sibling(out: Path, suffix: str) -> Path:
     return out.with_name(out.stem + suffix)
 
 
-def _emit_table(cfg: dict, rows: list[dict], columns: tuple) -> tuple[int, str, list]:
+def _emit_table(cfg: dict, rows: list[dict]) -> tuple[int, str, list]:
     out = Path(cfg["out"])
     text = _json_text(rows)
+    columns = tuple(rows[0])
     return 0, text, [
         ("table_csv", out, csv_chunks(columns, [[row[c] for row in rows] for c in columns])),
         ("table_json", _sibling(out, ".json"), text),
@@ -319,19 +320,17 @@ def cmd_verify(cfg: dict) -> tuple[int, str, list]:
 
 def cmd_sweep_v(cfg: dict) -> tuple[int, str, list]:
     rows = sweep_v(_build_sim_config(cfg), cfg["loads"], cfg["v_grid"])
-    return _emit_table(cfg, rows, ("load", "v_star", "mean_score", "ci_half_width"))
+    return _emit_table(cfg, rows)
 
 
 def cmd_compare_budgets(cfg: dict) -> tuple[int, str, list]:
     rows = compare_budgets(_build_sim_config(cfg), cfg["loads"])
-    return _emit_table(
-        cfg, rows, ("load", "mean_budget_exact", "mean_budget_conservative", "mean_gap", "all_above_frac")
-    )
+    return _emit_table(cfg, rows)
 
 
 def cmd_bench(cfg: dict) -> tuple[int, str, list]:
     rows = bench_suite(cfg["w_grid"], updates=cfg["updates"], seed=cfg["seed"])
-    return _emit_table(cfg, rows, ("algorithm", "workload", "window_w", "updates", "p50_ns", "p99_ns"))
+    return _emit_table(cfg, rows)
 
 
 # ── parser ────────────────────────────────────────────────────────────

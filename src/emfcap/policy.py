@@ -34,14 +34,23 @@ _NEG_INF = -math.inf
 
 
 def alpha_fair(x: float, alpha: float) -> float:
-    """Concave fairness utility ``x**(1-alpha) / (1-alpha)``, natural log at ``alpha == 1``."""
+    """Concave fairness utility ``x**(1-alpha) / (1-alpha)``, natural log at ``alpha == 1``.
+
+    Raises ``ValueError`` outside its domain and when the value overflows float64.
+    """
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and nonnegative")
-    if x <= 0.0:
-        raise ValueError("alpha-fair utility is undefined for x <= 0")
+    if not x > 0.0:
+        raise ValueError(f"alpha-fair utility is undefined for x = {x!r}")
     if alpha == 1.0:
         return math.log(x)
-    return x ** (1.0 - alpha) / (1.0 - alpha)
+    try:
+        u = x ** (1.0 - alpha) / (1.0 - alpha)
+    except OverflowError:  # raised by the power; an overflowing quotient is inf instead
+        u = math.inf
+    if not math.isfinite(u):
+        raise ValueError(f"alpha-fair utility of {x!r} at alpha={alpha!r} overflows float64")
+    return u
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,6 @@ serve demand against that cap, then feed the realized consumption back into
 the virtual queue and both budget trackers. Everything downstream, the
 compliance verifier, the fairness score, the queue-weight sweep and the
 budget-gap comparison, consumes the recorded trace.
-
-``verify_compliance`` recomputes windowed sums straight from the consumption
-column; it shares no code with the budget trackers on purpose.
 """
 
 from __future__ import annotations
@@ -240,6 +237,13 @@ def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:
     )
 
 
+def _window_sums(x, w: int) -> np.ndarray:
+    """Sum of ``x`` over the ``w >= 1`` entries ending at each index, pre-history counted as zero."""
+    s = np.cumsum(x, dtype=np.float64)
+    s[w:] -= s[:-w]  # NumPy reads an overlapping operand as if it were copied before the write
+    return s
+
+
 def verify_compliance(trace, cfg: EmfConfig, tolerance: float = TOLERANCE) -> ComplianceReport:
     """Check every windowed average of consumption against the threshold.
 
@@ -247,38 +251,43 @@ def verify_compliance(trace, cfg: EmfConfig, tolerance: float = TOLERANCE) -> Co
     ``c`` attribute); deliberately independent of the budget trackers.
     Warm-up windows divide by the full window length, so early periods can
     only be easier to satisfy. A negative or non-finite ``tolerance`` raises
-    ``ValueError``: it would pass any trace.
+    ``ValueError``: it would pass any trace. Limit: each windowed sum is a
+    difference of whole-trace prefix sums, so its rounding grows with the
+    horizon, while ``tolerance`` is absolute.
     """
     _check_tolerance(tolerance)
     c = _consumption(trace)
     w = cfg.window_w
-    n = c.size
-    prefix = np.concatenate(([0.0], np.cumsum(c)))
-    ts = np.arange(n)
-    starts = np.maximum(ts - w + 1, 0)
-    averages = (prefix[ts + 1] - prefix[starts]) / w
-    worst_idx = int(np.argmax(averages))
-    worst = float(averages[worst_idx])
+    averages = _window_sums(c, w)
+    averages /= w
+    end = int(np.argmax(averages))
+    worst = float(averages[end])
     return ComplianceReport(
         compliant=bool(worst <= cfg.threshold + tolerance),
-        worst_window_start=int(starts[worst_idx]),
+        worst_window_start=max(end - w + 1, 0),
         worst_window_average=worst,
         margin=float(cfg.threshold - worst),
     )
 
 
 def score_trace(trace, alpha: float) -> float:
-    """Mean fairness utility of the granted caps over a run."""
+    """Mean fairness utility of the granted caps over a run; ``ValueError`` when undefined or not finite."""
     g = np.asarray(getattr(trace, "gamma", trace), dtype=np.float64)
     if g.size == 0:
         raise ValueError("cannot score an empty trace")
-    if np.any(g <= 0.0):
-        raise ValueError("alpha-fair utility is undefined for nonpositive caps")
+    if not np.all(g > 0.0):
+        raise ValueError("alpha-fair utility is undefined for nonpositive or NaN caps")
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and nonnegative")
     if alpha == 1.0:
         return float(np.mean(np.log(g)))
-    return float(np.mean(g ** (1.0 - alpha) / (1.0 - alpha)))
+    with np.errstate(over="ignore"):
+        u = g ** (1.0 - alpha)
+        u /= 1.0 - alpha
+        mean = float(np.mean(u))
+    if not math.isfinite(mean):
+        raise ValueError(f"mean alpha-fair utility at alpha={alpha!r} overflows float64")
+    return mean
 
 
 def queue_zero_every_window(trace, cfg: EmfConfig, tolerance: float = 0.0) -> tuple[bool, int]:
@@ -354,15 +363,13 @@ def sweep_v(base: SimConfig, loads, v_grid) -> list[dict]:
 
 def _all_above_fraction(c: np.ndarray, w: int, floor: float, burn_in: int) -> float:
     """Fraction of post-burn-in periods whose stored window sits entirely at or above the floor."""
-    n = c.size
     start = max(burn_in, w - 1)
-    if start >= n:
+    if start >= c.size:
         return math.nan
     if w == 1:
         return 1.0
-    above = np.concatenate(([0.0], np.cumsum((c >= floor).astype(np.float64))))
-    ts = np.arange(start, n)
-    counts = above[ts] - above[ts - (w - 1)]
+    # entry t - 1 counts the stored window of period t, the w - 1 periods before it
+    counts = _window_sums(c >= floor, w - 1)[start - 1 : -1]
     return float(np.mean(counts == (w - 1)))
 
 

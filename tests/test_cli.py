@@ -9,7 +9,7 @@ import pytest
 from emfcap.bench import bench_conservative_update, bench_exact_update, bench_scratch, bench_suite
 from emfcap.budget import EmfConfig
 from emfcap.cli import COMMANDS, _json_text, _read_trace_column, main
-from emfcap.sim import SimConfig, compare_budgets, run_simulation, verify_compliance
+from emfcap.sim import SimConfig, compare_budgets, run_simulation, sweep_v, verify_compliance
 from emfcap.traffic import TrafficConfig
 
 
@@ -300,6 +300,45 @@ def test_sweep_v_zero_floor_exits_2_before_simulating(tmp_path, capsys):
     assert captured.out == ""
     assert "guaranteed_ratio" in captured.err and captured.err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_v_with_an_overflowing_score_exits_2_and_writes_nothing(tmp_path, capsys):
+    # at alpha 1000 a cap below about 0.49 overflows the score: 0.15 ** -999 > 1.8e308
+    assert run_cli(["sweep-v", "--alpha", "1000", "--loads", "1", "--demand-scale", "5", "--v-grid", "1",
+                    "--reps", "2", "--horizon", "100", "--out", tmp_path / "s.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "emfcap: invalid configuration: mean alpha-fair utility at alpha=1000.0 overflows float64\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_with_an_overflowing_score_reports_a_null_utility(tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    assert run_cli(["simulate", "--policy", "greedy_exact", "--alpha", "1000", "--load", "1",
+                    "--demand-scale", "5", "--horizon", "200", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    summary = read_json(tmp_path / "a.summary.json")
+    assert summary["mean_utility"] is None
+    assert summary["compliant"]
+
+
+@pytest.mark.parametrize("command, flags, rows", [
+    ("sweep-v", ["--loads", "0.2", "--v-grid", "12", "--reps", "1", "--horizon", "40"],
+     lambda cfg: sweep_v(cfg, [0.2], [12.0])),
+    ("compare-budgets", ["--loads", "0.2", "--reps", "1", "--horizon", "40"],
+     lambda cfg: compare_budgets(cfg, [0.2])),
+    ("bench", ["--w-grid", "4", "--updates", "100"], lambda cfg: bench_suite([4], updates=100)),
+])
+def test_table_csv_header_is_the_row_keys_in_order(tmp_path, capsys, command, flags, rows):
+    out = tmp_path / "table.csv"
+    assert run_cli([command, *flags, "--out", out]) == 0
+    header = out.read_text().splitlines()[0].split(",")
+    emitted = json.loads(capsys.readouterr().out)  # written with sorted keys
+    assert all(sorted(row) == sorted(header) for row in emitted)
+    cfg = SimConfig(emf=EmfConfig(), traffic=TrafficConfig(load=0.2), horizon=40, replications=1)
+    assert all(list(row) == header for row in rows(cfg))
 
 
 def test_compare_budgets_zero_load(tmp_path, capsys):

@@ -48,9 +48,18 @@ def test_alpha_fair_domain_errors():
         alpha_fair(0.0, 1.0)
     with pytest.raises(ValueError):
         alpha_fair(-1.0, 0.5)
+    with pytest.raises(ValueError, match="undefined"):
+        alpha_fair(math.nan, 0.5)
     for alpha in (-0.2, math.inf, math.nan):
         with pytest.raises(ValueError):
             alpha_fair(1.0, alpha)
+
+
+def test_alpha_fair_overflow_is_a_value_error():
+    # the power overflows at the first point; at the second only the quotient does
+    for x, alpha in ((0.15, 1000.0), (5e-324, 1.953385)):
+        with pytest.raises(ValueError, match="overflows float64"):
+            alpha_fair(x, alpha)
 
 
 def test_alpha_fair_increasing_and_concave():

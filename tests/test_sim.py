@@ -1,17 +1,20 @@
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emfcap.budget import EmfConfig, budget_from_omega, omega_naive
 from emfcap.policy import POLICY_KINDS, DppConfig
 from emfcap.sim import (
     SimConfig,
     TRACE_COLUMNS,
+    _all_above_fraction,
     compare_budgets,
     queue_zero_every_window,
     run_simulation,
@@ -216,6 +219,61 @@ def test_verifier_input_errors():
             queue_zero_every_window([5.0] * 10, EMF, tolerance=bad)
 
 
+def gathered_worst_window(c, w):
+    """``(worst average, its start)`` from a zero-led prefix and index gathers: the reference formula."""
+    prefix = np.concatenate(([0.0], np.cumsum(c)))
+    ts = np.arange(c.size)
+    starts = np.maximum(ts - w + 1, 0)
+    averages = (prefix[ts + 1] - prefix[starts]) / w
+    worst_idx = int(np.argmax(averages))
+    return float(averages[worst_idx]), int(starts[worst_idx])
+
+
+def gathered_all_above_fraction(c, w, floor, burn_in):
+    """``_all_above_fraction`` from a zero-led prefix and index gathers: the reference formula."""
+    n = c.size
+    start = max(burn_in, w - 1)
+    if start >= n:
+        return math.nan
+    if w == 1:
+        return 1.0
+    above = np.concatenate(([0.0], np.cumsum((c >= floor).astype(np.float64))))
+    ts = np.arange(start, n)
+    counts = above[ts] - above[ts - (w - 1)]
+    return float(np.mean(counts == (w - 1)))
+
+
+# unit draws include repeats and the floor, so windows tie and sit at the floor
+UNIT_SEQUENCES = st.lists(
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.15, 1.0])), min_size=1, max_size=120
+)
+WINDOWS = st.one_of(st.sampled_from([1, 2, 3, 7, 10, 37, 500, 10**6, sys.maxsize]), st.integers(1, 130))
+
+
+@settings(max_examples=400, deadline=None)
+@given(units=UNIT_SEQUENCES, scale=st.sampled_from([1.0, 0.15, 731.3]), w=WINDOWS)
+def test_verifier_is_the_prefix_gather_formula_bit_for_bit(units, scale, w):
+    c = np.array(units) * scale
+    report = verify_compliance(c, EmfConfig(window_w=w, threshold=scale))
+    worst, start = gathered_worst_window(c, w)
+    assert repr(report.worst_window_average) == repr(worst)
+    assert report.worst_window_start == start
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    units=UNIT_SEQUENCES,
+    scale=st.sampled_from([1.0, 731.3]),
+    w=WINDOWS,
+    burn_in=st.integers(0, 130),
+)
+def test_all_above_fraction_is_the_prefix_gather_formula_bit_for_bit(units, scale, w, burn_in):
+    c = np.array(units) * scale
+    floor = 0.15 * scale
+    expected = gathered_all_above_fraction(c, w, floor, burn_in)
+    assert repr(_all_above_fraction(c, w, floor, burn_in)) == repr(expected)
+
+
 # ── scoring ───────────────────────────────────────────────────────────
 
 
@@ -235,13 +293,28 @@ def test_score_two_period_example():
 
 
 def test_score_surfaces_domain_error():
-    with pytest.raises(ValueError):
-        score_trace(np.array([1.0, 0.0]), 1.0)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError, match="undefined"):
+            score_trace(np.array([1.0, bad]), 1.0)
     with pytest.raises(ValueError):
         score_trace(np.array([]), 1.0)
     for alpha in (-0.5, math.inf, math.nan):
         with pytest.raises(ValueError):
             score_trace(np.array([1.0, 2.0]), alpha)
+
+
+def test_score_overflow_is_a_value_error():
+    # 0.15 ** -999 overflows float64, so the mean would be -inf
+    with pytest.raises(ValueError, match="overflows float64"):
+        score_trace(np.array([0.15, 1.0]), 1000.0)
+
+
+def test_summary_utility_is_null_when_the_score_overflows():
+    cfg = replace(make_cfg(policy="greedy_exact", load=1.0, scale=5.0, horizon=200), dpp=DppConfig(alpha=1000.0))
+    summary = run_simulation(cfg).summary()
+    assert summary["mean_utility"] is None
+    assert summary["compliant"]
+    json.dumps(summary, allow_nan=False)
 
 
 def test_score_accepts_trace_object():
@@ -473,6 +546,18 @@ def test_run_peak_memory_is_the_trace_itself(kind):
     trace, peak = traced_peak(run_simulation, make_cfg(policy=kind, load=0.5, horizon=horizon))
     assert len(trace) == horizon
     assert peak / horizon <= 72
+
+
+def test_summary_and_verifier_peak_memory_is_two_float_columns():
+    # the window sums plus NumPy's buffered copy of their overlapping operand: 16 B/period
+    horizon = 200_000
+    trace = run_simulation(make_cfg(load=0.5, horizon=horizon))
+    trace.summary()  # imports made on a first call are not counted
+    for alpha in (1.0, 0.5):
+        _, peak = traced_peak(replace(trace, alpha=alpha).summary)
+        assert peak / horizon <= 17
+    _, peak = traced_peak(verify_compliance, trace.c, trace.emf)
+    assert peak / horizon <= 17
 
 
 def test_csv_writer_holds_one_block_at_a_time():
