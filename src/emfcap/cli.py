@@ -10,8 +10,11 @@ converters as the flags' text; a JSON ``null`` means unset only where the
 default is unset. Each handler writes and prints nothing: it returns its
 exit code, its stdout text and its output files as ``(role, path, text)``
 triples. ``main`` adds the run manifest and commits the whole set with one
-``output.commit``, then prints. A manifest is also accepted as a config
-file, so any run can be reproduced bit-for-bit from it.
+``output.commit``, then prints. ``simulate`` streams: ``commit`` writes its
+trace while the run folds its summary block by block, so its summary file
+and its stdout text (a callable there) exist only once the trace is
+written. A manifest is also accepted as a config file, so any run can be
+reproduced bit-for-bit from it.
 All EIRP quantities are linear-unit reals normalized so the threshold
 defaults to 1.0; the optional ``--c-bar-dbm`` flag only converts a display
 block in the summary.
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -36,7 +40,16 @@ from .bench import bench_suite
 from .budget import EmfConfig, as_int
 from .output import commit, csv_chunks
 from .policy import POLICY_KINDS, DppConfig
-from .sim import TOLERANCE, SimConfig, compare_budgets, run_simulation, sweep_v, verify_compliance
+from .sim import (
+    BLOCK_ROWS,
+    TOLERANCE,
+    ComplianceCheck,
+    RunSummary,
+    SimConfig,
+    compare_budgets,
+    run_blocks,
+    sweep_v,
+)
 from .traffic import TrafficConfig
 
 
@@ -255,29 +268,50 @@ def _to_dbm(linear: float, c_bar: float, c_bar_dbm: float):
 # ── subcommands ───────────────────────────────────────────────────────
 
 
-def cmd_simulate(cfg: dict) -> tuple[int, str, list]:
+def cmd_simulate(cfg: dict) -> tuple[int, Callable, list]:
     sim_cfg = _build_sim_config(cfg)
-    trace = run_simulation(sim_cfg)
-    summary = trace.summary(tolerance=cfg["tolerance"])
-    if cfg["c_bar_dbm"] is not None:
-        c_bar, dbm = cfg["C_bar"], cfg["c_bar_dbm"]
-        summary["display_dbm"] = {
-            "threshold_dbm": dbm,
-            "floor_dbm": _to_dbm(sim_cfg.emf.floor, c_bar, dbm),
-            "mean_gamma_dbm": _to_dbm(summary["mean_gamma"], c_bar, dbm),
-            "mean_budget_exact_dbm": _to_dbm(summary["mean_budget_exact"], c_bar, dbm),
-            "worst_window_average_dbm": _to_dbm(summary["worst_window_average"], c_bar, dbm),
-        }
-    summary_text = _json_text(summary)
+    fold = RunSummary(cfg["tolerance"])
+
+    def trace_chunks():
+        for block in run_blocks(sim_cfg):
+            fold.add(block)
+            chunks = block.csv_chunks()
+            if block.start:
+                next(chunks)  # the header, written once before period 0
+            yield from chunks
+
+    @functools.cache
+    def summary_text() -> str:
+        summary = fold.result()
+        if cfg["c_bar_dbm"] is not None:
+            c_bar, dbm = cfg["C_bar"], cfg["c_bar_dbm"]
+            summary["display_dbm"] = {
+                "threshold_dbm": dbm,
+                "floor_dbm": _to_dbm(sim_cfg.emf.floor, c_bar, dbm),
+                "mean_gamma_dbm": _to_dbm(summary["mean_gamma"], c_bar, dbm),
+                "mean_budget_exact_dbm": _to_dbm(summary["mean_budget_exact"], c_bar, dbm),
+                "worst_window_average_dbm": _to_dbm(summary["worst_window_average"], c_bar, dbm),
+            }
+        return _json_text(summary)
+
     out = Path(cfg["out"])
     return 0, summary_text, [
-        ("trace_csv", out, trace.csv_chunks()),
-        ("summary_json", _sibling(out, ".summary.json"), summary_text),
+        ("trace_csv", out, trace_chunks()),
+        ("summary_json", _sibling(out, ".summary.json"), _later(summary_text)),
     ]
 
 
-def _read_trace_column(path: str, column: str) -> np.ndarray:
-    values = array("d")  # packed, 8 B a row
+def _later(text: Callable):
+    """``text()`` as the one chunk of a file, computed when ``commit`` reaches that file."""
+    yield text()
+
+
+def _trace_blocks(path: str, column: str):
+    """The ``column`` of the trace CSV at ``path``, as float64 arrays of up to ``BLOCK_ROWS`` rows in file order.
+
+    Each block is read packed, at 8 B a row, and only when the one before
+    has been taken.
+    """
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -285,6 +319,8 @@ def _read_trace_column(path: str, column: str) -> np.ndarray:
             if column not in header:
                 raise CliError(f"{path}: missing required column {column!r} in header")
             index = header.index(column)
+            values = array("d")
+            read = False  # whether a full block has been yielded
             # blank lines are skipped and not counted in the row numbers
             for lineno, row in enumerate(filter(None, reader), start=2):
                 raw = row[index] if index < len(row) else ""
@@ -299,20 +335,26 @@ def _read_trace_column(path: str, column: str) -> np.ndarray:
                 if not math.isfinite(value):
                     raise CliError(f"{path}: row {lineno}, column {column!r}: not finite: {raw!r}")
                 values.append(value)
+                if len(values) == BLOCK_ROWS:
+                    yield np.frombuffer(values)
+                    values, read = array("d"), True
+            if values:
+                yield np.frombuffer(values)
+            elif not read:
+                raise CliError(f"{path}: no data rows")
     except OSError as exc:
         raise CliError(f"cannot read trace: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: cannot decode: {exc}") from exc
-    if not values:
-        raise CliError(f"{path}: no data rows")
-    return np.frombuffer(values)
 
 
 def cmd_verify(cfg: dict) -> tuple[int, str, list]:
     if not cfg["trace"]:
         raise CliError("--trace is required")
-    c = _read_trace_column(cfg["trace"], "c")
-    report = verify_compliance(c, _config(EmfConfig, cfg), tolerance=cfg["tolerance"]).as_dict()
+    check = ComplianceCheck(_config(EmfConfig, cfg), tolerance=cfg["tolerance"])
+    for c in _trace_blocks(cfg["trace"], "c"):
+        check.add(c)
+    report = check.report().as_dict()
     text = _json_text(report)
     files = [("report_json", Path(cfg["out"]), text)] if cfg["out"] else []
     return (0 if report["compliant"] else 1), text, files
@@ -407,7 +449,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"emfcap: invalid configuration: {exc}", file=sys.stderr)
         return 2
-    print(stdout, end="")
+    print(stdout() if callable(stdout) else stdout, end="")
     return code
 
 

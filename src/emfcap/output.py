@@ -9,6 +9,9 @@ from pathlib import Path
 import numpy as np
 
 _CHUNK_ROWS = 1024
+# characters of the target's name a temp file name keeps, so that with its
+# random part and suffix it stays far below any file system's name limit
+_TMP_NAME_KEEP = 64
 
 
 def commit(files) -> None:
@@ -19,8 +22,9 @@ def commit(files) -> None:
     in memory. Each text goes to a sibling temp file, in order, so a generator
     placed last runs after every other temp file is written. A temp file gets
     the mode a plain ``open`` would give it (``0o666`` less the umask), not
-    the owner-only mode of ``tempfile.mkstemp``. Only when all are written and
-    no target is a directory are they renamed over their targets. Missing
+    the owner-only mode of ``tempfile.mkstemp``, and a name of at most 84
+    characters, however long the target's name is. Only when all are written
+    and no target is a directory are they renamed over their targets. Missing
     parent directories are created, and stay.
 
     A set that names one path twice is rejected before anything is written.
@@ -41,7 +45,7 @@ def commit(files) -> None:
     try:
         for target, text in files:
             target.parent.mkdir(parents=True, exist_ok=True)
-            tmp = target.with_name(f"{target.name}{os.urandom(8).hex()}.tmp")
+            tmp = target.with_name(f"{target.name[:_TMP_NAME_KEEP]}{os.urandom(8).hex()}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
             pending.append((tmp, target))
             with os.fdopen(fd, "w", newline="\n") as fh:

@@ -4,7 +4,10 @@ The per-period order is fixed: read both budgets, let the policy pick a cap,
 serve demand against that cap, then feed the realized consumption back into
 the virtual queue and both budget trackers. Everything downstream, the
 compliance verifier, the fairness score, the queue-weight sweep and the
-budget-gap comparison, consumes the recorded trace.
+budget-gap comparison, consumes the recorded trace. The loop, the summary
+and the window check also run block by block (``run_blocks``,
+``RunSummary``, ``ComplianceCheck``), so a run can be written and checked in
+memory that does not grow with its horizon.
 """
 
 from __future__ import annotations
@@ -37,6 +40,11 @@ TRACE_COLUMNS = (
 # the bound.
 TOLERANCE = 1e-9
 
+# Periods per block of ``run_blocks``, of the summary fold and of the window
+# check. Every pinned horizon (5000 and below) fits in one block, so their
+# outputs are the whole-trace floats.
+BLOCK_ROWS = 1 << 14
+
 
 def _check_tolerance(tolerance: float) -> None:
     if not 0.0 <= tolerance < math.inf:
@@ -44,13 +52,16 @@ def _check_tolerance(tolerance: float) -> None:
 
 
 def _consumption(trace) -> np.ndarray:
-    """The ``c`` column of ``trace`` (or ``trace`` itself), checked as the compliance checks need it."""
+    """The ``c`` column of ``trace`` (or ``trace`` itself) as a nonempty 1-d float64 array; values unchecked."""
     c = np.asarray(getattr(trace, "c", trace), dtype=np.float64)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("trace must be a nonempty 1-d consumption sequence")
+    return c
+
+
+def _check_consumption(c: np.ndarray) -> None:
     if not np.all((c >= 0.0) & (c < math.inf)):
         raise ValueError("consumption must be finite and nonnegative")
-    return c
 
 
 @dataclass(frozen=True)
@@ -90,11 +101,13 @@ class ComplianceReport:
 
 @dataclass
 class SimTrace:
-    """Per-period record of one simulated run plus its configuration echo.
+    """Per-period record of consecutive periods of one simulated run plus its configuration echo.
 
-    From ``run_simulation``, the six float columns ``backlog``, ``gamma``,
-    ``c``, ``budget_exact``, ``budget_conservative`` and ``queue`` are the
-    rows of one float64 block, and ``d`` is the drawn demand array itself.
+    ``start`` is the index of the first period recorded; ``t`` is derived
+    from it and not stored. From the loop, the six float columns
+    ``backlog``, ``gamma``, ``c``, ``budget_exact``, ``budget_conservative``
+    and ``queue`` are the rows of one float64 block, and ``d`` is the drawn
+    demand array itself: 56 B per period.
     """
 
     policy_kind: str
@@ -102,7 +115,6 @@ class SimTrace:
     alpha: float
     seed: int
     replication: int
-    t: np.ndarray
     d: np.ndarray
     backlog: np.ndarray
     gamma: np.ndarray
@@ -110,9 +122,15 @@ class SimTrace:
     budget_exact: np.ndarray
     budget_conservative: np.ndarray
     queue: np.ndarray
+    start: int = 0
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.c)
+
+    @property
+    def t(self) -> np.ndarray:
+        """Period indices, ``start`` onward."""
+        return np.arange(self.start, self.start + len(self), dtype=np.int64)
 
     @property
     def clamped_low(self) -> np.ndarray:
@@ -128,44 +146,14 @@ class SimTrace:
     def summary(self, tolerance: float = TOLERANCE) -> dict:
         """Headline numbers for one run; ``mean_utility`` is null when undefined.
 
-        ``floor_gamma_periods`` counts caps at the guaranteed floor within
-        ``tolerance``: a fully depleted budget equals the floor only up to
-        the rounding accumulated by the excess tracker. ``shortage_periods``
-        counts those of them that leave a backlog above ``tolerance``: serving
-        demand against such a cap leaves residues of a few ulps. A negative or
-        non-finite ``tolerance`` raises ``ValueError``, as in ``verify_compliance``.
+        Folds the trace in ``BLOCK_ROWS``-period views through ``RunSummary``,
+        whose docstring gives every field and error.
         """
-        report = verify_compliance(self.c, self.emf, tolerance)
-        floor = self.emf.floor
-        floor_mask = self.gamma <= floor + tolerance
-        shortage = int(np.sum(floor_mask & (self.backlog > tolerance)))
-        try:
-            utility = score_trace(self.gamma, self.alpha)
-        except ValueError:
-            utility = None
-        return {
-            "policy": self.policy_kind,
-            "periods": int(len(self.t)),
-            "seed": int(self.seed),
-            "replication": int(self.replication),
-            "alpha": float(self.alpha),
-            "mean_utility": utility,
-            "mean_gamma": float(self.gamma.mean()),
-            "floor_gamma_periods": int(floor_mask.sum()),
-            "shortage_periods": shortage,
-            "peak_backlog": float(self.backlog.max()),
-            "final_backlog": float(self.backlog[-1]),
-            "total_demand": float(self.d.sum()),
-            "total_served": float(self.c.sum()),
-            "mean_budget_exact": float(self.budget_exact.mean()),
-            "mean_budget_conservative": float(self.budget_conservative.mean()),
-            "mean_budget_gap": float(np.mean(self.budget_exact - self.budget_conservative)),
-            "mean_queue": float(self.queue.mean()),
-            "compliant": bool(report.compliant),
-            "worst_window_average": float(report.worst_window_average),
-            "worst_window_start": int(report.worst_window_start),
-            "compliance_margin": float(report.margin),
-        }
+        fold = RunSummary(tolerance)
+        for lo in range(0, len(self), BLOCK_ROWS):
+            fold.add(replace(self, start=self.start + lo,
+                             **{name: getattr(self, name)[lo:lo + BLOCK_ROWS] for name in _STORED_COLUMNS}))
+        return fold.result()
 
     def csv_chunks(self):
         """The trace CSV in chunks: one row per period, numeric columns only, LF line endings."""
@@ -176,27 +164,106 @@ class SimTrace:
         commit([(path, self.csv_chunks())])
 
 
-def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:
-    """Run one closed loop; deterministic given ``(cfg, replication)``.
+# the columns a ``SimTrace`` stores, and those whose totals ``RunSummary`` folds, in its unpacking order
+_STORED_COLUMNS = ("d", "backlog", "gamma", "c", "budget_exact", "budget_conservative", "queue")
+_SUMMED = ("gamma", "d", "c", "budget_exact", "budget_conservative", "queue")
 
-    The demand stream is ``(cfg.traffic.seed, replication)``.
 
-    Both budgets are tracked every period regardless of which one drives the
-    policy, so any trace supports the exact-versus-conservative comparison.
+class RunSummary:
+    """The summary of one run, folded from its ``SimTrace`` blocks in period order.
+
+    ``floor_gamma_periods`` counts caps at the guaranteed floor within
+    ``tolerance``: a fully depleted budget equals the floor only up to
+    the rounding accumulated by the excess tracker. ``shortage_periods``
+    counts those of them that leave a backlog above ``tolerance``: serving
+    demand against such a cap leaves residues of a few ulps. A negative or
+    non-finite ``tolerance`` raises ``ValueError``, as in ``verify_compliance``.
+
+    Counts, ``peak_backlog``, ``final_backlog`` and the window verdict do not
+    depend on the block boundaries. Each total and mean is the sum, in block
+    order, of one ``np.add.reduce`` per block: within one block that is the
+    whole-trace float, beyond it the last bit can move. A total or mean that
+    overflows float64 raises ``ValueError`` naming it; ``mean_utility`` is
+    null instead, as when a cap lies outside the utility's domain.
     """
+
+    def __init__(self, tolerance: float = TOLERANCE):
+        _check_tolerance(tolerance)
+        self.tolerance = tolerance
+        self.periods = 0
+        self.totals = None  # per summed quantity, the running total
+        self.floor_periods = 0
+        self.shortage_periods = 0
+        self.peak_backlog = -math.inf
+        self.echo = self.check = self.final_backlog = None
+
+    def add(self, block: SimTrace) -> None:
+        if self.echo is None:
+            self.echo = (block.policy_kind, int(block.seed), int(block.replication), float(block.alpha))
+            self.check = ComplianceCheck(block.emf, self.tolerance)
+        tol = self.tolerance
+        self.check.add(block.c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            part = [float(np.add.reduce(getattr(block, name))) for name in _SUMMED]
+            part.append(float(np.add.reduce(block.budget_exact - block.budget_conservative)))
+        try:
+            part.append(_utility_sum(block.gamma, block.alpha))
+        except ValueError:
+            part.append(math.nan)
+        self.totals = part if self.totals is None else [a + b for a, b in zip(self.totals, part)]
+        floor_mask = block.gamma <= block.emf.floor + tol
+        self.floor_periods += int(np.count_nonzero(floor_mask))
+        self.shortage_periods += int(np.count_nonzero(floor_mask & (block.backlog > tol)))
+        self.peak_backlog = max(self.peak_backlog, float(block.backlog.max()))
+        self.final_backlog = float(block.backlog[-1])
+        self.periods += len(block)
+
+    def result(self) -> dict:
+        n = self.periods
+        if not n:
+            raise ValueError("cannot summarize an empty run")
+        gamma, d, c, b_ex, b_co, queue, gap, utility = self.totals
+        utility /= n
+        report = self.check.report()
+        policy, seed, replication, alpha = self.echo
+        summary = {
+            "policy": policy,
+            "periods": n,
+            "seed": seed,
+            "replication": replication,
+            "alpha": alpha,
+            "mean_utility": utility if math.isfinite(utility) else None,
+            "mean_gamma": gamma / n,
+            "floor_gamma_periods": self.floor_periods,
+            "shortage_periods": self.shortage_periods,
+            "peak_backlog": self.peak_backlog,
+            "final_backlog": self.final_backlog,
+            "total_demand": d,
+            "total_served": c,
+            "mean_budget_exact": b_ex / n,
+            "mean_budget_conservative": b_co / n,
+            "mean_budget_gap": gap / n,
+            "mean_queue": queue / n,
+            "compliant": report.compliant,
+            "worst_window_average": report.worst_window_average,
+            "worst_window_start": report.worst_window_start,
+            "compliance_margin": report.margin,
+        }
+        for name, value in summary.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} overflows float64")
+        return summary
+
+
+def _run(cfg: SimConfig, replication: int, rows: int):
+    """The closed loop of ``cfg`` as consecutive ``SimTrace`` blocks of ``rows`` periods; the last may be shorter."""
     emf = cfg.emf
     policy_cls, reads = POLICY_KINDS[cfg.policy_kind]
     conservative_drive = reads == "budget_conservative"
     policy = policy_cls(emf, cfg.dpp)
     tm = TrafficModel(cfg.traffic, replication=replication)
-    # drawn before the block is allocated, so the draw's temporaries are freed first
-    demands = tm.sample_demands(cfg.horizon)
-
     exact = BudgetState(emf)
     cons = ConservativeBudgetState(emf)
-
-    block = np.empty((6, cfg.horizon), dtype=np.float64)
-    backlog_col, gamma_col, c_col, b_ex_col, b_co_col, q_col = map(memoryview, block)
 
     decide = policy.decide
     observe = policy.observe
@@ -204,44 +271,122 @@ def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:
     ex_update = exact.update
     co_update = cons.update
 
-    for i, d in enumerate(memoryview(demands)):
-        b_ex = exact.budget
-        b_co = cons.budget
-        g = decide(b_co if conservative_drive else b_ex).gamma
-        q_col[i] = policy.queue
-        c = consume(d, g)
-        observe(c)
-        ex_update(c)
-        co_update(c)
-        b_ex_col[i] = b_ex
-        b_co_col[i] = b_co
-        gamma_col[i] = g
-        c_col[i] = c
-        backlog_col[i] = tm.backlog
+    for start in range(0, cfg.horizon, rows):
+        # drawn before the block is allocated, so the draw's temporaries are freed first;
+        # the stream is sequential, so the draws of consecutive blocks are one draw
+        demands = tm.sample_demands(min(rows, cfg.horizon - start))
+        block = np.empty((6, demands.size), dtype=np.float64)
+        backlog_col, gamma_col, c_col, b_ex_col, b_co_col, q_col = map(memoryview, block)
 
-    backlog, gamma, c, budget_exact, budget_conservative, queue = block
-    return SimTrace(
-        policy_kind=cfg.policy_kind,
-        emf=emf,
-        alpha=cfg.dpp.alpha,
-        seed=cfg.traffic.seed,
-        replication=tm.replication,
-        t=np.arange(cfg.horizon, dtype=np.int64),
-        d=demands,
-        backlog=backlog,
-        gamma=gamma,
-        c=c,
-        budget_exact=budget_exact,
-        budget_conservative=budget_conservative,
-        queue=queue,
-    )
+        for i, d in enumerate(memoryview(demands)):
+            b_ex = exact.budget
+            b_co = cons.budget
+            g = decide(b_co if conservative_drive else b_ex).gamma
+            q_col[i] = policy.queue
+            c = consume(d, g)
+            observe(c)
+            ex_update(c)
+            co_update(c)
+            b_ex_col[i] = b_ex
+            b_co_col[i] = b_co
+            gamma_col[i] = g
+            c_col[i] = c
+            backlog_col[i] = tm.backlog
+
+        yield SimTrace(
+            cfg.policy_kind, emf, cfg.dpp.alpha, cfg.traffic.seed, tm.replication, demands, *block, start=start
+        )
 
 
-def _window_sums(x, w: int) -> np.ndarray:
-    """Sum of ``x`` over the ``w >= 1`` entries ending at each index, pre-history counted as zero."""
-    s = np.cumsum(x, dtype=np.float64)
-    s[w:] -= s[:-w]  # NumPy reads an overlapping operand as if it were copied before the write
-    return s
+def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:
+    """Run one closed loop; deterministic given ``(cfg, replication)``.
+
+    The demand stream is ``(cfg.traffic.seed, replication)``.
+
+    Both budgets are tracked every period regardless of which one drives the
+    policy, so any trace supports the exact-versus-conservative comparison.
+    The whole run is one block of ``run_blocks``, so the two give the same
+    columns bit for bit.
+    """
+    return next(_run(cfg, replication, cfg.horizon))
+
+
+def run_blocks(cfg: SimConfig, replication: int = 0):
+    """``run_simulation`` as consecutive ``SimTrace`` blocks of ``BLOCK_ROWS`` periods, the last one shorter."""
+    return _run(cfg, replication, BLOCK_ROWS)
+
+
+class _WindowSums:
+    """Sums of a nonnegative stream over the ``w >= 1`` entries ending at each index, pre-history counted as zero.
+
+    Called once per block, in order, it returns that block's sums. The
+    running sum continues from the last prefix of the block before, so each
+    prefix is the float one ``np.cumsum`` over the whole stream gives, and
+    each sum is the same difference of two prefixes: the block boundaries do
+    not change a bit. It keeps the last ``min(w, seen)`` prefixes. A running
+    sum that overflows float64 raises ``ValueError`` naming ``what``.
+    """
+
+    def __init__(self, w: int, what: str):
+        self.w = w
+        self.what = what
+        self.tail = np.empty(0)
+
+    def __call__(self, x) -> np.ndarray:
+        w, m = self.w, self.tail.size
+        s = np.empty(m + len(x), dtype=np.float64)
+        s[:m] = self.tail
+        s[m:] = x
+        head = s[max(m - 1, 0):]  # from the last prefix kept, if any
+        with np.errstate(over="ignore"):
+            np.cumsum(head, out=head)
+        if not s[-1] < math.inf:  # prefixes of a nonnegative stream never decrease
+            raise ValueError(f"the running sum of {self.what} overflows float64")
+        self.tail = s[-w:].copy()
+        s[w:] -= s[:-w]  # NumPy reads an overlapping operand as if it were copied before the write
+        return s[m:]
+
+
+class ComplianceCheck:
+    """The windowed-average check of ``verify_compliance``, fed consumption blocks in period order.
+
+    ``report`` gives the same verdict, bit for bit, however the trace was
+    cut into blocks: the window sums are those of ``_WindowSums`` and the
+    earliest maximum wins, as in ``np.argmax``.
+    """
+
+    def __init__(self, cfg: EmfConfig, tolerance: float = TOLERANCE):
+        _check_tolerance(tolerance)
+        self.cfg = cfg
+        self.tolerance = tolerance
+        self.sums = _WindowSums(cfg.window_w, "consumption")
+        self.periods = 0
+        self.worst = -math.inf
+        self.end = 0
+
+    def add(self, c) -> None:
+        c = np.asarray(c, dtype=np.float64)
+        _check_consumption(c)
+        if not c.size:
+            return
+        averages = self.sums(c)
+        averages /= self.cfg.window_w
+        end = int(np.argmax(averages))
+        if averages[end] > self.worst:
+            self.worst = float(averages[end])
+            self.end = self.periods + end
+        self.periods += c.size
+
+    def report(self) -> ComplianceReport:
+        if not self.periods:
+            raise ValueError("trace must be a nonempty 1-d consumption sequence")
+        cfg, worst = self.cfg, self.worst
+        return ComplianceReport(
+            compliant=bool(worst <= cfg.threshold + self.tolerance),
+            worst_window_start=max(self.end - cfg.window_w + 1, 0),
+            worst_window_average=worst,
+            margin=float(cfg.threshold - worst),
+        )
 
 
 def verify_compliance(trace, cfg: EmfConfig, tolerance: float = TOLERANCE) -> ComplianceReport:
@@ -251,23 +396,31 @@ def verify_compliance(trace, cfg: EmfConfig, tolerance: float = TOLERANCE) -> Co
     ``c`` attribute); deliberately independent of the budget trackers.
     Warm-up windows divide by the full window length, so early periods can
     only be easier to satisfy. A negative or non-finite ``tolerance`` raises
-    ``ValueError``: it would pass any trace. Limit: each windowed sum is a
-    difference of whole-trace prefix sums, so its rounding grows with the
-    horizon, while ``tolerance`` is absolute.
+    ``ValueError``: it would pass any trace. It reads the trace through
+    ``ComplianceCheck`` in ``BLOCK_ROWS``-period views, so its memory does not
+    grow with the horizon. Limit: each windowed sum is a difference of
+    whole-trace prefix sums, so its rounding grows with the horizon, while
+    ``tolerance`` is absolute.
     """
-    _check_tolerance(tolerance)
+    check = ComplianceCheck(cfg, tolerance)
     c = _consumption(trace)
-    w = cfg.window_w
-    averages = _window_sums(c, w)
-    averages /= w
-    end = int(np.argmax(averages))
-    worst = float(averages[end])
-    return ComplianceReport(
-        compliant=bool(worst <= cfg.threshold + tolerance),
-        worst_window_start=max(end - w + 1, 0),
-        worst_window_average=worst,
-        margin=float(cfg.threshold - worst),
-    )
+    for lo in range(0, c.size, BLOCK_ROWS):
+        check.add(c[lo:lo + BLOCK_ROWS])
+    return check.report()
+
+
+def _utility_sum(g: np.ndarray, alpha: float) -> float:
+    """Sum of the alpha-fair utilities of the caps ``g``; ``ValueError`` outside their domain, inf on overflow."""
+    if not np.all(g > 0.0):
+        raise ValueError("alpha-fair utility is undefined for nonpositive or NaN caps")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and nonnegative")
+    if alpha == 1.0:
+        return float(np.add.reduce(np.log(g)))
+    with np.errstate(over="ignore"):
+        u = g ** (1.0 - alpha)
+        u /= 1.0 - alpha
+        return float(np.add.reduce(u))
 
 
 def score_trace(trace, alpha: float) -> float:
@@ -275,16 +428,7 @@ def score_trace(trace, alpha: float) -> float:
     g = np.asarray(getattr(trace, "gamma", trace), dtype=np.float64)
     if g.size == 0:
         raise ValueError("cannot score an empty trace")
-    if not np.all(g > 0.0):
-        raise ValueError("alpha-fair utility is undefined for nonpositive or NaN caps")
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError("alpha must be finite and nonnegative")
-    if alpha == 1.0:
-        return float(np.mean(np.log(g)))
-    with np.errstate(over="ignore"):
-        u = g ** (1.0 - alpha)
-        u /= 1.0 - alpha
-        mean = float(np.mean(u))
+    mean = _utility_sum(g, alpha) / g.size
     if not math.isfinite(mean):
         raise ValueError(f"mean alpha-fair utility at alpha={alpha!r} overflows float64")
     return mean
@@ -302,6 +446,7 @@ def queue_zero_every_window(trace, cfg: EmfConfig, tolerance: float = 0.0) -> tu
     """
     _check_tolerance(tolerance)
     c = _consumption(trace)
+    _check_consumption(c)
     cbar = cfg.threshold
     q = 0.0
     run = 0
@@ -363,14 +508,19 @@ def sweep_v(base: SimConfig, loads, v_grid) -> list[dict]:
 
 def _all_above_fraction(c: np.ndarray, w: int, floor: float, burn_in: int) -> float:
     """Fraction of post-burn-in periods whose stored window sits entirely at or above the floor."""
+    n = c.size
     start = max(burn_in, w - 1)
-    if start >= c.size:
+    if start >= n:
         return math.nan
     if w == 1:
         return 1.0
-    # entry t - 1 counts the stored window of period t, the w - 1 periods before it
-    counts = _window_sums(c >= floor, w - 1)[start - 1 : -1]
-    return float(np.mean(counts == (w - 1)))
+    sums = _WindowSums(w - 1, "the all-above indicator")
+    full = 0
+    for lo in range(0, n, BLOCK_ROWS):
+        # entry t - 1 counts the stored window of period t, the w - 1 periods before it
+        counts = sums(c[lo:lo + BLOCK_ROWS] >= floor)[max(start - 1 - lo, 0):n - 1 - lo]
+        full += int(np.count_nonzero(counts == (w - 1)))
+    return full / (n - start)
 
 
 def compare_budgets(base: SimConfig, loads) -> list[dict]:

@@ -1,15 +1,19 @@
+import io
 import json
 import math
 import tracemalloc
+from contextlib import redirect_stdout
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from emfcap import cli, sim
 from emfcap.bench import bench_conservative_update, bench_exact_update, bench_scratch, bench_suite
 from emfcap.budget import EmfConfig
-from emfcap.cli import COMMANDS, _json_text, _read_trace_column, main
-from emfcap.sim import SimConfig, compare_budgets, run_simulation, sweep_v, verify_compliance
+from emfcap.cli import COMMANDS, _json_text, _trace_blocks, main
+from emfcap.policy import POLICY_KINDS
+from emfcap.sim import BLOCK_ROWS, SimConfig, compare_budgets, run_simulation, sweep_v, verify_compliance
 from emfcap.traffic import TrafficConfig
 
 
@@ -178,24 +182,113 @@ def test_verify_reader_error_messages_are_pinned(tmp_path, capsys):
 def test_reader_returns_a_writable_float64_column(tmp_path):
     path = tmp_path / "ok.csv"
     path.write_text("t,c\n0,0.5\n\n1,0.25\n2,1e-300\n")
-    c = _read_trace_column(str(path), "c")
-    assert c.dtype == np.float64 and c.tolist() == [0.5, 0.25, 1e-300]
-    assert c.flags.writeable
+    blocks = list(_trace_blocks(str(path), "c"))
+    assert all(c.dtype == np.float64 and c.flags.writeable for c in blocks)
+    assert np.concatenate(blocks).tolist() == [0.5, 0.25, 1e-300]
 
 
 def test_reader_holds_a_packed_column(tmp_path):
-    rows = 50_000
+    rows = 50_000  # three full blocks and a partial one
     trace = run_simulation(SimConfig(emf=EmfConfig(), traffic=TrafficConfig(load=0.5), horizon=rows))
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
+    equal, lo = True, 0
     tracemalloc.start()
     try:
-        c = _read_trace_column(str(path), "c")
+        for c in _trace_blocks(str(path), "c"):
+            equal &= np.array_equal(c, trace.c[lo:lo + c.size])
+            lo += c.size
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(c, trace.c)
+    assert equal and lo == rows
     assert peak / rows <= 16
+    # the block being filled, the one the caller holds, and array's growth slack
+    assert peak <= 24 * BLOCK_ROWS
+
+
+# ── streaming ─────────────────────────────────────────────────────────
+
+
+@pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
+def test_streamed_simulate_writes_the_api_outputs(tmp_path, capsys, kind):
+    horizon = 5 * BLOCK_ROWS // 2
+    out = tmp_path / "cli.csv"
+    assert run_cli(["simulate", "--policy", kind, "--load", "0.6", "--seed", "9",
+                    "--horizon", horizon, "--out", out]) == 0
+    trace = run_simulation(SimConfig(emf=EmfConfig(), traffic=TrafficConfig(load=0.6, seed=9),
+                                     horizon=horizon, policy_kind=kind))
+    trace.write_csv(tmp_path / "api.csv")
+    assert out.read_bytes() == (tmp_path / "api.csv").read_bytes()
+    summary = _json_text(trace.summary())
+    assert (tmp_path / "cli.summary.json").read_text() == summary
+    assert capsys.readouterr().out == summary
+
+
+def test_simulate_failing_mid_stream_leaves_nothing(tmp_path, monkeypatch, capsys):
+    real = cli.run_blocks
+
+    def fails_after_one_block(cfg, replication=0):
+        blocks = real(cfg, replication)
+        yield next(blocks)
+        raise ValueError("stopped mid-stream")
+
+    monkeypatch.setattr(sim, "BLOCK_ROWS", 8)
+    monkeypatch.setattr(cli, "run_blocks", fails_after_one_block)
+    assert run_cli(["simulate", "--horizon", "20", "--out", tmp_path / "t.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "emfcap: invalid configuration: stopped mid-stream\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_overflowing_sums_exit_2_with_the_quantity_and_write_nothing(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--C-bar", "1e306", "--horizon", "1000", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "emfcap: invalid configuration: mean_gamma overflows float64\n"
+    assert list(tmp_path.iterdir()) == []
+    trace = tmp_path / "big.csv"
+    trace.write_text("t,c\n0,1e308\n1,1e308\n2,0.5\n3,0.5\n")
+    assert run_cli(["verify", "--W", "2", "--trace", trace, "--out", tmp_path / "r.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "emfcap: invalid configuration: the running sum of consumption overflows float64\n"
+    )
+    assert list(tmp_path.iterdir()) == [trace]
+
+
+def test_output_names_up_to_the_name_limit_are_written(tmp_path, capsys):
+    stem = "a" * 236
+    assert run_cli(["simulate", "--horizon", "20", "--out", tmp_path / f"{stem}.csv"]) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == [f"{stem}.csv", f"{stem}.manifest.json", f"{stem}.summary.json"]
+    assert max(map(len, names)) == 250
+
+
+def cli_peak(argv):
+    """Peak bytes traced while the CLI runs ``argv``, stdout discarded."""
+    tracemalloc.start()
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert run_cli(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_and_verify_peaks_do_not_grow_with_the_horizon(tmp_path):
+    # imports made on a first run are not counted
+    cli_peak(["simulate", "--horizon", "10", "--out", tmp_path / "warm.csv"])
+    cli_peak(["verify", "--trace", tmp_path / "warm.csv"])
+    peaks = {}
+    for horizon in (40_000, 200_000):
+        out = tmp_path / f"t{horizon}.csv"
+        peaks[horizon] = (cli_peak(["simulate", "--horizon", horizon, "--load", "0.5", "--out", out]),
+                          cli_peak(["verify", "--trace", out]))
+    for small, large in zip(peaks[40_000], peaks[200_000]):
+        assert large <= 1.1 * small, peaks
 
 
 def test_json_output_is_strict():

@@ -3,20 +3,26 @@ import json
 import math
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from emfcap import sim
 from emfcap.budget import EmfConfig, budget_from_omega, omega_naive
 from emfcap.policy import POLICY_KINDS, DppConfig
 from emfcap.sim import (
+    BLOCK_ROWS,
+    ComplianceCheck,
     SimConfig,
     TRACE_COLUMNS,
     _all_above_fraction,
     compare_budgets,
     queue_zero_every_window,
+    run_blocks,
     run_simulation,
     score_trace,
     sweep_v,
@@ -102,6 +108,44 @@ def test_determinism_bitwise():
     b = run_simulation(make_cfg(load=0.7, horizon=400, scale=1.5, seed=5), replication=3)
     for col in ("d", "backlog", "gamma", "c", "budget_exact", "budget_conservative", "queue"):
         assert np.array_equal(getattr(a, col), getattr(b, col)), col
+
+
+STORED = ("d", "backlog", "gamma", "c", "budget_exact", "budget_conservative", "queue")
+
+
+@pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
+def test_blocks_are_the_single_block_run_cut_up(kind):
+    cfg = make_cfg(policy=kind, load=0.6, horizon=250, scale=1.5, seed=4)
+    whole = run_simulation(cfg, replication=2)
+    with mock.patch.object(sim, "BLOCK_ROWS", 100):
+        blocks = list(run_blocks(cfg, replication=2))
+    assert [(b.start, len(b)) for b in blocks] == [(0, 100), (100, 100), (200, 50)]
+    for col in STORED + ("t", "clamped_low", "clamped_high"):
+        joined = np.concatenate([getattr(b, col) for b in blocks])
+        assert joined.dtype == getattr(whole, col).dtype and np.array_equal(joined, getattr(whole, col)), col
+    assert all((b.policy_kind, b.emf, b.alpha, b.seed, b.replication) == (kind, EMF, 1.0, 4, 2) for b in blocks)
+
+
+def test_summary_across_blocks_keeps_counts_and_moves_means_by_at_most_rounding():
+    trace = run_simulation(make_cfg(policy="greedy_exact", load=0.9, horizon=3000, scale=2.0, seed=3))
+    one = trace.summary()
+    with mock.patch.object(sim, "BLOCK_ROWS", 7):
+        many = trace.summary()
+    assert one.keys() == many.keys()
+    for key, value in one.items():
+        if key.startswith(("mean_", "total_")) and value is not None:
+            assert many[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+        else:
+            assert repr(many[key]) == repr(value), key
+
+
+def test_summary_overflow_names_the_quantity():
+    emf = EmfConfig(window_w=10, threshold=1e306, guaranteed_ratio=0.15)
+    trace = run_simulation(make_cfg(load=0.2, horizon=1000, scale=2.5e305, emf=emf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^(mean|total)_\w+ overflows float64$"):
+            trace.summary()
 
 
 def test_every_policy_is_compliant_and_respects_bounds():
@@ -272,6 +316,45 @@ def test_all_above_fraction_is_the_prefix_gather_formula_bit_for_bit(units, scal
     floor = 0.15 * scale
     expected = gathered_all_above_fraction(c, w, floor, burn_in)
     assert repr(_all_above_fraction(c, w, floor, burn_in)) == repr(expected)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    units=UNIT_SEQUENCES,
+    scale=st.sampled_from([1.0, 731.3]),
+    w=WINDOWS,
+    burn_in=st.integers(0, 130),
+    rows=st.integers(1, 17),
+)
+def test_window_checks_across_blocks_are_the_whole_array_formula(units, scale, w, burn_in, rows):
+    c = np.array(units) * scale
+    floor = 0.15 * scale
+    worst, start = gathered_worst_window(c, w)
+    expected = gathered_all_above_fraction(c, w, floor, burn_in)
+    with mock.patch.object(sim, "BLOCK_ROWS", rows):
+        report = verify_compliance(c, EmfConfig(window_w=w, threshold=scale))
+        fraction = _all_above_fraction(c, w, floor, burn_in)
+    assert repr(report.worst_window_average) == repr(worst)
+    assert report.worst_window_start == start
+    assert repr(fraction) == repr(expected)
+
+
+def test_compliance_check_skips_empty_blocks():
+    c = np.array([0.5, 2.0, 0.0, 1.0, 0.25])
+    check = ComplianceCheck(EmfConfig(window_w=2))
+    for part in ([], c[:1], [], c[1:4], [], c[4:]):
+        check.add(part)
+    assert check.report() == verify_compliance(c, EmfConfig(window_w=2))
+
+
+def test_window_sum_overflow_is_a_value_error():
+    c = np.array([1e308, 1e308, 0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in (BLOCK_ROWS, 1):
+            with mock.patch.object(sim, "BLOCK_ROWS", rows):
+                with pytest.raises(ValueError, match="running sum of consumption overflows float64"):
+                    verify_compliance(c, EmfConfig(window_w=2))
 
 
 # ── scoring ───────────────────────────────────────────────────────────
@@ -540,24 +623,26 @@ def traced_peak(fn, *args):
 
 @pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
 def test_run_peak_memory_is_the_trace_itself(kind):
-    # the trace keeps 64 B/period: t, d and six float64 rows of one block
+    # the trace keeps 56 B/period: d and six float64 rows of one block; t is derived
     horizon = 200_000
     run_simulation(make_cfg(policy=kind, horizon=10))  # imports made on a first run are not counted
     trace, peak = traced_peak(run_simulation, make_cfg(policy=kind, load=0.5, horizon=horizon))
     assert len(trace) == horizon
-    assert peak / horizon <= 72
+    assert peak / horizon <= 64
 
 
-def test_summary_and_verifier_peak_memory_is_two_float_columns():
-    # the window sums plus NumPy's buffered copy of their overlapping operand: 16 B/period
+def test_summary_and_verifier_peak_memory_is_one_block():
+    # per block: the window sums, NumPy's buffered copy of their overlapping
+    # operand and the masks; about 16 B per block row, whatever the horizon
     horizon = 200_000
+    assert horizon > 12 * BLOCK_ROWS
     trace = run_simulation(make_cfg(load=0.5, horizon=horizon))
     trace.summary()  # imports made on a first call are not counted
     for alpha in (1.0, 0.5):
         _, peak = traced_peak(replace(trace, alpha=alpha).summary)
-        assert peak / horizon <= 17
+        assert peak <= 20 * BLOCK_ROWS
     _, peak = traced_peak(verify_compliance, trace.c, trace.emf)
-    assert peak / horizon <= 17
+    assert peak <= 20 * BLOCK_ROWS
 
 
 def test_csv_writer_holds_one_block_at_a_time():

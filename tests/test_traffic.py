@@ -136,3 +136,11 @@ def test_negative_replication_rejected():
     assert TrafficModel(TrafficConfig(seed=0), replication=2.0).replication == 2
     trace = run_simulation(SimConfig(EmfConfig(10, 1.0, 0.15), TrafficConfig(seed=0), horizon=5), replication=2.0)
     assert type(trace.replication) is int and trace.replication == 2
+
+
+def test_piecewise_draws_are_one_draw():
+    cfg = TrafficConfig(load=0.4, seed=11)
+    whole = TrafficModel(cfg, replication=3).sample_demands(1000)
+    tm = TrafficModel(cfg, replication=3)
+    pieces = [tm.sample_demands(k) for k in (1, 0, 300, 17, 682)]
+    assert np.array_equal(np.concatenate(pieces), whole)
