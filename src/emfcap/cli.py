@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .bench import bench_suite
+from .bench import UPDATES, W_GRID, bench_suite
 from .budget import EmfConfig, as_int
 from .output import commit, csv_chunks
 from .policy import POLICY_KINDS, DppConfig
@@ -154,8 +154,8 @@ PARAMS = {
     "v_grid": Param(
         _grid(_real), [1.0, 2.0, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0], "comma list of utility weights"
     ),
-    "w_grid": Param(_grid(_integer), [10, 100, 1000, 10000], "comma list of window lengths"),
-    "updates": Param(_at_least(1, _integer), 100000, "timed updates per constant-time subject"),
+    "w_grid": Param(_grid(_integer), list(W_GRID), "comma list of window lengths"),
+    "updates": Param(_at_least(1, _integer), UPDATES, "timed updates per constant-time subject"),
     "c_bar_dbm": Param(
         _real, None, "display-only dBm value of the threshold; adds a dBm block to the summary"
     ),
@@ -332,8 +332,9 @@ def _trace_blocks(path: str, column: str):
                     raise CliError(
                         f"{path}: row {lineno}, column {column!r}: not a number: {raw!r}"
                     ) from exc
-                if not math.isfinite(value):
-                    raise CliError(f"{path}: row {lineno}, column {column!r}: not finite: {raw!r}")
+                if not 0.0 <= value < math.inf:  # the library's rule for consumption
+                    problem = "negative" if -math.inf < value < 0.0 else "not finite"
+                    raise CliError(f"{path}: row {lineno}, column {column!r}: {problem}: {raw!r}")
                 values.append(value)
                 if len(values) == BLOCK_ROWS:
                     yield np.frombuffer(values)
@@ -353,7 +354,10 @@ def cmd_verify(cfg: dict) -> tuple[int, str, list]:
         raise CliError("--trace is required")
     check = ComplianceCheck(_config(EmfConfig, cfg), tolerance=cfg["tolerance"])
     for c in _trace_blocks(cfg["trace"], "c"):
-        check.add(c)
+        try:
+            check.add(c)
+        except ValueError as exc:  # the trace's sums overflow; the configuration is fine
+            raise CliError(f"{cfg['trace']}: {exc}") from exc
     report = check.report().as_dict()
     text = _json_text(report)
     files = [("report_json", Path(cfg["out"]), text)] if cfg["out"] else []

@@ -47,6 +47,12 @@ class TrafficConfig:
             raise ValueError("zipf_support must be >= 1")
         if not 0.0 < self.demand_scale < math.inf:
             raise ValueError("demand_scale must be positive and finite")
+        try:
+            largest = self.demand_scale * self.zipf_support
+        except OverflowError:  # a support too large to convert to float
+            largest = math.inf
+        if not largest < math.inf:
+            raise ValueError("the largest demand, demand_scale * zipf_support, must be finite")
         if not 0 <= self.seed <= _MAX_SEED:
             raise ValueError("seed must be a 64-bit unsigned integer")
 

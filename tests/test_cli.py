@@ -1,7 +1,9 @@
+import inspect
 import io
 import json
 import math
 import tracemalloc
+import warnings
 from contextlib import redirect_stdout
 from dataclasses import replace
 
@@ -164,6 +166,7 @@ READER_ERRORS = {
     "t,c\n0,0.5\n1,\n": "{path}: row 3: empty 'c' cell",
     "c\n0.5\nnan\n": "{path}: row 3, column 'c': not finite: 'nan'",
     "c\n0.5\n-inf\n": "{path}: row 3, column 'c': not finite: '-inf'",
+    "t,c\n0,0.5\n1,-0.25\n": "{path}: row 3, column 'c': negative: '-0.25'",
     "c\n": "{path}: no data rows",
     "c\n\n\n": "{path}: no data rows",
 }
@@ -253,10 +256,22 @@ def test_overflowing_sums_exit_2_with_the_quantity_and_write_nothing(tmp_path, c
     assert run_cli(["verify", "--W", "2", "--trace", trace, "--out", tmp_path / "r.json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "emfcap: invalid configuration: the running sum of consumption overflows float64\n"
-    )
+    assert captured.err == f"emfcap: error: {trace}: the running sum of consumption overflows float64\n"
     assert list(tmp_path.iterdir()) == [trace]
+
+
+def test_an_overflowing_largest_demand_exits_2_before_any_draw(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", RuntimeWarning)  # a warning would print to stderr
+        for horizon in ("1000", "5"):
+            assert run_cli(["simulate", "--horizon", horizon, "--demand-scale", "1e308", "--out", out]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "emfcap: invalid configuration: the largest demand, demand_scale * zipf_support, must be finite\n"
+            )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_output_names_up_to_the_name_limit_are_written(tmp_path, capsys):
@@ -468,6 +483,15 @@ def test_bench_small_grid_shape(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "algorithm,workload,window_w,updates,p50_ns,p99_ns"
     assert len(lines) == 11
+
+
+def test_bench_defaults_live_in_the_bench_module():
+    from emfcap.bench import UPDATES, W_GRID
+
+    assert cli.PARAMS["updates"].default is UPDATES
+    assert cli.PARAMS["w_grid"].default == list(W_GRID)  # _grid accepts a list, not a tuple
+    for bench in (bench_suite, bench_scratch, bench_exact_update, bench_conservative_update):
+        assert inspect.signature(bench).parameters["updates"].default is UPDATES, bench.__name__
 
 
 def test_bench_rejects_bad_updates(tmp_path):

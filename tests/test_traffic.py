@@ -30,6 +30,11 @@ def test_config_validation():
         TrafficConfig(seed=-1)
     with pytest.raises(ValueError):
         TrafficConfig(seed=2**64)
+    # demand_scale * zipf_support is the largest demand sample_demands can return
+    assert TrafficConfig(demand_scale=1e307, zipf_support=10).demand_scale == 1e307
+    for support in (20, 10**400):  # the second is too large to convert to float
+        with pytest.raises(ValueError, match="largest demand"):
+            TrafficConfig(demand_scale=1e307, zipf_support=support)
 
 
 def test_integer_fields_must_be_integral():
