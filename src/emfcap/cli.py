@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import sys
-from array import array
+from itertools import islice
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, NamedTuple
@@ -49,6 +48,7 @@ from .sim import (
     compare_budgets,
     run_blocks,
     sweep_v,
+    trace_csv,
 )
 from .traffic import TrafficConfig
 
@@ -177,7 +177,7 @@ def _reject_constant(name: str):
 
 def _load_config_file(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
@@ -254,7 +254,7 @@ def _emit_table(cfg: dict, rows: list[dict]) -> tuple[int, str, list]:
     text = _json_text(rows)
     columns = tuple(rows[0])
     return 0, text, [
-        ("table_csv", out, csv_chunks(columns, [[row[c] for row in rows] for c in columns])),
+        ("table_csv", out, csv_chunks(columns, [[[row[c] for row in rows] for c in columns]])),
         ("table_json", _sibling(out, ".json"), text),
     ]
 
@@ -272,15 +272,11 @@ def cmd_simulate(cfg: dict) -> tuple[int, Callable, list]:
     sim_cfg = _build_sim_config(cfg)
     fold = RunSummary(cfg["tolerance"])
 
-    def trace_chunks():
+    def folded_blocks():
         for block in run_blocks(sim_cfg):
             fold.add(block)
-            chunks = block.csv_chunks()
-            if block.start:
-                next(chunks)  # the header, written once before period 0
-            yield from chunks
+            yield block
 
-    @functools.cache
     def summary_text() -> str:
         summary = fold.result()
         if cfg["c_bar_dbm"] is not None:
@@ -296,7 +292,7 @@ def cmd_simulate(cfg: dict) -> tuple[int, Callable, list]:
 
     out = Path(cfg["out"])
     return 0, summary_text, [
-        ("trace_csv", out, trace_chunks()),
+        ("trace_csv", out, trace_csv(folded_blocks())),
         ("summary_json", _sibling(out, ".summary.json"), _later(summary_text)),
     ]
 
@@ -306,43 +302,43 @@ def _later(text: Callable):
     yield text()
 
 
+def _trace_values(path: str, column: str, fh):
+    """The ``column`` cells of the trace CSV ``fh`` as floats in file order; ``CliError`` names a bad cell's row."""
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    if column not in header:
+        raise CliError(f"{path}: missing required column {column!r} in header")
+    index = header.index(column)
+    lineno = 1
+    # blank lines are skipped and not counted in the row numbers
+    for lineno, row in enumerate(filter(None, reader), start=2):
+        raw = row[index] if index < len(row) else ""
+        if raw == "":
+            raise CliError(f"{path}: row {lineno}: empty {column!r} cell")
+        try:
+            value = float(raw)
+        except ValueError as exc:
+            raise CliError(f"{path}: row {lineno}, column {column!r}: not a number: {raw!r}") from exc
+        if not 0.0 <= value < math.inf:  # the library's rule for consumption
+            problem = "negative" if -math.inf < value < 0.0 else "not finite"
+            raise CliError(f"{path}: row {lineno}, column {column!r}: {problem}: {raw!r}")
+        yield value
+    if lineno == 1:
+        raise CliError(f"{path}: no data rows")
+
+
 def _trace_blocks(path: str, column: str):
-    """The ``column`` of the trace CSV at ``path``, as float64 arrays of up to ``BLOCK_ROWS`` rows in file order.
+    """The ``column`` of the trace CSV at ``path`` as float64 blocks of ``BLOCK_ROWS`` rows, the last one shorter.
 
     Each block is read packed, at 8 B a row, and only when the one before
-    has been taken.
+    has been taken. The file is read as UTF-8, after a byte-order mark if it
+    starts with one.
     """
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            if column not in header:
-                raise CliError(f"{path}: missing required column {column!r} in header")
-            index = header.index(column)
-            values = array("d")
-            read = False  # whether a full block has been yielded
-            # blank lines are skipped and not counted in the row numbers
-            for lineno, row in enumerate(filter(None, reader), start=2):
-                raw = row[index] if index < len(row) else ""
-                if raw == "":
-                    raise CliError(f"{path}: row {lineno}: empty {column!r} cell")
-                try:
-                    value = float(raw)
-                except ValueError as exc:
-                    raise CliError(
-                        f"{path}: row {lineno}, column {column!r}: not a number: {raw!r}"
-                    ) from exc
-                if not 0.0 <= value < math.inf:  # the library's rule for consumption
-                    problem = "negative" if -math.inf < value < 0.0 else "not finite"
-                    raise CliError(f"{path}: row {lineno}, column {column!r}: {problem}: {raw!r}")
-                values.append(value)
-                if len(values) == BLOCK_ROWS:
-                    yield np.frombuffer(values)
-                    values, read = array("d"), True
-            if values:
-                yield np.frombuffer(values)
-            elif not read:
-                raise CliError(f"{path}: no data rows")
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            values = _trace_values(path, column, fh)
+            while (block := np.fromiter(islice(values, BLOCK_ROWS), np.float64)).size:
+                yield block
     except OSError as exc:
         raise CliError(f"cannot read trace: {exc}") from exc
     except UnicodeDecodeError as exc:

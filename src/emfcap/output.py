@@ -70,13 +70,7 @@ def commit(files) -> None:
 def _cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _column_cells(values) -> list[str]:
@@ -89,16 +83,17 @@ def _column_cells(values) -> list[str]:
     return list(map(_cell, values))
 
 
-def csv_chunks(names, columns):
-    """CSV with a header and one LF-terminated line per row, built from equal-length columns.
+def csv_chunks(names, blocks):
+    """CSV with a header and one LF-terminated line per row, built from blocks of equal-length columns.
 
-    Floats are written by ``repr`` (shortest round-trip form), integers in
-    decimal, booleans as ``0``/``1`` and ``None`` as an empty cell. Yields
-    the header line, then one chunk per block of rows, so no block's strings
-    outlive it; pass the generator to ``commit``.
+    Each of ``blocks`` is a list of columns, one per name. Floats are written
+    by ``repr`` (shortest round-trip form), integers in decimal, booleans as
+    ``0``/``1`` and ``None`` as an empty cell. Yields the header line once,
+    then one chunk per ``_CHUNK_ROWS`` rows of each block, so no chunk's
+    strings outlive it; pass the generator to ``commit``.
     """
     yield ",".join(names) + "\n"
-    n = len(columns[0]) if columns else 0
-    for lo in range(0, n, _CHUNK_ROWS):
-        cells = [_column_cells(col[lo:lo + _CHUNK_ROWS]) for col in columns]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+    for columns in blocks:
+        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+            cells = [_column_cells(col[lo:lo + _CHUNK_ROWS]) for col in columns]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"

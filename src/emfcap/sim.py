@@ -4,10 +4,10 @@ The per-period order is fixed: read both budgets, let the policy pick a cap,
 serve demand against that cap, then feed the realized consumption back into
 the virtual queue and both budget trackers. Everything downstream, the
 compliance verifier, the fairness score, the queue-weight sweep and the
-budget-gap comparison, consumes the recorded trace. The loop, the summary
-and the window check also run block by block (``run_blocks``,
-``RunSummary``, ``ComplianceCheck``), so a run can be written and checked in
-memory that does not grow with its horizon.
+budget-gap comparison, consumes the recorded trace. The loop, the trace CSV,
+the summary and the window check also run block by block (``run_blocks``,
+``trace_csv``, ``RunSummary``, ``ComplianceCheck``), so a run can be written
+and checked in memory that does not grow with its horizon.
 """
 
 from __future__ import annotations
@@ -155,13 +155,18 @@ class SimTrace:
                              **{name: getattr(self, name)[lo:lo + BLOCK_ROWS] for name in _STORED_COLUMNS}))
         return fold.result()
 
-    def csv_chunks(self):
-        """The trace CSV in chunks: one row per period, numeric columns only, LF line endings."""
-        return csv_chunks(TRACE_COLUMNS, [getattr(self, name) for name in TRACE_COLUMNS])
-
     def write_csv(self, path) -> None:
-        """Write ``csv_chunks`` to ``path`` through ``output.commit``."""
-        commit([(path, self.csv_chunks())])
+        """Write ``trace_csv([self])`` to ``path`` through ``output.commit``."""
+        commit([(path, trace_csv([self]))])
+
+
+def trace_csv(blocks):
+    """The ``csv_chunks`` of the ``TRACE_COLUMNS`` of consecutive ``SimTrace`` blocks of one run.
+
+    A block is read once the rows before it are written, so
+    ``trace_csv(run_blocks(cfg))`` streams the bytes of ``trace_csv([run_simulation(cfg)])``.
+    """
+    return csv_chunks(TRACE_COLUMNS, ([getattr(b, name) for name in TRACE_COLUMNS] for b in blocks))
 
 
 # the columns a ``SimTrace`` stores, and those whose totals ``RunSummary`` folds, in its unpacking order
@@ -185,6 +190,10 @@ class RunSummary:
     whole-trace float, beyond it the last bit can move. A total or mean that
     overflows float64 raises ``ValueError`` naming it; ``mean_utility`` is
     null instead, as when a cap lies outside the utility's domain.
+
+    The first block may start at any period. A later one that does not start
+    where the one before ended, or whose policy, seed, replication, ``alpha``
+    or ``emf`` differs from the first's, raises ``ValueError``.
     """
 
     def __init__(self, tolerance: float = TOLERANCE):
@@ -195,12 +204,15 @@ class RunSummary:
         self.floor_periods = 0
         self.shortage_periods = 0
         self.peak_backlog = -math.inf
-        self.echo = self.check = self.final_backlog = None
+        self.echo = self.check = self.start = self.final_backlog = None
 
     def add(self, block: SimTrace) -> None:
+        echo = (block.policy_kind, int(block.seed), int(block.replication), float(block.alpha), block.emf)
         if self.echo is None:
-            self.echo = (block.policy_kind, int(block.seed), int(block.replication), float(block.alpha))
+            self.echo, self.start = echo, block.start
             self.check = ComplianceCheck(block.emf, self.tolerance)
+        elif echo != self.echo or block.start != self.start + self.periods:
+            raise ValueError(f"the block at period {block.start} does not continue the run folded so far")
         tol = self.tolerance
         self.check.add(block.c)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -225,7 +237,7 @@ class RunSummary:
         gamma, d, c, b_ex, b_co, queue, gap, utility = self.totals
         utility /= n
         report = self.check.report()
-        policy, seed, replication, alpha = self.echo
+        policy, seed, replication, alpha, _ = self.echo
         summary = {
             "policy": policy,
             "periods": n,
@@ -352,7 +364,9 @@ class ComplianceCheck:
 
     ``report`` gives the same verdict, bit for bit, however the trace was
     cut into blocks: the window sums are those of ``_WindowSums`` and the
-    earliest maximum wins, as in ``np.argmax``.
+    earliest maximum wins, as in ``np.argmax``. ``add`` raises
+    ``ValueError``, as ``verify_compliance`` does, for a block that is not
+    1-d or holds a negative or non-finite value; an empty block is skipped.
     """
 
     def __init__(self, cfg: EmfConfig, tolerance: float = TOLERANCE):
@@ -366,6 +380,8 @@ class ComplianceCheck:
 
     def add(self, c) -> None:
         c = np.asarray(c, dtype=np.float64)
+        if c.ndim != 1:
+            raise ValueError("trace must be a nonempty 1-d consumption sequence")
         _check_consumption(c)
         if not c.size:
             return

@@ -190,6 +190,41 @@ def test_reader_returns_a_writable_float64_column(tmp_path):
     assert np.concatenate(blocks).tolist() == [0.5, 0.25, 1e-300]
 
 
+def test_reader_yields_full_blocks_then_the_remainder(tmp_path):
+    path = tmp_path / "ok.csv"
+    for rows, sizes in ((BLOCK_ROWS, [BLOCK_ROWS]), (2 * BLOCK_ROWS + 3, [BLOCK_ROWS, BLOCK_ROWS, 3])):
+        path.write_text("c\n" + "".join(f"{i % 7 / 8}\n" for i in range(rows)))
+        blocks = list(_trace_blocks(str(path), "c"))
+        assert [c.size for c in blocks] == sizes
+        assert np.concatenate(blocks).tolist() == [i % 7 / 8 for i in range(rows)]
+
+
+def test_reader_names_the_row_of_a_bad_cell_in_a_later_block(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    lines = ["0.5"] * (2 * BLOCK_ROWS)
+    lines[BLOCK_ROWS + 3] = "-0.5"  # the header is row 1
+    path.write_text("c\n" + "\n".join(lines) + "\n")
+    assert run_cli(["verify", "--trace", path, "--out", tmp_path / "r.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"emfcap: error: {path}: row {BLOCK_ROWS + 5}, column 'c': negative: '-0.5'\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_trace_may_start_with_a_utf8_byte_order_mark(tmp_path, capsys):
+    trace = tmp_path / "bom.csv"
+    trace.write_bytes(b"\xef\xbb\xbfc\r\n0.5\r\n0.25\r\n")
+    assert run_cli(["verify", "--W", "2", "--trace", trace]) == 0
+    assert json.loads(capsys.readouterr().out) == verify_compliance([0.5, 0.25], EmfConfig(window_w=2)).as_dict()
+
+
+def test_config_file_may_start_with_a_utf8_byte_order_mark(tmp_path):
+    cfg = tmp_path / "bom.json"
+    cfg.write_bytes(b'\xef\xbb\xbf{"horizon": 50}')
+    assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "t.csv"]) == 0
+    assert read_json(tmp_path / "t.summary.json")["periods"] == 50
+
+
 def test_reader_holds_a_packed_column(tmp_path):
     rows = 50_000  # three full blocks and a partial one
     trace = run_simulation(SimConfig(emf=EmfConfig(), traffic=TrafficConfig(load=0.5), horizon=rows))
@@ -206,7 +241,7 @@ def test_reader_holds_a_packed_column(tmp_path):
         tracemalloc.stop()
     assert equal and lo == rows
     assert peak / rows <= 16
-    # the block being filled, the one the caller holds, and array's growth slack
+    # the block being filled, the one the caller holds, and np.fromiter's growth slack
     assert peak <= 24 * BLOCK_ROWS
 
 

@@ -17,6 +17,7 @@ from emfcap.policy import POLICY_KINDS, DppConfig
 from emfcap.sim import (
     BLOCK_ROWS,
     ComplianceCheck,
+    RunSummary,
     SimConfig,
     TRACE_COLUMNS,
     _all_above_fraction,
@@ -26,6 +27,7 @@ from emfcap.sim import (
     run_simulation,
     score_trace,
     sweep_v,
+    trace_csv,
     verify_compliance,
 )
 from emfcap.traffic import TrafficConfig
@@ -124,6 +126,7 @@ def test_blocks_are_the_single_block_run_cut_up(kind):
         joined = np.concatenate([getattr(b, col) for b in blocks])
         assert joined.dtype == getattr(whole, col).dtype and np.array_equal(joined, getattr(whole, col)), col
     assert all((b.policy_kind, b.emf, b.alpha, b.seed, b.replication) == (kind, EMF, 1.0, 4, 2) for b in blocks)
+    assert "".join(trace_csv(blocks)) == "".join(trace_csv([whole]))
 
 
 def test_summary_across_blocks_keeps_counts_and_moves_means_by_at_most_rounding():
@@ -345,6 +348,41 @@ def test_compliance_check_skips_empty_blocks():
     for part in ([], c[:1], [], c[1:4], [], c[4:]):
         check.add(part)
     assert check.report() == verify_compliance(c, EmfConfig(window_w=2))
+
+
+@pytest.mark.parametrize("block", [0.5, [[0.5, 0.25], [0.0, 1.0]]], ids=["0-d", "2-d"])
+def test_compliance_check_rejects_a_block_that_is_not_1d(block):
+    check = ComplianceCheck(EmfConfig(window_w=2))
+    check.add([0.5, 0.25])
+    with pytest.raises(ValueError, match="trace must be a nonempty 1-d consumption sequence"):
+        check.add(block)
+    assert check.report() == verify_compliance([0.5, 0.25], EmfConfig(window_w=2))
+
+
+@pytest.mark.parametrize("change", [
+    {},  # the same periods again
+    {"start": 51},
+    {"start": 50, "emf": EmfConfig(window_w=3)},
+    {"start": 50, "policy_kind": "greedy_exact"},
+    {"start": 50, "seed": 1},
+    {"start": 50, "replication": 1},
+    {"start": 50, "alpha": 0.5},
+], ids=["repeat", "gap", "emf", "policy", "seed", "replication", "alpha"])
+def test_run_summary_rejects_a_block_that_does_not_continue_the_run(change):
+    trace = run_simulation(make_cfg(load=0.6, horizon=50))
+    fold = RunSummary()
+    fold.add(trace)
+    with pytest.raises(ValueError, match="does not continue the run folded so far"):
+        fold.add(replace(trace, **change))
+    assert fold.result() == trace.summary()
+
+
+def test_run_summary_starts_anywhere_and_continues_where_the_last_block_ended():
+    trace = run_simulation(make_cfg(load=0.6, horizon=50))
+    fold = RunSummary()
+    fold.add(replace(trace, start=50))
+    fold.add(replace(trace, start=100))
+    assert fold.result()["periods"] == 100
 
 
 def test_window_sum_overflow_is_a_value_error():
@@ -647,5 +685,5 @@ def test_summary_and_verifier_peak_memory_is_one_block():
 
 def test_csv_writer_holds_one_block_at_a_time():
     trace = run_simulation(make_cfg(load=0.5, horizon=20_000))
-    _, peak = traced_peak(lambda: sum(map(len, trace.csv_chunks())))
+    _, peak = traced_peak(lambda: sum(map(len, trace_csv([trace]))))
     assert peak <= 2 * 2**20
