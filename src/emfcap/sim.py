@@ -193,7 +193,8 @@ class RunSummary:
 
     The first block may start at any period. A later one that does not start
     where the one before ended, or whose policy, seed, replication, ``alpha``
-    or ``emf`` differs from the first's, raises ``ValueError``.
+    or ``emf`` differs from the first's, raises ``ValueError``. An empty block
+    is skipped, as in ``ComplianceCheck``.
     """
 
     def __init__(self, tolerance: float = TOLERANCE):
@@ -207,6 +208,8 @@ class RunSummary:
         self.echo = self.check = self.start = self.final_backlog = None
 
     def add(self, block: SimTrace) -> None:
+        if not len(block):
+            return
         echo = (block.policy_kind, int(block.seed), int(block.replication), float(block.alpha), block.emf)
         if self.echo is None:
             self.echo, self.start = echo, block.start
@@ -480,14 +483,30 @@ def queue_zero_every_window(trace, cfg: EmfConfig, tolerance: float = 0.0) -> tu
     return longest <= cfg.window_w - 1, longest
 
 
+def _replicated(cfg: SimConfig, measure) -> np.ndarray:
+    """``measure`` of each of the ``cfg.replications`` runs of ``cfg``, in replication order.
+
+    The one loop over replications. Run ``r`` draws the demand stream
+    ``(cfg.traffic.seed, r)``, whatever the policy, so configs that differ
+    only in their policy are measured on paired demand.
+    """
+    return np.array([measure(run_simulation(cfg, replication=r)) for r in range(cfg.replications)])
+
+
+def _per_load(base: SimConfig, loads, policy_kind: str) -> list[SimConfig]:
+    """``base`` running ``policy_kind`` at each of ``loads``; a load outside [0, 1] raises ``ValueError``."""
+    return [replace(base, traffic=replace(base.traffic, load=load), policy_kind=policy_kind) for load in loads]
+
+
 def sweep_v(base: SimConfig, loads, v_grid) -> list[dict]:
     """Best queue weight per load, scored by mean fairness across ``base.replications`` paired runs.
 
     Every (load, replication) pair reuses the identical demand realization
     across the whole weight grid, so grid points differ only through the
-    policy. Ties resolve toward the smaller weight. A zero floor raises
-    ``ValueError`` before the first run: the controller may then grant a zero
-    cap, which has no fairness score.
+    policy. Ties resolve toward the smaller weight. Every (load, weight)
+    config is built before the first run, so a load or weight out of range
+    raises ``ValueError`` without simulating; so does a zero floor, with
+    which the controller may grant a zero cap, which has no fairness score.
     """
     loads = [float(x) for x in loads]
     vs = sorted(float(v) for v in v_grid)
@@ -495,30 +514,15 @@ def sweep_v(base: SimConfig, loads, v_grid) -> list[dict]:
         raise ValueError("loads and v_grid must be nonempty")
     if base.emf.floor == 0.0:
         raise ValueError(f"the weight sweep needs guaranteed_ratio > 0, got {base.emf.guaranteed_ratio!r}")
+    grid = [[replace(cfg, dpp=replace(cfg.dpp, v_weight=v)) for v in vs] for cfg in _per_load(base, loads, "dpp_exact")]
     reps = base.replications
     rows = []
-    for load in loads:
-        traffic = replace(base.traffic, load=load)
-        scores = np.empty((len(vs), reps), dtype=np.float64)
-        for j, v in enumerate(vs):
-            cfg = replace(base, traffic=traffic, dpp=replace(base.dpp, v_weight=v), policy_kind="dpp_exact")
-            for r in range(reps):
-                trace = run_simulation(cfg, replication=r)
-                scores[j, r] = score_trace(trace.gamma, cfg.dpp.alpha)
+    for load, cfgs in zip(loads, grid):
+        scores = np.array([_replicated(cfg, lambda trace: score_trace(trace.gamma, base.dpp.alpha)) for cfg in cfgs])
         means = scores.mean(axis=1)
         best = int(np.argmax(means))  # the first maximum, so ties go to the smaller weight
-        if reps > 1:
-            half = 1.96 * float(scores[best].std(ddof=1)) / math.sqrt(reps)
-        else:
-            half = 0.0
-        rows.append(
-            {
-                "load": load,
-                "v_star": vs[best],
-                "mean_score": float(means[best]),
-                "ci_half_width": half,
-            }
-        )
+        half = 1.96 * float(scores[best].std(ddof=1)) / math.sqrt(reps) if reps > 1 else 0.0
+        rows.append({"load": load, "v_star": vs[best], "mean_score": float(means[best]), "ci_half_width": half})
     return rows
 
 
@@ -545,38 +549,23 @@ def compare_budgets(base: SimConfig, loads) -> list[dict]:
     ``all_above_frac`` reports how often, after a burn-in of
     ``min(5 * window_w, horizon // 2)`` periods, the whole stored window
     cleared the floor; it is 1.0 exactly in the saturated regime where the
-    two budgets coincide.
+    two budgets coincide. Every load's config is built before the first run,
+    so a load out of range raises ``ValueError`` without simulating.
     """
     loads = [float(x) for x in loads]
     if not loads:
         raise ValueError("loads must be nonempty")
-    reps = base.replications
-    w = base.emf.window_w
-    floor = base.emf.floor
+    cfgs = _per_load(base, loads, "greedy_exact")
+    w, floor = base.emf.window_w, base.emf.floor
     burn = min(5 * w, base.horizon // 2)
+
+    def measure(trace):
+        return trace.budget_exact.mean(), trace.budget_conservative.mean(), _all_above_fraction(trace.c, w, floor, burn)
+
     rows = []
-    for load in loads:
-        cfg = replace(base, traffic=replace(base.traffic, load=load), policy_kind="greedy_exact")
-        mean_ex = np.empty(reps)
-        mean_co = np.empty(reps)
-        fracs = np.empty(reps)
-        for r in range(reps):
-            trace = run_simulation(cfg, replication=r)
-            mean_ex[r] = trace.budget_exact.mean()
-            mean_co[r] = trace.budget_conservative.mean()
-            fracs[r] = _all_above_fraction(trace.c, w, floor, burn)
-        ex = float(mean_ex.mean())
-        co = float(mean_co.mean())
-        frac = float(fracs.mean())
-        rows.append(
-            {
-                "load": load,
-                "mean_budget_exact": ex,
-                "mean_budget_conservative": co,
-                "mean_gap": ex - co,
-                # undefined for horizons shorter than the burn-in; null keeps
-                # the JSON emission strict
-                "all_above_frac": None if math.isnan(frac) else frac,
-            }
-        )
+    for load, cfg in zip(loads, cfgs):
+        ex, co, frac = (float(column.mean()) for column in _replicated(cfg, measure).T)
+        # all_above_frac is undefined for a horizon shorter than the window; null keeps the JSON emission strict
+        rows.append({"load": load, "mean_budget_exact": ex, "mean_budget_conservative": co, "mean_gap": ex - co,
+                     "all_above_frac": None if math.isnan(frac) else frac})
     return rows

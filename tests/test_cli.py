@@ -445,6 +445,19 @@ def test_sweep_v_zero_floor_exits_2_before_simulating(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, loads", [("sweep-v", "0.2,1.5"), ("compare-budgets", "0.2,-1")])
+def test_a_bad_last_load_exits_2_before_simulating(tmp_path, capsys, monkeypatch, command, loads):
+    def run_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the whole grid was checked")
+
+    monkeypatch.setattr(sim, "run_simulation", run_simulation)
+    assert run_cli([command, "--loads", loads, "--out", tmp_path / "late.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "emfcap: invalid configuration: load must lie in [0, 1]\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_v_with_an_overflowing_score_exits_2_and_writes_nothing(tmp_path, capsys):
     # at alpha 1000 a cap below about 0.49 overflows the score: 0.15 ** -999 > 1.8e308
     assert run_cli(["sweep-v", "--alpha", "1000", "--loads", "1", "--demand-scale", "5", "--v-grid", "1",

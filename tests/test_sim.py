@@ -385,6 +385,16 @@ def test_run_summary_starts_anywhere_and_continues_where_the_last_block_ended():
     assert fold.result()["periods"] == 100
 
 
+def test_run_summary_skips_empty_blocks():
+    trace = run_simulation(make_cfg(load=0.6, horizon=50))
+    empty = replace(trace, **{name: getattr(trace, name)[:0] for name in sim._STORED_COLUMNS})
+    fold = RunSummary()
+    fold.add(empty)  # neither raises nor fixes the period the run starts at
+    fold.add(replace(trace, start=7))
+    fold.add(empty)
+    assert fold.result() == trace.summary()
+
+
 def test_window_sum_overflow_is_a_value_error():
     c = np.array([1e308, 1e308, 0.5, 0.5])
     with warnings.catch_warnings():
@@ -511,6 +521,87 @@ def test_sweep_rejects_zero_floor_before_any_run(monkeypatch):
     with pytest.raises(ValueError, match="guaranteed_ratio"):
         sweep_v(base, loads=[0.05], v_grid=[1.0])
     assert runs == []
+
+
+def test_sweep_rejects_a_bad_last_grid_point_before_any_run(monkeypatch):
+    runs = []
+    monkeypatch.setattr("emfcap.sim.run_simulation", lambda *args, **kwargs: runs.append(args))
+    base = make_cfg(horizon=50)
+    with pytest.raises(ValueError, match="load must lie in"):
+        sweep_v(base, loads=[0.05, 0.2, 1.5], v_grid=[1.0, 10.0])
+    with pytest.raises(ValueError, match="v_weight must be positive and finite"):
+        sweep_v(base, loads=[0.05, 0.2], v_grid=[math.inf, 1.0, 10.0])  # sorted last
+    with pytest.raises(ValueError, match="load must lie in"):
+        compare_budgets(base, loads=[0.05, 0.2, -0.1])
+    assert runs == []
+
+
+def pin_cfg(w=10, horizon=120, reps=1, alpha=1.0, scale=1.0, seed=0):
+    return SimConfig(emf=EmfConfig(w, 1.0, 0.15), traffic=TrafficConfig(demand_scale=scale, seed=seed),
+                     dpp=DppConfig(alpha=alpha), horizon=horizon, replications=reps)
+
+
+# Experiment tables pinned by their repr: any change to how the paired runs
+# are drawn, reduced or tie-broken shows here, not only against the bounds of
+# the acceptance criteria.
+PINNED_TABLES = [
+    (lambda: sweep_v(pin_cfg(), [0.3, 0.9], [50.0, 5.0, 15.0]),
+     [{"load": 0.3, "v_star": 15.0, "mean_score": 1.1090603702038397, "ci_half_width": 0.0},
+      {"load": 0.9, "v_star": 5.0, "mean_score": -0.25087363606991997, "ci_half_width": 0.0}]),
+    (lambda: sweep_v(pin_cfg(reps=3, alpha=0.5, scale=1.5, seed=4), [0.5, 1.0], [30.0, 3.0, 300.0]),
+     [{"load": 0.5, "v_star": 3.0, "mean_score": 2.1735905246900438, "ci_half_width": 0.12334759451464888},
+      {"load": 1.0, "v_star": 3.0, "mean_score": 1.9983327764863636, "ci_half_width": 0.0520418179497772}]),
+    (lambda: sweep_v(pin_cfg(w=1, reps=2), [0.4], [20.0, 2.0]),
+     [{"load": 0.4, "v_star": 20.0, "mean_score": 0.0, "ci_half_width": 0.0}]),
+    (lambda: compare_budgets(pin_cfg(scale=1.5), [0.0, 0.5, 1.0]),
+     [{"load": 0.0,
+       "mean_budget_exact": 8.650000000000002,
+       "mean_budget_conservative": 8.650000000000002,
+       "mean_gap": 0.0,
+       "all_above_frac": 0.0},
+      {"load": 0.5,
+       "mean_budget_exact": 1.9570833333333335,
+       "mean_budget_conservative": 1.8558333333333332,
+       "mean_gap": 0.10125000000000028,
+       "all_above_frac": 1.0},
+      {"load": 1.0,
+       "mean_budget_exact": 1.107916666666667,
+       "mean_budget_conservative": 1.107916666666667,
+       "mean_gap": 0.0,
+       "all_above_frac": 1.0}]),
+    (lambda: compare_budgets(pin_cfg(reps=3, scale=1.5, seed=4), [0.2, 0.7]),
+     [{"load": 0.2,
+       "mean_budget_exact": 4.658194444444445,
+       "mean_budget_conservative": 4.312638888888889,
+       "mean_gap": 0.3455555555555554,
+       "all_above_frac": 0.20952380952380953},
+      {"load": 0.7,
+       "mean_budget_exact": 1.3188888888888892,
+       "mean_budget_conservative": 1.2843055555555554,
+       "mean_gap": 0.034583333333333854,
+       "all_above_frac": 1.0}]),
+    (lambda: compare_budgets(pin_cfg(w=1, reps=2), [0.4]),
+     [{"load": 0.4,
+       "mean_budget_exact": 1.0,
+       "mean_budget_conservative": 1.0,
+       "mean_gap": 0.0,
+       "all_above_frac": 1.0}]),
+    # a horizon shorter than the window leaves all_above_frac undefined
+    (lambda: compare_budgets(pin_cfg(w=50, horizon=40, reps=2), [0.9]),
+     [{"load": 0.9,
+       "mean_budget_exact": 14.306874999999994,
+       "mean_budget_conservative": 14.102499999999996,
+       "mean_gap": 0.20437499999999886,
+       "all_above_frac": None}]),
+]
+
+
+@pytest.mark.parametrize("table, expected", PINNED_TABLES, ids=[
+    "sweep-1-rep-unsorted-grid", "sweep-3-reps-alpha-0.5", "sweep-W1",
+    "compare-1-rep", "compare-3-reps", "compare-W1", "compare-horizon-below-window",
+])
+def test_experiment_tables_match_pinned_reprs(table, expected):
+    assert repr(table()) == repr(expected)
 
 
 def test_compare_budgets_zero_load_has_zero_gap():
