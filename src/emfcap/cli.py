@@ -308,6 +308,8 @@ def _trace_values(path: str, column: str, fh):
     header = next(reader, [])
     if column not in header:
         raise CliError(f"{path}: missing required column {column!r} in header")
+    if header.count(column) > 1:  # either copy could be the trace
+        raise CliError(f"{path}: column {column!r} appears more than once in header")
     index = header.index(column)
     lineno = 1
     # blank lines are skipped and not counted in the row numbers
@@ -433,7 +435,8 @@ def main(argv=None) -> int:
     """Run one command; commit its files and ``<out stem>.manifest.json`` as one set, then print.
 
     On exit 2 nothing is printed to stdout and, short of the rename race that
-    ``commit`` describes, no output file is left.
+    ``commit`` describes, no output file is left. A failed allocation, such
+    as a horizon or a demand support too large to hold, exits 2 as well.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -443,7 +446,7 @@ def main(argv=None) -> int:
         if files:
             manifest = (_sibling(Path(cfg["out"]), ".manifest.json"), _manifest(args.command, cfg, files, t0))
             commit([*((path, text) for _, path, text in files), manifest])
-    except (CliError, OSError) as exc:
+    except (CliError, OSError, MemoryError) as exc:
         print(f"emfcap: error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -22,18 +22,10 @@ from .output import commit, csv_chunks
 from .policy import POLICY_KINDS, DppConfig
 from .traffic import TrafficConfig, TrafficModel
 
-TRACE_COLUMNS = (
-    "t",
-    "d",
-    "backlog",
-    "gamma",
-    "c",
-    "budget_exact",
-    "budget_conservative",
-    "queue",
-    "clamped_low",
-    "clamped_high",
-)
+# the columns a ``SimTrace`` stores, in its unpacking order, and those whose totals ``RunSummary`` folds
+_STORED_COLUMNS = ("d", "backlog", "gamma", "c", "budget_exact", "budget_conservative", "queue")
+_SUMMED = ("gamma", "d", "c", "budget_exact", "budget_conservative", "queue")
+TRACE_COLUMNS = ("t", *_STORED_COLUMNS, "clamped_low", "clamped_high")
 
 # Default absolute tolerance of the compliance checks: a windowed average, a
 # cap at the floor or a leftover backlog within it of its bound counts as at
@@ -101,7 +93,7 @@ class ComplianceReport:
 
 @dataclass
 class SimTrace:
-    """Per-period record of consecutive periods of one simulated run plus its configuration echo.
+    """Per-period record of consecutive periods of the run ``(cfg, replication)``, whose parameters only ``cfg`` holds.
 
     ``start`` is the index of the first period recorded; ``t`` is derived
     from it and not stored. From the loop, the six float columns
@@ -110,10 +102,7 @@ class SimTrace:
     demand array itself: 56 B per period.
     """
 
-    policy_kind: str
-    emf: EmfConfig
-    alpha: float
-    seed: int
+    cfg: SimConfig
     replication: int
     d: np.ndarray
     backlog: np.ndarray
@@ -128,6 +117,11 @@ class SimTrace:
         return len(self.c)
 
     @property
+    def emf(self) -> EmfConfig:
+        """``cfg.emf``, read-only."""
+        return self.cfg.emf
+
+    @property
     def t(self) -> np.ndarray:
         """Period indices, ``start`` onward."""
         return np.arange(self.start, self.start + len(self), dtype=np.int64)
@@ -140,7 +134,7 @@ class SimTrace:
     @property
     def clamped_high(self) -> np.ndarray:
         """Periods whose cap equals the budget its policy reads; all ``False`` when it reads none."""
-        reads = POLICY_KINDS[self.policy_kind][1]
+        reads = POLICY_KINDS[self.cfg.policy_kind][1]
         return self.gamma == getattr(self, reads) if reads else np.zeros(len(self), dtype=bool)
 
     def summary(self, tolerance: float = TOLERANCE) -> dict:
@@ -169,11 +163,6 @@ def trace_csv(blocks):
     return csv_chunks(TRACE_COLUMNS, ([getattr(b, name) for name in TRACE_COLUMNS] for b in blocks))
 
 
-# the columns a ``SimTrace`` stores, and those whose totals ``RunSummary`` folds, in its unpacking order
-_STORED_COLUMNS = ("d", "backlog", "gamma", "c", "budget_exact", "budget_conservative", "queue")
-_SUMMED = ("gamma", "d", "c", "budget_exact", "budget_conservative", "queue")
-
-
 class RunSummary:
     """The summary of one run, folded from its ``SimTrace`` blocks in period order.
 
@@ -192,9 +181,9 @@ class RunSummary:
     null instead, as when a cap lies outside the utility's domain.
 
     The first block may start at any period. A later one that does not start
-    where the one before ended, or whose policy, seed, replication, ``alpha``
-    or ``emf`` differs from the first's, raises ``ValueError``. An empty block
-    is skipped, as in ``ComplianceCheck``.
+    where the one before ended, or is a block of another config or
+    replication (its ``(cfg, replication)`` differs from the first's),
+    raises ``ValueError``. An empty block is skipped, as in ``ComplianceCheck``.
     """
 
     def __init__(self, tolerance: float = TOLERANCE):
@@ -205,16 +194,16 @@ class RunSummary:
         self.floor_periods = 0
         self.shortage_periods = 0
         self.peak_backlog = -math.inf
-        self.echo = self.check = self.start = self.final_backlog = None
+        self.run = self.check = self.start = self.final_backlog = None
 
     def add(self, block: SimTrace) -> None:
         if not len(block):
             return
-        echo = (block.policy_kind, int(block.seed), int(block.replication), float(block.alpha), block.emf)
-        if self.echo is None:
-            self.echo, self.start = echo, block.start
+        run = (block.cfg, block.replication)
+        if self.run is None:
+            self.run, self.start = run, block.start
             self.check = ComplianceCheck(block.emf, self.tolerance)
-        elif echo != self.echo or block.start != self.start + self.periods:
+        elif run != self.run or block.start != self.start + self.periods:
             raise ValueError(f"the block at period {block.start} does not continue the run folded so far")
         tol = self.tolerance
         self.check.add(block.c)
@@ -222,7 +211,7 @@ class RunSummary:
             part = [float(np.add.reduce(getattr(block, name))) for name in _SUMMED]
             part.append(float(np.add.reduce(block.budget_exact - block.budget_conservative)))
         try:
-            part.append(_utility_sum(block.gamma, block.alpha))
+            part.append(_utility_sum(block.gamma, block.cfg.dpp.alpha))
         except ValueError:
             part.append(math.nan)
         self.totals = part if self.totals is None else [a + b for a, b in zip(self.totals, part)]
@@ -240,13 +229,13 @@ class RunSummary:
         gamma, d, c, b_ex, b_co, queue, gap, utility = self.totals
         utility /= n
         report = self.check.report()
-        policy, seed, replication, alpha, _ = self.echo
+        cfg, replication = self.run
         summary = {
-            "policy": policy,
+            "policy": cfg.policy_kind,
             "periods": n,
-            "seed": seed,
+            "seed": cfg.traffic.seed,
             "replication": replication,
-            "alpha": alpha,
+            "alpha": cfg.dpp.alpha,
             "mean_utility": utility if math.isfinite(utility) else None,
             "mean_gamma": gamma / n,
             "floor_gamma_periods": self.floor_periods,
@@ -308,9 +297,7 @@ def _run(cfg: SimConfig, replication: int, rows: int):
             c_col[i] = c
             backlog_col[i] = tm.backlog
 
-        yield SimTrace(
-            cfg.policy_kind, emf, cfg.dpp.alpha, cfg.traffic.seed, tm.replication, demands, *block, start=start
-        )
+        yield SimTrace(cfg, tm.replication, demands, *block, start=start)
 
 
 def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:

@@ -159,6 +159,8 @@ def test_verify_malformed_csv_exits_2(tmp_path, capsys):
 READER_ERRORS = {
     "t,gamma\n0,1.0\n": "{path}: missing required column 'c' in header",
     "": "{path}: missing required column 'c' in header",
+    # either column could be the trace, and the second one's window average, 2.0, is above the threshold
+    "c,c\n0.5,20\n": "{path}: column 'c' appears more than once in header",
     "c\n0.5\nnot-a-number\n": "{path}: row 3, column 'c': not a number: 'not-a-number'",
     # blank lines are skipped and not counted in the row numbers
     "c\n0.5\n\n0.25\n\nx\n": "{path}: row 4, column 'c': not a number: 'x'",
@@ -455,6 +457,19 @@ def test_a_bad_last_load_exits_2_before_simulating(tmp_path, capsys, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "emfcap: invalid configuration: load must lie in [0, 1]\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# 10^17 rows of one array exceed any 64-bit address space, so each allocation fails at once
+@pytest.mark.parametrize("args", [
+    ["sweep-v", "--horizon", 10**17, "--loads", "0.5", "--v-grid", "1", "--reps", "1"],
+    ["simulate", "--horizon", "10", "--zipf-support", 10**17, "--demand-scale", "1e-18"],
+], ids=["horizon", "zipf_support"])
+def test_an_allocation_failure_exits_2_and_writes_nothing(tmp_path, capsys, args):
+    assert run_cli([*args, "--out", tmp_path / "huge.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("emfcap: error: Unable to allocate ") and captured.err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

@@ -35,11 +35,11 @@ from emfcap.traffic import TrafficConfig
 EMF = EmfConfig(window_w=10, threshold=1.0, guaranteed_ratio=0.15)
 
 
-def make_cfg(policy="dpp_exact", load=0.2, horizon=400, scale=1.0, seed=0, beta=0.95, v=15.0, emf=EMF):
+def make_cfg(policy="dpp_exact", load=0.2, horizon=400, scale=1.0, seed=0, beta=0.95, v=15.0, emf=EMF, alpha=1.0):
     return SimConfig(
         emf=emf,
         traffic=TrafficConfig(load=load, demand_scale=scale, seed=seed),
-        dpp=DppConfig(v_weight=v, alpha=1.0, beta=beta),
+        dpp=DppConfig(v_weight=v, alpha=alpha, beta=beta),
         horizon=horizon,
         policy_kind=policy,
         replications=1,
@@ -125,7 +125,7 @@ def test_blocks_are_the_single_block_run_cut_up(kind):
     for col in STORED + ("t", "clamped_low", "clamped_high"):
         joined = np.concatenate([getattr(b, col) for b in blocks])
         assert joined.dtype == getattr(whole, col).dtype and np.array_equal(joined, getattr(whole, col)), col
-    assert all((b.policy_kind, b.emf, b.alpha, b.seed, b.replication) == (kind, EMF, 1.0, 4, 2) for b in blocks)
+    assert all((b.cfg, b.replication) == (cfg, 2) for b in blocks)
     assert "".join(trace_csv(blocks)) == "".join(trace_csv([whole]))
 
 
@@ -359,21 +359,27 @@ def test_compliance_check_rejects_a_block_that_is_not_1d(block):
     assert check.report() == verify_compliance([0.5, 0.25], EmfConfig(window_w=2))
 
 
-@pytest.mark.parametrize("change", [
-    {},  # the same periods again
-    {"start": 51},
-    {"start": 50, "emf": EmfConfig(window_w=3)},
-    {"start": 50, "policy_kind": "greedy_exact"},
-    {"start": 50, "seed": 1},
-    {"start": 50, "replication": 1},
-    {"start": 50, "alpha": 0.5},
-], ids=["repeat", "gap", "emf", "policy", "seed", "replication", "alpha"])
-def test_run_summary_rejects_a_block_that_does_not_continue_the_run(change):
-    trace = run_simulation(make_cfg(load=0.6, horizon=50))
+@pytest.mark.parametrize("run, block", [
+    ({}, {"start": 0}),  # the same periods again
+    ({}, {"start": 51}),
+    ({"emf": EmfConfig(window_w=3)}, {}),
+    ({"policy": "greedy_exact"}, {}),
+    ({"seed": 1}, {}),
+    ({}, {"replication": 1}),
+    ({"alpha": 0.5}, {}),
+    ({"load": 0.9}, {}),
+    ({"v": 2.0}, {}),
+    ({"beta": 0.5}, {}),
+    ({"horizon": 100}, {}),
+], ids=["repeat", "gap", "emf", "policy", "seed", "replication", "alpha", "load", "v", "beta", "horizon"])
+def test_run_summary_rejects_a_block_that_does_not_continue_the_run(run, block):
+    # the next block, but of the run with the make_cfg arguments in run, and with the fields in block
+    base = {"load": 0.6, "horizon": 50}
+    trace = run_simulation(make_cfg(**base))
     fold = RunSummary()
     fold.add(trace)
     with pytest.raises(ValueError, match="does not continue the run folded so far"):
-        fold.add(replace(trace, **change))
+        fold.add(replace(run_simulation(make_cfg(**{**base, **run})), **{"start": 50, **block}))
     assert fold.result() == trace.summary()
 
 
@@ -768,7 +774,7 @@ def test_summary_and_verifier_peak_memory_is_one_block():
     trace = run_simulation(make_cfg(load=0.5, horizon=horizon))
     trace.summary()  # imports made on a first call are not counted
     for alpha in (1.0, 0.5):
-        _, peak = traced_peak(replace(trace, alpha=alpha).summary)
+        _, peak = traced_peak(replace(trace, cfg=make_cfg(load=0.5, horizon=horizon, alpha=alpha)).summary)
         assert peak <= 20 * BLOCK_ROWS
     _, peak = traced_peak(verify_compliance, trace.c, trace.emf)
     assert peak <= 20 * BLOCK_ROWS
