@@ -26,6 +26,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from itertools import islice
 from pathlib import Path
@@ -431,18 +432,31 @@ def _manifest(command: str, cfg: dict, files: list, t0: float):
     })
 
 
+def _same_file(a, b) -> bool:
+    """Whether paths ``a`` and ``b`` name one file: by ``os.path.samefile`` where both exist, else by absolute path."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.abspath(a) == os.path.abspath(b)
+
+
 def main(argv=None) -> int:
     """Run one command; commit its files and ``<out stem>.manifest.json`` as one set, then print.
 
     On exit 2 nothing is printed to stdout and, short of the rename race that
     ``commit`` describes, no output file is left. A failed allocation, such
-    as a horizon or a demand support too large to hold, exits 2 as well.
+    as a horizon or a demand support too large to hold, exits 2 as well, and
+    so does a handler output that is the command's ``--config`` or ``--trace``
+    file, which it would replace. The manifest may replace the manifest given
+    as ``--config``: that is the rerun.
     """
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
         t0 = perf_counter()
         code, stdout, files = args.handler(cfg)
+        for flag, source in (("--config", args.config), ("--trace", cfg.get("trace"))):
+            if source and any(_same_file(path, source) for _, path, _ in files):
+                raise CliError(f"{source}: an output of this command would replace its {flag} file")
         if files:
             manifest = (_sibling(Path(cfg["out"]), ".manifest.json"), _manifest(args.command, cfg, files, t0))
             commit([*((path, text) for _, path, text in files), manifest])

@@ -5,8 +5,9 @@ pair is the whole policy API. As a budget tracker's ``update`` refreshes its
 ``budget``, ``decide`` refreshes the plain attribute ``gamma``, the granted
 cap (read-only by convention; unset until the first ``decide``), and returns
 the policy itself, so a control step builds no per-period object. A nan or
-infinite budget raises ``ValueError`` and changes nothing. The trace, not
-the policy, defines the clamp flags (``SimTrace.clamped_low``/``clamped_high``).
+infinite budget, and a negative or non-finite consumption, raise
+``ValueError`` in every policy and change nothing. The trace, not the
+policy, defines the clamp flags (``SimTrace.clamped_low``/``clamped_high``).
 
 The drift-plus-penalty controller throttles through a virtual queue that
 integrates consumption overshoot above ``beta * threshold``: the fuller the
@@ -152,7 +153,9 @@ class GreedyPolicy:
         return self
 
     def observe(self, c: float) -> None:
-        pass
+        """Checks ``c`` as ``DppPolicy.observe`` does; the cap never depends on it."""
+        if not 0.0 <= c < _INF:
+            raise ValueError("consumption must be finite and nonnegative")
 
 
 class CautiousPolicy:
@@ -171,7 +174,9 @@ class CautiousPolicy:
         return self
 
     def observe(self, c: float) -> None:
-        pass
+        """Checks ``c`` as ``DppPolicy.observe`` does; the cap never depends on it."""
+        if not 0.0 <= c < _INF:
+            raise ValueError("consumption must be finite and nonnegative")
 
 
 # kind -> (policy class, the trace budget column it reads, or None)

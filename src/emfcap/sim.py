@@ -43,12 +43,12 @@ def _check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
 
 
-def _consumption(trace) -> np.ndarray:
-    """The ``c`` column of ``trace`` (or ``trace`` itself) as a nonempty 1-d float64 array; values unchecked."""
-    c = np.asarray(getattr(trace, "c", trace), dtype=np.float64)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("trace must be a nonempty 1-d consumption sequence")
-    return c
+def _column(trace, name: str) -> np.ndarray:
+    """Column ``name`` of a ``SimTrace`` (or ``trace`` itself) as a 1-d float64 array; values unchecked."""
+    x = np.asarray(getattr(trace, name, trace), dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"trace must be a nonempty 1-d {'consumption' if name == 'c' else name} sequence")
+    return x
 
 
 def _check_consumption(c: np.ndarray) -> None:
@@ -140,13 +140,11 @@ class SimTrace:
     def summary(self, tolerance: float = TOLERANCE) -> dict:
         """Headline numbers for one run; ``mean_utility`` is null when undefined.
 
-        Folds the trace in ``BLOCK_ROWS``-period views through ``RunSummary``,
-        whose docstring gives every field and error.
+        ``RunSummary(tolerance)`` fed the whole trace once, whose docstring
+        gives every field and error.
         """
         fold = RunSummary(tolerance)
-        for lo in range(0, len(self), BLOCK_ROWS):
-            fold.add(replace(self, start=self.start + lo,
-                             **{name: getattr(self, name)[lo:lo + BLOCK_ROWS] for name in _STORED_COLUMNS}))
+        fold.add(self)
         return fold.result()
 
     def write_csv(self, path) -> None:
@@ -164,7 +162,7 @@ def trace_csv(blocks):
 
 
 class RunSummary:
-    """The summary of one run, folded from its ``SimTrace`` blocks in period order.
+    """The summary of one run, folded from consecutive segments of its ``SimTrace`` in period order.
 
     ``floor_gamma_periods`` counts caps at the guaranteed floor within
     ``tolerance``: a fully depleted budget equals the floor only up to
@@ -173,17 +171,17 @@ class RunSummary:
     demand against such a cap leaves residues of a few ulps. A negative or
     non-finite ``tolerance`` raises ``ValueError``, as in ``verify_compliance``.
 
-    Counts, ``peak_backlog``, ``final_backlog`` and the window verdict do not
-    depend on the block boundaries. Each total and mean is the sum, in block
-    order, of one ``np.add.reduce`` per block: within one block that is the
-    whole-trace float, beyond it the last bit can move. A total or mean that
-    overflows float64 raises ``ValueError`` naming it; ``mean_utility`` is
-    null instead, as when a cap lies outside the utility's domain.
+    ``add`` cuts a segment of any length into ``BLOCK_ROWS``-period views;
+    counts, backlogs and the verdict do not depend on the cuts. Totals and
+    means sum one ``np.add.reduce`` per view: a whole trace and ``run_blocks``
+    fold to ``trace.summary()`` bit for bit, smaller cuts can move the last
+    bit. One that overflows float64 raises ``ValueError`` naming it;
+    ``mean_utility`` is null instead, as for a cap outside its domain.
 
-    The first block may start at any period. A later one that does not start
-    where the one before ended, or is a block of another config or
-    replication (its ``(cfg, replication)`` differs from the first's),
-    raises ``ValueError``. An empty block is skipped, as in ``ComplianceCheck``.
+    The first segment may start at any period. A later one that does not
+    start where the one before ended, or is of another config or replication
+    (its ``(cfg, replication)`` differs from the first's), raises
+    ``ValueError``. An empty segment has no views and changes nothing.
     """
 
     def __init__(self, tolerance: float = TOLERANCE):
@@ -196,31 +194,32 @@ class RunSummary:
         self.peak_backlog = -math.inf
         self.run = self.check = self.start = self.final_backlog = None
 
-    def add(self, block: SimTrace) -> None:
-        if not len(block):
-            return
-        run = (block.cfg, block.replication)
-        if self.run is None:
-            self.run, self.start = run, block.start
-            self.check = ComplianceCheck(block.emf, self.tolerance)
-        elif run != self.run or block.start != self.start + self.periods:
-            raise ValueError(f"the block at period {block.start} does not continue the run folded so far")
-        tol = self.tolerance
-        self.check.add(block.c)
-        with np.errstate(over="ignore", invalid="ignore"):
-            part = [float(np.add.reduce(getattr(block, name))) for name in _SUMMED]
-            part.append(float(np.add.reduce(block.budget_exact - block.budget_conservative)))
-        try:
-            part.append(_utility_sum(block.gamma, block.cfg.dpp.alpha))
-        except ValueError:
-            part.append(math.nan)
-        self.totals = part if self.totals is None else [a + b for a, b in zip(self.totals, part)]
-        floor_mask = block.gamma <= block.emf.floor + tol
-        self.floor_periods += int(np.count_nonzero(floor_mask))
-        self.shortage_periods += int(np.count_nonzero(floor_mask & (block.backlog > tol)))
-        self.peak_backlog = max(self.peak_backlog, float(block.backlog.max()))
-        self.final_backlog = float(block.backlog[-1])
-        self.periods += len(block)
+    def add(self, segment: SimTrace) -> None:
+        for lo in range(0, len(segment), BLOCK_ROWS):
+            block = replace(segment, start=segment.start + lo,
+                            **{name: getattr(segment, name)[lo:lo + BLOCK_ROWS] for name in _STORED_COLUMNS})
+            run = (block.cfg, block.replication)
+            if self.run is None:
+                self.run, self.start = run, block.start
+                self.check = ComplianceCheck(block.emf, self.tolerance)
+            elif run != self.run or block.start != self.start + self.periods:
+                raise ValueError(f"the block at period {block.start} does not continue the run folded so far")
+            self.check.add(block)
+            with np.errstate(over="ignore", invalid="ignore"):
+                part = [float(np.add.reduce(getattr(block, name))) for name in _SUMMED]
+                part.append(float(np.add.reduce(block.budget_exact - block.budget_conservative)))
+            try:
+                part.append(_utility_sum(block.gamma, block.cfg.dpp.alpha))
+            except ValueError:
+                part.append(math.nan)
+            self.totals = part if self.totals is None else [a + b for a, b in zip(self.totals, part)]
+            floor_mask = block.gamma <= block.emf.floor + self.tolerance
+            self.floor_periods += int(np.count_nonzero(floor_mask))
+            self.shortage_periods += int(np.count_nonzero(floor_mask & (block.backlog > self.tolerance)))
+            self.peak_backlog = max(self.peak_backlog, float(block.backlog.max()))
+            self.final_backlog = float(block.backlog[-1])
+            self.periods += len(block)
+            del floor_mask  # so the next view's window sums are not allocated beside it
 
     def result(self) -> dict:
         n = self.periods
@@ -260,15 +259,21 @@ class RunSummary:
 
 
 def _run(cfg: SimConfig, replication: int, rows: int):
-    """The closed loop of ``cfg`` as consecutive ``SimTrace`` blocks of ``rows`` periods; the last may be shorter."""
+    """The closed loop of ``cfg`` as consecutive ``SimTrace`` blocks of ``rows`` periods; the last may be shorter.
+
+    The policy, the traffic model and the trackers are built at the call, so
+    a bad replication index raises here, not at the first block.
+    """
     emf = cfg.emf
     policy_cls, reads = POLICY_KINDS[cfg.policy_kind]
-    conservative_drive = reads == "budget_conservative"
     policy = policy_cls(emf, cfg.dpp)
     tm = TrafficModel(cfg.traffic, replication=replication)
-    exact = BudgetState(emf)
-    cons = ConservativeBudgetState(emf)
+    return _blocks(cfg, rows, policy, tm, BudgetState(emf), ConservativeBudgetState(emf), reads == "budget_conservative")
 
+
+def _blocks(cfg: SimConfig, rows: int, policy, tm: TrafficModel, exact: BudgetState,
+            cons: ConservativeBudgetState, conservative_drive: bool):
+    """The generator of ``_run``; every name the per-period loop reads is a local."""
     decide = policy.decide
     observe = policy.observe
     consume = tm.consume
@@ -350,13 +355,15 @@ class _WindowSums:
 
 
 class ComplianceCheck:
-    """The windowed-average check of ``verify_compliance``, fed consumption blocks in period order.
+    """The windowed-average check of ``verify_compliance``, fed consecutive consumption segments in period order.
 
-    ``report`` gives the same verdict, bit for bit, however the trace was
-    cut into blocks: the window sums are those of ``_WindowSums`` and the
-    earliest maximum wins, as in ``np.argmax``. ``add`` raises
-    ``ValueError``, as ``verify_compliance`` does, for a block that is not
-    1-d or holds a negative or non-finite value; an empty block is skipped.
+    ``add`` cuts a segment of any length, a sequence or a ``SimTrace``'s ``c``,
+    into ``BLOCK_ROWS``-period views; ``report`` gives the same verdict, bit
+    for bit, however the trace was cut: the window sums are those of
+    ``_WindowSums`` and the earliest maximum wins, as in ``np.argmax``. ``add``
+    raises ``ValueError``, as ``verify_compliance`` does, for a segment that
+    is not 1-d and, once the views before it are folded, for a view holding a
+    negative or non-finite value. An empty segment has no views.
     """
 
     def __init__(self, cfg: EmfConfig, tolerance: float = TOLERANCE):
@@ -368,20 +375,19 @@ class ComplianceCheck:
         self.worst = -math.inf
         self.end = 0
 
-    def add(self, c) -> None:
-        c = np.asarray(c, dtype=np.float64)
-        if c.ndim != 1:
-            raise ValueError("trace must be a nonempty 1-d consumption sequence")
-        _check_consumption(c)
-        if not c.size:
-            return
-        averages = self.sums(c)
-        averages /= self.cfg.window_w
-        end = int(np.argmax(averages))
-        if averages[end] > self.worst:
-            self.worst = float(averages[end])
-            self.end = self.periods + end
-        self.periods += c.size
+    def add(self, segment) -> None:
+        c = _column(segment, "c")
+        for lo in range(0, c.size, BLOCK_ROWS):
+            view = c[lo:lo + BLOCK_ROWS]
+            _check_consumption(view)
+            averages = self.sums(view)
+            averages /= self.cfg.window_w
+            end = int(np.argmax(averages))
+            if averages[end] > self.worst:
+                self.worst = float(averages[end])
+                self.end = self.periods + end
+            self.periods += view.size
+            del averages  # so the next view's window sums are not allocated beside these
 
     def report(self) -> ComplianceReport:
         if not self.periods:
@@ -402,16 +408,14 @@ def verify_compliance(trace, cfg: EmfConfig, tolerance: float = TOLERANCE) -> Co
     ``c`` attribute); deliberately independent of the budget trackers.
     Warm-up windows divide by the full window length, so early periods can
     only be easier to satisfy. A negative or non-finite ``tolerance`` raises
-    ``ValueError``: it would pass any trace. It reads the trace through
-    ``ComplianceCheck`` in ``BLOCK_ROWS``-period views, so its memory does not
-    grow with the horizon. Limit: each windowed sum is a difference of
-    whole-trace prefix sums, so its rounding grows with the horizon, while
-    ``tolerance`` is absolute.
+    ``ValueError``: it would pass any trace. It feeds the trace once to
+    ``ComplianceCheck``, which reads it in ``BLOCK_ROWS``-period views, so its
+    memory does not grow with the horizon. Limit: each windowed sum is a
+    difference of whole-trace prefix sums, so its rounding grows with the
+    horizon, while ``tolerance`` is absolute.
     """
     check = ComplianceCheck(cfg, tolerance)
-    c = _consumption(trace)
-    for lo in range(0, c.size, BLOCK_ROWS):
-        check.add(c[lo:lo + BLOCK_ROWS])
+    check.add(trace)
     return check.report()
 
 
@@ -431,7 +435,7 @@ def _utility_sum(g: np.ndarray, alpha: float) -> float:
 
 def score_trace(trace, alpha: float) -> float:
     """Mean fairness utility of the granted caps over a run; ``ValueError`` when undefined or not finite."""
-    g = np.asarray(getattr(trace, "gamma", trace), dtype=np.float64)
+    g = _column(trace, "gamma")
     if g.size == 0:
         raise ValueError("cannot score an empty trace")
     mean = _utility_sum(g, alpha) / g.size
@@ -451,7 +455,9 @@ def queue_zero_every_window(trace, cfg: EmfConfig, tolerance: float = 0.0) -> tu
     either could drain an overshoot that never drained.
     """
     _check_tolerance(tolerance)
-    c = _consumption(trace)
+    c = _column(trace, "c")
+    if not c.size:
+        raise ValueError("trace must be a nonempty 1-d consumption sequence")
     _check_consumption(c)
     cbar = cfg.threshold
     q = 0.0

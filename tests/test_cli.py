@@ -419,6 +419,42 @@ def test_manifest_rerun_reproduces_outputs(tmp_path):
     assert (tmp_path / "a.summary.json").read_bytes() == (tmp_path / "b.summary.json").read_bytes()
 
 
+def test_manifest_rerun_without_out_replaces_its_manifest(tmp_path):
+    out = tmp_path / "run.csv"
+    assert run_cli(["simulate", "--horizon", "120", "--out", out]) == 0
+    trace = out.read_bytes()
+    assert run_cli(["simulate", "--config", tmp_path / "run.manifest.json"]) == 0
+    assert out.read_bytes() == trace
+    assert read_json(tmp_path / "run.manifest.json")["config"]["out"] == str(out)
+
+
+def test_an_output_that_is_the_config_file_exits_2(tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text('{"loads": "0.2", "v_grid": "5", "reps": 1, "horizon": 20}')
+    before = config.read_bytes()
+    assert run_cli(["sweep-v", "--config", config, "--out", tmp_path / "sweep.csv"]) == 2
+    assert config.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--config" in captured.err
+
+
+def test_an_output_that_is_the_trace_exits_2(tmp_path, capsys, monkeypatch):
+    trace = tmp_path / "t.csv"
+    assert run_cli(["simulate", "--horizon", "50", "--out", trace]) == 0
+    before = trace.read_bytes()
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    for out in (trace, "t.csv"):  # the same path, and the same file by another name
+        assert run_cli(["verify", "--trace", trace, "--out", out]) == 2
+        assert trace.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.manifest.json", "t.summary.json"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trace" in captured.err
+
+
 def test_sweep_v_single_point_echo(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = run_cli(["sweep-v", "--loads", "0.2", "--v-grid", "12", "--reps", "2",

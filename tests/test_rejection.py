@@ -1,7 +1,7 @@
 """Every input boundary rejects a nan, an infinity or a negative value.
 
-The boundaries are both tracker updates, the controller's ``observe``,
-every policy's ``decide``, ``TrafficModel.consume``, every real field of the
+The boundaries are both tracker updates, every policy's ``observe`` and
+``decide``, ``TrafficModel.consume``, every real field of the
 config dataclasses and every numeric CLI flag. A library call raises
 ``ValueError`` and leaves its object as it was; the CLI exits 2 and writes
 nothing. A policy's budget may be negative (the floor wins), so ``decide``
@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from emfcap.budget import BudgetState, ConservativeBudgetState, EmfConfig
 from emfcap.cli import COMMANDS, PARAMS, main
-from emfcap.policy import CautiousPolicy, DppConfig, DppPolicy, GreedyPolicy
+from emfcap.policy import POLICY_KINDS, CautiousPolicy, DppConfig, DppPolicy, GreedyPolicy
 from emfcap.traffic import TrafficConfig, TrafficModel
 
 # strictly negative floats (-inf included), nan and +inf
@@ -84,6 +84,9 @@ def test_observe_and_consume_reject(bad, level):
     with pytest.raises(ValueError):
         policy.observe(bad)
     assert policy.queue == level
+    for cls, _ in POLICY_KINDS.values():
+        with pytest.raises(ValueError, match="consumption must be finite and nonnegative"):
+            cls(EmfConfig(), DppConfig()).observe(bad)
 
     if not math.isfinite(bad):
         for cls in (DppPolicy, GreedyPolicy, CautiousPolicy):

@@ -129,6 +129,20 @@ def test_blocks_are_the_single_block_run_cut_up(kind):
     assert "".join(trace_csv(blocks)) == "".join(trace_csv([whole]))
 
 
+@pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
+def test_a_whole_trace_folds_to_its_summary_and_its_streamed_fold(kind):
+    cfg = make_cfg(policy=kind, load=0.6, horizon=3000, scale=1.5, seed=4)
+    trace = run_simulation(cfg, replication=1)
+    with mock.patch.object(sim, "BLOCK_ROWS", 7):
+        whole = RunSummary()
+        whole.add(trace)
+        streamed = RunSummary()
+        for block in run_blocks(cfg, replication=1):
+            streamed.add(block)
+        summary = trace.summary()
+    assert repr(whole.result()) == repr(summary) == repr(streamed.result())
+
+
 def test_summary_across_blocks_keeps_counts_and_moves_means_by_at_most_rounding():
     trace = run_simulation(make_cfg(policy="greedy_exact", load=0.9, horizon=3000, scale=2.0, seed=3))
     one = trace.summary()
@@ -350,6 +364,15 @@ def test_compliance_check_skips_empty_blocks():
     assert check.report() == verify_compliance(c, EmfConfig(window_w=2))
 
 
+def test_compliance_check_takes_a_trace_as_its_c_column():
+    trace = run_simulation(make_cfg(load=0.9, horizon=300, scale=2.0))
+    with mock.patch.object(sim, "BLOCK_ROWS", 7):
+        from_trace, from_c = ComplianceCheck(trace.emf), ComplianceCheck(trace.emf)
+        from_trace.add(trace)
+        from_c.add(trace.c)
+    assert from_trace.report() == from_c.report() == verify_compliance(trace, trace.emf)
+
+
 @pytest.mark.parametrize("block", [0.5, [[0.5, 0.25], [0.0, 1.0]]], ids=["0-d", "2-d"])
 def test_compliance_check_rejects_a_block_that_is_not_1d(block):
     check = ComplianceCheck(EmfConfig(window_w=2))
@@ -438,6 +461,12 @@ def test_score_surfaces_domain_error():
     for alpha in (-0.5, math.inf, math.nan):
         with pytest.raises(ValueError):
             score_trace(np.array([1.0, 2.0]), alpha)
+
+
+@pytest.mark.parametrize("gamma", [2.5, [[1.0, 2.0], [2.0, 1.0]]], ids=["0-d", "2-d"])
+def test_score_rejects_a_column_that_is_not_1d(gamma):
+    with pytest.raises(ValueError, match="1-d"):
+        score_trace(gamma, 1.0)
 
 
 def test_score_overflow_is_a_value_error():
@@ -777,6 +806,11 @@ def test_summary_and_verifier_peak_memory_is_one_block():
         _, peak = traced_peak(replace(trace, cfg=make_cfg(load=0.5, horizon=horizon, alpha=alpha)).summary)
         assert peak <= 20 * BLOCK_ROWS
     _, peak = traced_peak(verify_compliance, trace.c, trace.emf)
+    assert peak <= 20 * BLOCK_ROWS
+    # the folds cut a whole trace themselves
+    _, peak = traced_peak(lambda: RunSummary().add(trace))
+    assert peak <= 20 * BLOCK_ROWS
+    _, peak = traced_peak(lambda: ComplianceCheck(trace.emf).add(trace.c))
     assert peak <= 20 * BLOCK_ROWS
 
 

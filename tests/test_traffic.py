@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from emfcap.budget import EmfConfig
-from emfcap.sim import SimConfig, run_simulation
+from emfcap.sim import SimConfig, run_blocks, run_simulation
 from emfcap.traffic import TrafficConfig, TrafficModel
 
 
@@ -137,6 +137,8 @@ def test_negative_replication_rejected():
             TrafficModel(TrafficConfig(seed=0), replication=bad)
         with pytest.raises(ValueError):
             TrafficModel(TrafficConfig(seed=0)).sample_demands(bad)
+        with pytest.raises(ValueError):  # at the call, not at the first block
+            run_blocks(SimConfig(EmfConfig(), TrafficConfig(seed=0)), replication=bad)
     assert TrafficModel(TrafficConfig(seed=0)).sample_demands(3.0).shape == (3,)
     assert TrafficModel(TrafficConfig(seed=0), replication=2.0).replication == 2
     trace = run_simulation(SimConfig(EmfConfig(10, 1.0, 0.15), TrafficConfig(seed=0), horizon=5), replication=2.0)
