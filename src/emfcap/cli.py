@@ -8,13 +8,13 @@ flag > config file > built-in default. The config file is flat JSON keyed by
 flag names (dashes become underscores), and its values pass the same
 converters as the flags' text; a JSON ``null`` means unset only where the
 default is unset. Each handler writes and prints nothing: it returns its
-exit code, its stdout text and its output files as ``(role, path, text)``
-triples. ``main`` adds the run manifest and commits the whole set with one
-``output.commit``, then prints. ``simulate`` streams: ``commit`` writes its
-trace while the run folds its summary block by block, so its summary file
-and its stdout text (a callable there) exist only once the trace is
-written. A manifest is also accepted as a config file, so any run can be
-reproduced bit-for-bit from it.
+exit code, its stdout text and the text of each role of its ``OUTPUTS``.
+Only ``main`` makes paths: it checks them before the handler runs, then
+commits them and the manifest with one ``output.commit`` and prints.
+``simulate`` streams: ``commit`` writes its trace while the run folds its
+summary block by block, so its summary file and its stdout text (a
+callable there) exist only once the trace is written. A manifest is also
+accepted as a config file, so any run can be reproduced bit-for-bit from it.
 All EIRP quantities are linear-unit reals normalized so the threshold
 defaults to 1.0; the optional ``--c-bar-dbm`` flag only converts a display
 block in the summary.
@@ -211,7 +211,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             supplied.append(from_file[name])
         if not supplied:
             if name == "out":
-                default = DEFAULT_OUT[args.command]
+                default = OUTPUTS[args.command][0]
             if default is None:
                 resolved[name] = None
                 continue
@@ -246,18 +246,11 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _sibling(out: Path, suffix: str) -> Path:
-    return out.with_name(out.stem + suffix)
-
-
-def _emit_table(cfg: dict, rows: list[dict]) -> tuple[int, str, list]:
-    out = Path(cfg["out"])
+def _emit_table(rows: list[dict]) -> tuple[int, str, dict]:
     text = _json_text(rows)
     columns = tuple(rows[0])
-    return 0, text, [
-        ("table_csv", out, csv_chunks(columns, [[[row[c] for row in rows] for c in columns]])),
-        ("table_json", _sibling(out, ".json"), text),
-    ]
+    return 0, text, {"table_csv": csv_chunks(columns, [[[row[c] for row in rows] for c in columns]]),
+                     "table_json": text}
 
 
 def _to_dbm(linear: float, c_bar: float, c_bar_dbm: float):
@@ -269,7 +262,7 @@ def _to_dbm(linear: float, c_bar: float, c_bar_dbm: float):
 # ── subcommands ───────────────────────────────────────────────────────
 
 
-def cmd_simulate(cfg: dict) -> tuple[int, Callable, list]:
+def cmd_simulate(cfg: dict) -> tuple[int, Callable, dict]:
     sim_cfg = _build_sim_config(cfg)
     fold = RunSummary(cfg["tolerance"])
 
@@ -291,11 +284,7 @@ def cmd_simulate(cfg: dict) -> tuple[int, Callable, list]:
             }
         return _json_text(summary)
 
-    out = Path(cfg["out"])
-    return 0, summary_text, [
-        ("trace_csv", out, trace_csv(folded_blocks())),
-        ("summary_json", _sibling(out, ".summary.json"), _later(summary_text)),
-    ]
+    return 0, summary_text, {"trace_csv": trace_csv(folded_blocks()), "summary_json": _later(summary_text)}
 
 
 def _later(text: Callable):
@@ -348,7 +337,7 @@ def _trace_blocks(path: str, column: str):
         raise CliError(f"{path}: cannot decode: {exc}") from exc
 
 
-def cmd_verify(cfg: dict) -> tuple[int, str, list]:
+def cmd_verify(cfg: dict) -> tuple[int, str, dict]:
     if not cfg["trace"]:
         raise CliError("--trace is required")
     check = ComplianceCheck(_config(EmfConfig, cfg), tolerance=cfg["tolerance"])
@@ -359,23 +348,19 @@ def cmd_verify(cfg: dict) -> tuple[int, str, list]:
             raise CliError(f"{cfg['trace']}: {exc}") from exc
     report = check.report().as_dict()
     text = _json_text(report)
-    files = [("report_json", Path(cfg["out"]), text)] if cfg["out"] else []
-    return (0 if report["compliant"] else 1), text, files
+    return (0 if report["compliant"] else 1), text, {"report_json": text}
 
 
-def cmd_sweep_v(cfg: dict) -> tuple[int, str, list]:
-    rows = sweep_v(_build_sim_config(cfg), cfg["loads"], cfg["v_grid"])
-    return _emit_table(cfg, rows)
+def cmd_sweep_v(cfg: dict) -> tuple[int, str, dict]:
+    return _emit_table(sweep_v(_build_sim_config(cfg), cfg["loads"], cfg["v_grid"]))
 
 
-def cmd_compare_budgets(cfg: dict) -> tuple[int, str, list]:
-    rows = compare_budgets(_build_sim_config(cfg), cfg["loads"])
-    return _emit_table(cfg, rows)
+def cmd_compare_budgets(cfg: dict) -> tuple[int, str, dict]:
+    return _emit_table(compare_budgets(_build_sim_config(cfg), cfg["loads"]))
 
 
-def cmd_bench(cfg: dict) -> tuple[int, str, list]:
-    rows = bench_suite(cfg["w_grid"], updates=cfg["updates"], seed=cfg["seed"])
-    return _emit_table(cfg, rows)
+def cmd_bench(cfg: dict) -> tuple[int, str, dict]:
+    return _emit_table(bench_suite(cfg["w_grid"], updates=cfg["updates"], seed=cfg["seed"]))
 
 
 # ── parser ────────────────────────────────────────────────────────────
@@ -397,9 +382,11 @@ COMMANDS = {
     "bench": (cmd_bench, "per-update cost of the budget maintenance routines",
               ("w_grid", "updates", "seed", "out")),
 }
-# command -> its primary output path when --out is unset (verify then only prints)
-DEFAULT_OUT = {"simulate": "trace.csv", "verify": None, "sweep-v": "sweep_v.csv",
-               "compare-budgets": "budget_compare.csv", "bench": "bench.csv"}
+_TABLE = {"table_csv": None, "table_json": ".json"}
+# command -> (--out when unset, {role: suffix of its sibling of --out, or None for --out}); verify then only prints
+OUTPUTS = {"simulate": ("trace.csv", {"trace_csv": None, "summary_json": ".summary.json"}),
+           "verify": (None, {"report_json": None}), "sweep-v": ("sweep_v.csv", _TABLE),
+           "compare-budgets": ("budget_compare.csv", _TABLE), "bench": ("bench.csv", _TABLE)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest(command: str, cfg: dict, files: list, t0: float):
+def _manifest(command: str, cfg: dict, paths: dict, t0: float):
     """The run manifest as one chunk, rendered when ``commit`` reaches it, after the other temp files."""
     yield _json_text({
         "tool": "emfcap",
@@ -427,9 +414,29 @@ def _manifest(command: str, cfg: dict, files: list, t0: float):
         "schema_version": 1,
         "command": command,
         "config": cfg,
-        "outputs": {role: str(path) for role, path, _ in files},
+        "outputs": {role: str(path) for role, path in paths.items() if role != "manifest"},
         "wall_clock_seconds": perf_counter() - t0,
     })
+
+
+def _outputs(command: str, cfg: dict, config) -> dict:
+    """Role -> path of each file ``command`` writes, the ``"manifest"`` last.
+
+    Raises ``CliError`` if a path is named twice, or an output would replace
+    ``--trace`` or, unless it is the manifest (that is the rerun), ``--config``.
+    """
+    default, roles = OUTPUTS[command]
+    if not cfg["out"] and default is None:
+        return {}
+    out = Path(cfg["out"])
+    paths = {role: out if suffix is None else out.with_name(out.stem + suffix)
+             for role, suffix in {**roles, "manifest": ".manifest.json"}.items()}
+    for flag, source, exempt in (("--config", config, "manifest"), ("--trace", cfg.get("trace"), None)):
+        if source and any(_same_file(path, source) for role, path in paths.items() if role != exempt):
+            raise CliError(f"{source}: an output of this command would replace its {flag} file")
+    if len(set(paths.values())) < len(paths):  # siblings of --out differ in name: --out is the repeat
+        raise CliError(f"{out}: named twice in one set of outputs")
+    return paths
 
 
 def _same_file(a, b) -> bool:
@@ -442,24 +449,19 @@ def _same_file(a, b) -> bool:
 def main(argv=None) -> int:
     """Run one command; commit its files and ``<out stem>.manifest.json`` as one set, then print.
 
-    On exit 2 nothing is printed to stdout and, short of the rename race that
-    ``commit`` describes, no output file is left. A failed allocation, such
-    as a horizon or a demand support too large to hold, exits 2 as well, and
-    so does a handler output that is the command's ``--config`` or ``--trace``
-    file, which it would replace. The manifest may replace the manifest given
-    as ``--config``: that is the rerun.
+    ``_outputs`` checks the paths before the command runs. On exit 2 nothing
+    is printed to stdout and, short of the rename race that ``commit``
+    describes, no output file is left. A failed allocation, such as a horizon
+    or a demand support too large to hold, exits 2 too.
     """
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
+        paths = _outputs(args.command, cfg, args.config)
         t0 = perf_counter()
-        code, stdout, files = args.handler(cfg)
-        for flag, source in (("--config", args.config), ("--trace", cfg.get("trace"))):
-            if source and any(_same_file(path, source) for _, path, _ in files):
-                raise CliError(f"{source}: an output of this command would replace its {flag} file")
-        if files:
-            manifest = (_sibling(Path(cfg["out"]), ".manifest.json"), _manifest(args.command, cfg, files, t0))
-            commit([*((path, text) for _, path, text in files), manifest])
+        code, stdout, texts = args.handler(cfg)
+        texts["manifest"] = _manifest(args.command, cfg, paths, t0)
+        commit([(path, texts[role]) for role, path in paths.items()])
     except (CliError, OSError, MemoryError) as exc:
         print(f"emfcap: error: {exc}", file=sys.stderr)
         return 2

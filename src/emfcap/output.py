@@ -27,7 +27,7 @@ def commit(files) -> None:
     and no target is a directory are they renamed over their targets. Missing
     parent directories are created, and stay.
 
-    A set that names one path twice is rejected before anything is written.
+    Each path is named once; ``cli.main`` checks that before a command runs.
     On any failure every temp file still present is removed, and a failed
     file operation raises ``OSError`` whose message starts with the target
     path, never the temp file's. The set is not atomic: a target that changes
@@ -35,11 +35,6 @@ def commit(files) -> None:
     targets renamed before it stay.
     """
     files = [(Path(path), text) for path, text in files]
-    seen = set()
-    for path, _ in files:
-        if os.path.abspath(path) in seen:
-            raise OSError(f"{path}: named twice in one set of outputs")
-        seen.add(os.path.abspath(path))
     pending = []  # (temp file, target) not yet renamed
     target = None  # the file being written, checked or renamed
     try:

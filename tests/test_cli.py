@@ -428,7 +428,17 @@ def test_manifest_rerun_without_out_replaces_its_manifest(tmp_path):
     assert read_json(tmp_path / "run.manifest.json")["config"]["out"] == str(out)
 
 
-def test_an_output_that_is_the_config_file_exits_2(tmp_path, capsys):
+def no_experiments(monkeypatch):
+    """Make every sweep and bench fail, so a command that exits 2 as pinned ran none."""
+    def ran(*args, **kwargs):
+        raise AssertionError("the command ran before its outputs were checked")
+
+    monkeypatch.setattr(cli, "sweep_v", ran)
+    monkeypatch.setattr(cli, "bench_suite", ran)
+
+
+def test_an_output_that_is_the_config_file_exits_2(tmp_path, capsys, monkeypatch):
+    no_experiments(monkeypatch)
     config = tmp_path / "sweep.json"
     config.write_text('{"loads": "0.2", "v_grid": "5", "reps": 1, "horizon": 20}')
     before = config.read_bytes()
@@ -444,15 +454,21 @@ def test_an_output_that_is_the_trace_exits_2(tmp_path, capsys, monkeypatch):
     trace = tmp_path / "t.csv"
     assert run_cli(["simulate", "--horizon", "50", "--out", trace]) == 0
     before = trace.read_bytes()
+    # a trace CSV that happens to have the name of the manifest of --out run.json
+    named_as_manifest = tmp_path / "run.manifest.json"
+    named_as_manifest.write_bytes(before)
     capsys.readouterr()
     monkeypatch.chdir(tmp_path)
-    for out in (trace, "t.csv"):  # the same path, and the same file by another name
-        assert run_cli(["verify", "--trace", trace, "--out", out]) == 2
-        assert trace.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.manifest.json", "t.summary.json"]
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--trace" in captured.err
+    # the same path, the same file by another name, and the manifest
+    for source, out in ((trace, trace), (trace, "t.csv"), (named_as_manifest, "run.json")):
+        assert run_cli(["verify", "--trace", source, "--out", out]) == 2, out
+        assert source.read_bytes() == before, out
+        captured = capsys.readouterr()
+        assert captured.out == "", out
+        assert "--trace" in captured.err, out
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "run.manifest.json", "t.csv", "t.manifest.json", "t.summary.json"
+    ]
 
 
 def test_sweep_v_single_point_echo(tmp_path, capsys):
@@ -704,7 +720,8 @@ def test_bad_values_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
-def test_unwritable_output_exits_2_without_a_traceback(tmp_path, capsys):
+def test_unwritable_output_exits_2_without_a_traceback(tmp_path, capsys, monkeypatch):
+    no_experiments(monkeypatch)  # the bench's paths are rejected before it times anything
     trace = tmp_path / "t.csv"
     trace.write_text("c\n0.5\n")
     adir, summary_dir = tmp_path / "adir", tmp_path / "x.summary.json"
