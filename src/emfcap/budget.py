@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 _INF = math.inf  # the per-update guards read a module global, faster than math.inf
 
@@ -55,24 +55,63 @@ def as_int(value, name: str) -> int:
     return out
 
 
+def as_real(value, name: str) -> float:
+    """``value`` as a ``float``; ``ValueError`` unless it is a real number.
+
+    ``bool`` and ``str`` do not pass, as in ``as_int``. An int beyond the
+    float range becomes the infinity of its sign, for a range check to reject.
+    """
+    try:
+        out = None if isinstance(value, (bool, str)) else float(value)
+    except OverflowError:
+        out = math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        out = None
+    if out is None:
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return out
+
+
+def rule(default, convert, holds, message: str):
+    """A config dataclass field with ``default`` and its rule, the one home of both.
+
+    The rule converts a value by ``convert(value, field name)``, such as
+    ``as_int`` or ``as_real``, and then raises ``ValueError(message)`` unless
+    ``holds(converted)``; ``message`` may name the value as ``{value!r}``.
+    """
+    return field(default=default, metadata={"rule": (convert, holds, message)})
+
+
+def checked(cls, name: str, value):
+    """``value`` converted by the rule of field ``name`` of ``cls``; ``ValueError`` if the rule rejects it."""
+    convert, holds, message = cls.__dataclass_fields__[name].metadata["rule"]
+    out = convert(value, name)
+    if not holds(out):
+        raise ValueError(message.format(value=value))
+    return out
+
+
+def check_fields(config) -> None:
+    """Set each field of the frozen dataclass ``config`` that has a rule to its checked value, in declaration order."""
+    for f in fields(config):
+        if "rule" in f.metadata:
+            object.__setattr__(config, f.name, checked(type(config), f.name, getattr(config, f.name)))
+
+
 @dataclass(frozen=True)
 class EmfConfig:
-    """Compliance triple: window length, averaged-EIRP threshold, guaranteed ratio."""
+    """Compliance triple: window length, averaged-EIRP threshold, guaranteed ratio.
 
-    window_w: int = 10
-    threshold: float = 1.0
-    guaranteed_ratio: float = 0.15
+    Each field declares its default and its rule (``rule``); the full budget
+    is checked after them.
+    """
+
+    window_w: int = rule(10, as_int, lambda w: 1 <= w <= sys.maxsize, f"window_w must lie in [1, {sys.maxsize}]")
+    threshold: float = rule(1.0, as_real, lambda x: 0.0 < x < math.inf, "threshold must be positive and finite")
+    guaranteed_ratio: float = rule(0.15, as_real, lambda r: 0.0 <= r <= 1.0, "guaranteed_ratio must lie in [0, 1]")
 
     def __post_init__(self):
-        object.__setattr__(self, "window_w", as_int(self.window_w, "window_w"))
-        object.__setattr__(self, "threshold", float(self.threshold))
-        object.__setattr__(self, "guaranteed_ratio", float(self.guaranteed_ratio))
-        if not 1 <= self.window_w <= sys.maxsize:
-            raise ValueError(f"window_w must lie in [1, {sys.maxsize}]")
-        if not 0.0 < self.threshold < math.inf:
-            raise ValueError("threshold must be positive and finite")
-        if not 0.0 <= self.guaranteed_ratio <= 1.0:
-            raise ValueError("guaranteed_ratio must lie in [0, 1]")
+        check_fields(self)
         if not self.full_budget < math.inf:
             raise ValueError("full budget floor + threshold * (1 - ratio) * window_w must be finite")
 

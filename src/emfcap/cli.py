@@ -1,13 +1,16 @@
 """Command-line front end: simulate, verify, sweep-v, compare-budgets, bench.
 
 Every parameter is declared once, in ``PARAMS``, together with the config
-dataclass field it sets, if any, whose default it takes; each command accepts
-exactly the flags of the parameters it reads (``COMMANDS``), and fields it
-does not read keep their dataclass defaults. Precedence is
+dataclass field it sets, if any, whose default and rule it takes; each
+command accepts exactly the flags of the parameters it reads (``COMMANDS``),
+and fields it does not read keep their dataclass defaults. Precedence is
 flag > config file > built-in default. The config file is flat JSON keyed by
 flag names (dashes become underscores), and its values pass the same
-converters as the flags' text; a JSON ``null`` means unset only where the
-default is unset. Each handler writes and prints nothing: it returns its
+converters as the flags' text; a field's value is then checked by the
+field's own rule, so a flag and the library reject the same values with the
+same message. Every supplied value is checked, also one that a flag
+overrides. A JSON ``null`` means unset only where the default is unset.
+Each handler writes and prints nothing: it returns its
 exit code, its stdout text and the text of each role of its ``OUTPUTS``.
 Only ``main`` makes paths: it checks them before the handler runs, then
 commits them and the manifest with one ``output.commit`` and prints.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -37,8 +41,8 @@ import numpy as np
 
 from . import __version__
 from .bench import UPDATES, W_GRID, bench_suite
-from .budget import EmfConfig, as_int
-from .output import commit, csv_chunks
+from .budget import EmfConfig, as_int, checked
+from .output import commit, csv_chunks, is_directory
 from .policy import POLICY_KINDS, DppConfig
 from .sim import (
     BLOCK_ROWS,
@@ -73,15 +77,20 @@ def _real(value) -> float:
     return out
 
 
-def _integer(value) -> int:
+def _number(value):
+    """Flag text as a number, read as JSON reads one; any other value, such as a file's number, as it is."""
     # int() keeps a 64-bit seed given as text exact; any other text is read as
-    # JSON reads a number, so "10.0" passes as_int as a file's 10.0 does
+    # a float, so "10.0" passes as_int as a file's 10.0 does
     if isinstance(value, str):
         try:
             return int(value)
         except ValueError:
-            value = float(value)
-    return as_int(value, "value")
+            return float(value)
+    return value
+
+
+def _integer(value) -> int:
+    return as_int(_number(value), "value")
 
 
 def _at_least(low, convert):
@@ -97,12 +106,6 @@ def _at_least(low, convert):
 def _text(value) -> str:
     if not isinstance(value, str):
         raise ValueError(f"expected a string, got {value!r}")
-    return value
-
-
-def _policy(value) -> str:
-    if value not in POLICY_KINDS:
-        raise ValueError(f"expected one of {', '.join(POLICY_KINDS)}, got {value!r}")
     return value
 
 
@@ -126,30 +129,35 @@ class Param(NamedTuple):
     sets: tuple = (None, None)  # (config class, field name) the value sets, if any
 
 
-def _field(cls, name: str, convert: Callable, help: str) -> Param:
-    """A parameter that sets ``cls.name`` and defaults to that dataclass field's default."""
-    return Param(convert, cls.__dataclass_fields__[name].default, help, (cls, name))
+def _field(cls, name: str, help: str, parse: Callable = _number) -> Param:
+    """A parameter that sets ``cls.name``, with that dataclass field's default and rule.
+
+    ``parse`` only reads a flag's text or a config file's value; the field's
+    rule then converts and checks it, with the library's own message.
+    """
+    return Param(lambda value: checked(cls, name, parse(value)), cls.__dataclass_fields__[name].default,
+                 help, (cls, name))
 
 
 # The flag of each parameter is its name with dashes for underscores.
 PARAMS = {
-    "policy": _field(SimConfig, "policy_kind", _policy, f"control policy: {', '.join(POLICY_KINDS)}"),
-    "W": _field(EmfConfig, "window_w", _integer, "sliding window length in periods"),
-    "C_bar": _field(EmfConfig, "threshold", _real, "averaged-EIRP threshold (linear units)"),
-    "rho": _field(EmfConfig, "guaranteed_ratio", _real, "guaranteed ratio in [0, 1]"),
-    "alpha": _field(DppConfig, "alpha", _real, "fairness exponent (1 = proportional fair)"),
-    "beta": _field(DppConfig, "beta", _real, "queue inflation factor in [0, 1]"),
-    "V": _field(DppConfig, "v_weight", _real, "utility weight of the queue controller"),
-    "load": _field(TrafficConfig, "load", _real, "probability of nonzero demand per period"),
-    "zipf_exponent": _field(TrafficConfig, "zipf_exponent", _real, "demand-level tail exponent (> 1)"),
-    "zipf_support": _field(TrafficConfig, "zipf_support", _integer, "number of demand levels"),
+    "policy": _field(SimConfig, "policy_kind", f"control policy: {', '.join(POLICY_KINDS)}", _text),
+    "W": _field(EmfConfig, "window_w", "sliding window length in periods"),
+    "C_bar": _field(EmfConfig, "threshold", "averaged-EIRP threshold (linear units)"),
+    "rho": _field(EmfConfig, "guaranteed_ratio", "guaranteed ratio in [0, 1]"),
+    "alpha": _field(DppConfig, "alpha", "fairness exponent (1 = proportional fair)"),
+    "beta": _field(DppConfig, "beta", "queue inflation factor in [0, 1]"),
+    "V": _field(DppConfig, "v_weight", "utility weight of the queue controller"),
+    "load": _field(TrafficConfig, "load", "probability of nonzero demand per period"),
+    "zipf_exponent": _field(TrafficConfig, "zipf_exponent", "demand-level tail exponent (> 1)"),
+    "zipf_support": _field(TrafficConfig, "zipf_support", "number of demand levels"),
     # unset by default: _resolve fills in C_bar / 4
-    "demand_scale": Param(
-        _real, None, "EIRP units per demand level (default C_bar/4)", (TrafficConfig, "demand_scale")
+    "demand_scale": _field(TrafficConfig, "demand_scale", "EIRP units per demand level (default C_bar/4)")._replace(
+        default=None
     ),
-    "horizon": _field(SimConfig, "horizon", _integer, "periods per run"),
-    "seed": _field(TrafficConfig, "seed", _integer, "base RNG seed"),
-    "reps": _field(SimConfig, "replications", _integer, "replications per grid point"),
+    "horizon": _field(SimConfig, "horizon", "periods per run"),
+    "seed": _field(TrafficConfig, "seed", "base RNG seed"),
+    "reps": _field(SimConfig, "replications", "replications per grid point"),
     "tolerance": Param(_at_least(0.0, _real), TOLERANCE, "absolute tolerance on the windowed average"),
     "loads": Param(_grid(_real), [0.05, 0.2, 0.5, 0.9], "comma list of loads"),
     "v_grid": Param(
@@ -194,7 +202,11 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge flag over config-file over default values; every supplied value passes its converter."""
+    """Merge flag over config-file over default values.
+
+    Every supplied value, winner or not, passes its parameter's converter,
+    which for a field is the field's rule; an error names the flag.
+    """
     names = args.params
     from_file = _load_config_file(args.config) if args.config else {}
     unknown = set(from_file) - set(names)
@@ -217,7 +229,7 @@ def _resolve(args: argparse.Namespace) -> dict:
                 continue
             supplied.append(default)
         try:
-            # every supplied value is converted, not only the one that wins
+            # every supplied value is converted and checked, not only the one that wins
             converted = [param.convert(value) for value in supplied]
         except (TypeError, ValueError) as exc:
             raise CliError(f"{_flag(name)}: {exc}") from exc
@@ -422,20 +434,26 @@ def _manifest(command: str, cfg: dict, paths: dict, t0: float):
 def _outputs(command: str, cfg: dict, config) -> dict:
     """Role -> path of each file ``command`` writes, the ``"manifest"`` last.
 
-    Raises ``CliError`` if a path is named twice, or an output would replace
-    ``--trace`` or, unless it is the manifest (that is the rerun), ``--config``.
+    Raises ``CliError`` if ``--out`` names no file (its last part is empty,
+    ``.`` or ``..``), an output would replace ``--trace`` or, unless it is the
+    manifest (that is the rerun), ``--config``, a path is named twice, or an
+    output is a directory (``commit``'s rule: a symlink is replaced itself).
     """
-    default, roles = OUTPUTS[command]
-    if not cfg["out"] and default is None:
+    if cfg["out"] is None:
         return {}
+    if os.path.basename(cfg["out"]) in ("", ".", ".."):
+        raise CliError(f"--out: {cfg['out']!r} names no file")
     out = Path(cfg["out"])
     paths = {role: out if suffix is None else out.with_name(out.stem + suffix)
-             for role, suffix in {**roles, "manifest": ".manifest.json"}.items()}
+             for role, suffix in {**OUTPUTS[command][1], "manifest": ".manifest.json"}.items()}
     for flag, source, exempt in (("--config", config, "manifest"), ("--trace", cfg.get("trace"), None)):
         if source and any(_same_file(path, source) for role, path in paths.items() if role != exempt):
             raise CliError(f"{source}: an output of this command would replace its {flag} file")
     if len(set(paths.values())) < len(paths):  # siblings of --out differ in name: --out is the repeat
         raise CliError(f"{out}: named twice in one set of outputs")
+    for path in paths.values():
+        if is_directory(path):
+            raise CliError(f"{path}: {os.strerror(errno.EISDIR)}")
     return paths
 
 

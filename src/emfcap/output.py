@@ -24,10 +24,12 @@ def commit(files) -> None:
     the mode a plain ``open`` would give it (``0o666`` less the umask), not
     the owner-only mode of ``tempfile.mkstemp``, and a name of at most 84
     characters, however long the target's name is. Only when all are written
-    and no target is a directory are they renamed over their targets. Missing
-    parent directories are created, and stay.
+    and no target is a directory (``is_directory``) are they renamed over
+    their targets. Missing parent directories are created, and stay.
 
-    Each path is named once; ``cli.main`` checks that before a command runs.
+    Each path is named once and no target is a directory; ``cli.main`` checks
+    both before a command runs, and this check of directories is repeated
+    for one made while the command ran.
     On any failure every temp file still present is removed, and a failed
     file operation raises ``OSError`` whose message starts with the target
     path, never the temp file's. The set is not atomic: a target that changes
@@ -47,8 +49,7 @@ def commit(files) -> None:
                 for chunk in (text,) if isinstance(text, str) else text:
                     fh.write(chunk)
         for _, target in pending:
-            # os.replace replaces a symlink itself, so only a real directory blocks it
-            if os.path.isdir(target) and not os.path.islink(target):
+            if is_directory(target):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         while pending:
             tmp, target = pending[0]
@@ -60,6 +61,11 @@ def commit(files) -> None:
         for tmp, _ in pending:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+
+
+def is_directory(path) -> bool:
+    """Whether ``path`` is a real directory, which no file can replace; ``os.replace`` replaces a symlink itself."""
+    return os.path.isdir(path) and not os.path.islink(path)
 
 
 def _cell(v) -> str:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .budget import EmfConfig
+from .budget import EmfConfig, as_real, check_fields, rule
 
 # the per-period guards read module globals, which is faster than math.inf
 _INF = math.inf
@@ -56,22 +56,17 @@ def alpha_fair(x: float, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class DppConfig:
-    """Drift-plus-penalty knobs: utility weight, fairness exponent, queue inflation."""
+    """Drift-plus-penalty knobs: utility weight, fairness exponent, queue inflation.
 
-    v_weight: float = 15.0
-    alpha: float = 1.0
-    beta: float = 0.95
+    Each field declares its default and its rule (``budget.rule``).
+    """
+
+    v_weight: float = rule(15.0, as_real, lambda v: 0.0 < v < math.inf, "v_weight must be positive and finite")
+    alpha: float = rule(1.0, as_real, lambda a: 0.0 <= a < math.inf, "alpha must be finite and nonnegative")
+    beta: float = rule(0.95, as_real, lambda b: 0.0 <= b <= 1.0, "beta must lie in [0, 1]")
 
     def __post_init__(self):
-        object.__setattr__(self, "v_weight", float(self.v_weight))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
-        if not 0.0 < self.v_weight < math.inf:
-            raise ValueError("v_weight must be positive and finite")
-        if not 0.0 <= self.alpha < math.inf:
-            raise ValueError("alpha must be finite and nonnegative")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
+        check_fields(self)
 
 
 class DppPolicy:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .budget import BudgetState, ConservativeBudgetState, EmfConfig, as_int
+from .budget import BudgetState, ConservativeBudgetState, EmfConfig, as_int, check_fields, rule
 from .output import commit, csv_chunks
 from .policy import POLICY_KINDS, DppConfig
 from .traffic import TrafficConfig, TrafficModel
@@ -58,24 +58,20 @@ def _check_consumption(c: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One run's parameters; ``horizon``, ``policy_kind`` and ``replications`` each declare their rule (``budget.rule``)."""
+
     emf: EmfConfig
     traffic: TrafficConfig
     dpp: DppConfig = field(default_factory=DppConfig)
-    horizon: int = 1000
-    policy_kind: str = "dpp_exact"
-    replications: int = 100
+    horizon: int = rule(1000, as_int, lambda t: t >= 1, "horizon must be >= 1")
+    policy_kind: str = rule(
+        "dpp_exact", lambda kind, name: kind, lambda kind: isinstance(kind, str) and kind in POLICY_KINDS,
+        f"unknown policy kind {{value!r}}; expected one of {tuple(POLICY_KINDS)}",
+    )
+    replications: int = rule(100, as_int, lambda r: r >= 1, "replications must be >= 1")
 
     def __post_init__(self):
-        object.__setattr__(self, "horizon", as_int(self.horizon, "horizon"))
-        object.__setattr__(self, "replications", as_int(self.replications, "replications"))
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.policy_kind not in POLICY_KINDS:
-            raise ValueError(
-                f"unknown policy kind {self.policy_kind!r}; expected one of {tuple(POLICY_KINDS)}"
-            )
+        check_fields(self)
 
 
 @dataclass(frozen=True)

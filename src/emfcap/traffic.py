@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import as_int
+from .budget import as_int, as_real, check_fields, rule
 
 _MAX_SEED = 2**64 - 1
 _INF = math.inf
@@ -27,34 +27,26 @@ _INF = math.inf
 
 @dataclass(frozen=True)
 class TrafficConfig:
-    load: float = 0.2
-    zipf_exponent: float = 2.0
-    zipf_support: int = 20
-    demand_scale: float = 0.25
-    seed: int = 0
+    """Demand model: load, Zipf level law, EIRP units per level, base seed.
+
+    Each field declares its default and its rule (``budget.rule``); the
+    largest demand, ``demand_scale * zipf_support``, is checked after them.
+    """
+
+    load: float = rule(0.2, as_real, lambda p: 0.0 <= p <= 1.0, "load must lie in [0, 1]")
+    zipf_exponent: float = rule(2.0, as_real, lambda s: 1.0 < s < math.inf, "zipf_exponent must be finite and exceed 1")
+    zipf_support: int = rule(20, as_int, lambda n: n >= 1, "zipf_support must be >= 1")
+    demand_scale: float = rule(0.25, as_real, lambda x: 0.0 < x < math.inf, "demand_scale must be positive and finite")
+    seed: int = rule(0, as_int, lambda s: 0 <= s <= _MAX_SEED, "seed must be a 64-bit unsigned integer")
 
     def __post_init__(self):
-        object.__setattr__(self, "load", float(self.load))
-        object.__setattr__(self, "zipf_exponent", float(self.zipf_exponent))
-        object.__setattr__(self, "zipf_support", as_int(self.zipf_support, "zipf_support"))
-        object.__setattr__(self, "demand_scale", float(self.demand_scale))
-        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
-        if not 0.0 <= self.load <= 1.0:
-            raise ValueError("load must lie in [0, 1]")
-        if not 1.0 < self.zipf_exponent < math.inf:
-            raise ValueError("zipf_exponent must be finite and exceed 1")
-        if self.zipf_support < 1:
-            raise ValueError("zipf_support must be >= 1")
-        if not 0.0 < self.demand_scale < math.inf:
-            raise ValueError("demand_scale must be positive and finite")
+        check_fields(self)
         try:
             largest = self.demand_scale * self.zipf_support
         except OverflowError:  # a support too large to convert to float
             largest = math.inf
         if not largest < math.inf:
             raise ValueError("the largest demand, demand_scale * zipf_support, must be finite")
-        if not 0 <= self.seed <= _MAX_SEED:
-            raise ValueError("seed must be a 64-bit unsigned integer")
 
 
 class TrafficModel:

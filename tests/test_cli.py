@@ -396,16 +396,22 @@ def test_integer_flag_takes_an_integral_float_as_a_config_file_does(tmp_path):
     assert read_json(tmp_path / "b.manifest.json")["config"]["W"] == 10
 
 
-def test_config_value_overridden_by_a_flag_is_still_checked(tmp_path):
+def test_config_value_overridden_by_a_flag_is_still_checked(tmp_path, capsys):
     cfg = tmp_path / "o.json"
     out = tmp_path / "x.csv"
+    # config file, flags, the flag the error names; a field's value is checked by its range too
     cases = (
-        ({"out": 5, "horizon": 20}, []),
-        ({"c_bar_dbm": "abc", "horizon": 20}, ["--c-bar-dbm", "30"]),
+        ({"out": 5, "horizon": 20}, [], "--out"),
+        ({"c_bar_dbm": "abc", "horizon": 20}, ["--c-bar-dbm", "30"], "--c-bar-dbm"),
+        ({"rho": 2, "horizon": 20}, ["--rho", "0.5"], "--rho"),
+        ({"load": 7, "horizon": 20}, ["--load", "0.5"], "--load"),
     )
-    for doc, flag in cases:
+    for doc, flags, named in cases:
         cfg.write_text(json.dumps(doc))
-        assert run_cli(["simulate", "--config", cfg, "--out", out, *flag]) == 2, doc
+        assert run_cli(["simulate", "--config", cfg, "--out", out, *flags]) == 2, doc
+        captured = capsys.readouterr()
+        assert captured.out == "", doc
+        assert captured.err.startswith(f"emfcap: error: {named}: ") and captured.err.count("\n") == 1, doc
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -469,6 +475,59 @@ def test_an_output_that_is_the_trace_exits_2(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "run.manifest.json", "t.csv", "t.manifest.json", "t.summary.json"
     ]
+
+
+def no_runs(monkeypatch):
+    """``no_experiments``, and make every streamed run fail too."""
+    no_experiments(monkeypatch)
+
+    def ran(*args, **kwargs):
+        raise AssertionError("the run started before its outputs were checked")
+
+    monkeypatch.setattr(cli, "run_blocks", ran)
+
+
+def test_a_directory_output_exits_2_before_the_command_runs(tmp_path, capsys, monkeypatch):
+    no_runs(monkeypatch)
+    adir, summary_dir = tmp_path / "adir", tmp_path / "x.summary.json"
+    adir.mkdir()
+    summary_dir.mkdir()
+    for argv, target in (
+        (["sweep-v", "--out", adir], adir),
+        # the trace could be written, its summary cannot
+        (["simulate", "--out", tmp_path / "x.csv"], summary_dir),
+    ):
+        assert run_cli(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == f"emfcap: error: {target}: Is a directory\n", argv
+    assert list(adir.iterdir()) == [] and list(summary_dir.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "x.summary.json"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["", ".", "..", "nd/"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_an_out_that_names_no_file_exits_2(tmp_path, capsys, monkeypatch, command, value, source):
+    no_runs(monkeypatch)
+    trace = tmp_path / "t.csv"
+    trace.write_text("c\n0.5\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)  # so ".." is tmp_path
+    argv = [command, "--trace", trace] if command == "verify" else [command]
+    if source == "flag":
+        argv += ["--out", value]
+    else:
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"out": value}))
+        argv += ["--config", config]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"emfcap: error: --out: {value!r} names no file\n"
+    assert list(work.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["t.csv", "work"] + ["c.json"] * (source == "config"))
 
 
 def test_sweep_v_single_point_echo(tmp_path, capsys):

@@ -4,10 +4,11 @@ The boundaries are both tracker updates, every policy's ``observe`` and
 ``decide``, ``TrafficModel.consume``, every real field of the
 config dataclasses and every numeric CLI flag. A library call raises
 ``ValueError`` and leaves its object as it was; the CLI exits 2 and writes
-nothing. A policy's budget may be negative (the floor wins), so ``decide``
+nothing, also when a flag overrides the bad value of a config file. A policy's budget may be negative (the floor wins), so ``decide``
 rejects only nan and the infinities.
 """
 
+import json
 import math
 import tempfile
 from dataclasses import fields
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emfcap.budget import BudgetState, ConservativeBudgetState, EmfConfig
+from emfcap.budget import BudgetState, ConservativeBudgetState, EmfConfig, checked
 from emfcap.cli import COMMANDS, PARAMS, main
 from emfcap.policy import POLICY_KINDS, CautiousPolicy, DppConfig, DppPolicy, GreedyPolicy
 from emfcap.traffic import TrafficConfig, TrafficModel
@@ -114,7 +115,9 @@ def test_observe_and_consume_reject(bad, level):
 
 
 @settings(max_examples=100, deadline=None)
-@given(field=st.sampled_from(REAL_FIELDS), bad=BAD)
+# also bool, numeric text, and ints beyond the float range
+@given(field=st.sampled_from(REAL_FIELDS),
+       bad=BAD | GOOD.map(repr) | st.sampled_from([True, "2.5", "1", 10**400, -10**400]))
 def test_config_real_fields_reject(field, bad):
     cls, name = field
     with pytest.raises(ValueError):
@@ -133,3 +136,30 @@ def test_numeric_flags_reject_and_write_nothing(name, bad):
         argv = [FLAG_COMMAND[name], f"{flag}={bad!r}", "--out", str(out)]
         assert main(argv) == 2, argv
         assert list(Path(tmp).iterdir()) == []
+
+
+# flag -> (a value its field's rule rejects, a value it accepts)
+FIELD_VALUES = {
+    "policy": ("nope", "cautious"), "W": (0, 10), "C_bar": (-1.0, 1.0), "rho": (2, 0.5),
+    "alpha": (-1, 1.0), "beta": (1.5, 0.5), "V": (0, 15.0), "load": (7, 0.5), "zipf_exponent": (1, 2.0),
+    "zipf_support": (0, 20), "demand_scale": (0, 0.25), "horizon": (0, 20), "seed": (-1, 0), "reps": (0, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_VALUES))
+def test_a_bad_field_value_in_the_config_file_exits_2_under_a_good_flag(tmp_path, capsys, name):
+    assert set(FIELD_VALUES) == {n for n, param in PARAMS.items() if param.sets[0] is not None}
+    cls, field = PARAMS[name].sets
+    bad, good = FIELD_VALUES[name]
+    with pytest.raises(ValueError) as rejected:
+        checked(cls, field, bad)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"horizon": 20, name: bad}))
+    flag = "--" + name.replace("_", "-")
+    assert main([FLAG_COMMAND.get(name, "simulate"), "--config", str(config), f"{flag}={good}",
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the library's own message, naming the flag
+    assert captured.err == f"emfcap: error: {flag}: {rejected.value}\n"
+    assert list(tmp_path.iterdir()) == [config]
