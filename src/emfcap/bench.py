@@ -29,7 +29,8 @@ from time import perf_counter_ns
 
 import numpy as np
 
-from .budget import BudgetState, ConservativeBudgetState, EmfConfig, as_int, budget_scratch
+from .budget import BudgetState, ConservativeBudgetState, EmfConfig, as_int, budget_scratch, checked
+from .traffic import TrafficConfig
 
 WORKLOAD_SPARSE = "sparse"
 WORKLOAD_ALL_ABOVE = "all_above"
@@ -39,12 +40,16 @@ UPDATES = 100_000
 W_GRID = (10, 100, 1000, 10_000)
 
 
+def checked_updates(updates) -> int:
+    """``updates`` as an int, the one rule of the timed update count; ``ValueError`` unless integral and >= 1."""
+    if (out := as_int(updates, "updates")) < 1:
+        raise ValueError(f"updates must be >= 1, got {updates!r}")
+    return out
+
+
 def _checked(w, updates, seed) -> tuple[int, int, int]:
-    """``(w, updates, seed)`` as ints, the sizes >= 1 and the seed >= 0; ``ValueError`` for anything else."""
-    w, updates, seed = as_int(w, "window_w"), as_int(updates, "updates"), as_int(seed, "seed")
-    if w < 1 or updates < 1 or seed < 0:
-        raise ValueError("window_w and updates must be >= 1, seed >= 0")
-    return w, updates, seed
+    """``(w, updates, seed)`` by the rules of ``EmfConfig.window_w``, ``checked_updates`` and ``TrafficConfig.seed``."""
+    return checked(EmfConfig, "window_w", w), checked_updates(updates), checked(TrafficConfig, "seed", seed)
 
 
 def _workload(kind: str, rng: np.random.Generator, n: int, cfg: EmfConfig) -> np.ndarray:
@@ -128,11 +133,11 @@ def bench_conservative_update(w: int, updates: int = UPDATES, seed: int = 0) -> 
 
 def bench_suite(w_grid, updates: int = UPDATES, seed: int = 0) -> list[dict]:
     """All subjects across a window grid; one dict per (algorithm, workload, W)."""
-    checked = [_checked(w, updates, seed) for w in w_grid]
-    if not checked:
+    grid = [_checked(w, updates, seed) for w in w_grid]
+    if not grid:
         raise ValueError("w_grid must be nonempty")
     rows = []
-    for w, updates, seed in checked:
+    for w, updates, seed in grid:
         rows.append(bench_scratch(w, updates, seed))
         rows.append(bench_exact_update(w, updates, WORKLOAD_SPARSE, seed))
         rows.append(bench_exact_update(w, updates, WORKLOAD_ALL_ABOVE, seed))

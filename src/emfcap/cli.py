@@ -6,10 +6,13 @@ command accepts exactly the flags of the parameters it reads (``COMMANDS``),
 and fields it does not read keep their dataclass defaults. Precedence is
 flag > config file > built-in default. The config file is flat JSON keyed by
 flag names (dashes become underscores), and its values pass the same
-converters as the flags' text; a field's value is then checked by the
-field's own rule, so a flag and the library reject the same values with the
-same message. Every supplied value is checked, also one that a flag
-overrides. A JSON ``null`` means unset only where the default is unset.
+converters as the flags' text. Each value is then checked by the library's
+rule (a field's, for a grid that of the field each item sets, or
+``checked_tolerance`` or ``checked_updates``), so a flag and the library
+reject the same values with the same message; only the display-only
+``c_bar_dbm`` has a rule of the CLI's, any finite real. Every supplied value
+is checked, grids included, also one a flag overrides. A JSON ``null`` means
+unset only where the default is unset.
 Each handler writes and prints nothing: it returns its
 exit code, its stdout text and the text of each role of its ``OUTPUTS``.
 Only ``main`` makes paths: it checks them before the handler runs, then
@@ -40,8 +43,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .bench import UPDATES, W_GRID, bench_suite
-from .budget import EmfConfig, as_int, checked
+from .bench import UPDATES, W_GRID, bench_suite, checked_updates
+from .budget import EmfConfig, as_real, checked
 from .output import commit, csv_chunks, is_directory
 from .policy import POLICY_KINDS, DppConfig
 from .sim import (
@@ -50,6 +53,7 @@ from .sim import (
     ComplianceCheck,
     RunSummary,
     SimConfig,
+    checked_tolerance,
     compare_budgets,
     run_blocks,
     sweep_v,
@@ -68,15 +72,6 @@ class CliError(Exception):
 # returns the typed value, or raises ``ValueError``/``TypeError``.
 
 
-def _real(value) -> float:
-    if isinstance(value, bool):
-        raise ValueError(f"expected a number, got {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise ValueError(f"must be finite, got {value!r}")
-    return out
-
-
 def _number(value):
     """Flag text as a number, read as JSON reads one; any other value, such as a file's number, as it is."""
     # int() keeps a 64-bit seed given as text exact; any other text is read as
@@ -89,18 +84,11 @@ def _number(value):
     return value
 
 
-def _integer(value) -> int:
-    return as_int(_number(value), "value")
-
-
-def _at_least(low, convert):
-    def check(value):
-        out = convert(value)
-        if out < low:
-            raise ValueError(f"must be >= {low}, got {value!r}")
-        return out
-
-    return check
+def _finite(value) -> float:
+    """The display-only ``c_bar_dbm``: any finite real, the one value whose rule only the CLI states."""
+    if not math.isfinite(out := as_real(_number(value), "c_bar_dbm")):
+        raise ValueError(f"c_bar_dbm must be finite, got {value!r}")
+    return out
 
 
 def _text(value) -> str:
@@ -109,7 +97,8 @@ def _text(value) -> str:
     return value
 
 
-def _grid(convert):
+def _grid(cls, name: str):
+    """A nonempty comma list or JSON list, each item read by ``_number`` and checked by the rule of ``cls.name``."""
     def parse(value) -> list:
         if isinstance(value, str):
             value = [part for part in value.split(",") if part.strip()]
@@ -117,7 +106,7 @@ def _grid(convert):
             raise ValueError(f"expected a list or a comma list, got {value!r}")
         if not value:
             raise ValueError("must be nonempty")
-        return [convert(v) for v in value]
+        return [checked(cls, name, _number(v)) for v in value]
 
     return parse
 
@@ -158,16 +147,15 @@ PARAMS = {
     "horizon": _field(SimConfig, "horizon", "periods per run"),
     "seed": _field(TrafficConfig, "seed", "base RNG seed"),
     "reps": _field(SimConfig, "replications", "replications per grid point"),
-    "tolerance": Param(_at_least(0.0, _real), TOLERANCE, "absolute tolerance on the windowed average"),
-    "loads": Param(_grid(_real), [0.05, 0.2, 0.5, 0.9], "comma list of loads"),
+    "tolerance": Param(lambda value: checked_tolerance(_number(value)), TOLERANCE,
+                       "absolute tolerance on the windowed average"),
+    "loads": Param(_grid(TrafficConfig, "load"), [0.05, 0.2, 0.5, 0.9], "comma list of loads"),
     "v_grid": Param(
-        _grid(_real), [1.0, 2.0, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0], "comma list of utility weights"
+        _grid(DppConfig, "v_weight"), [1.0, 2.0, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0], "comma list of utility weights"
     ),
-    "w_grid": Param(_grid(_integer), list(W_GRID), "comma list of window lengths"),
-    "updates": Param(_at_least(1, _integer), UPDATES, "timed updates per constant-time subject"),
-    "c_bar_dbm": Param(
-        _real, None, "display-only dBm value of the threshold; adds a dBm block to the summary"
-    ),
+    "w_grid": Param(_grid(EmfConfig, "window_w"), list(W_GRID), "comma list of window lengths"),
+    "updates": Param(lambda value: checked_updates(_number(value)), UPDATES, "timed updates per constant-time subject"),
+    "c_bar_dbm": Param(_finite, None, "display-only dBm value of the threshold; adds a dBm block to the summary"),
     "trace": Param(_text, None, "trace CSV with a 'c' column"),
     "out": Param(_text, None, "primary output path (siblings derive from its stem)"),
 }
@@ -190,10 +178,10 @@ def _load_config_file(path: str) -> dict:
             doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: cannot decode: {exc}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+        raise CliError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliError(f"{path}: config must be a JSON object")
     if doc.get("tool") == "emfcap" and isinstance(doc.get("config"), dict):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .budget import EmfConfig, as_real, check_fields, rule
+from .budget import EmfConfig, as_real, check_fields, checked, rule
 
 # the per-period guards read module globals, which is faster than math.inf
 _INF = math.inf
@@ -37,10 +37,9 @@ _NEG_INF = -math.inf
 def alpha_fair(x: float, alpha: float) -> float:
     """Concave fairness utility ``x**(1-alpha) / (1-alpha)``, natural log at ``alpha == 1``.
 
-    Raises ``ValueError`` outside its domain and when the value overflows float64.
+    Raises ``ValueError`` outside its domain or ``DppConfig.alpha``'s rule, and when the value overflows float64.
     """
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError("alpha must be finite and nonnegative")
+    alpha = checked(DppConfig, "alpha", alpha)
     if not x > 0.0:
         raise ValueError(f"alpha-fair utility is undefined for x = {x!r}")
     if alpha == 1.0:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .budget import BudgetState, ConservativeBudgetState, EmfConfig, as_int, check_fields, rule
+from .budget import BudgetState, ConservativeBudgetState, EmfConfig, as_int, as_real, check_fields, checked, rule
 from .output import commit, csv_chunks
 from .policy import POLICY_KINDS, DppConfig
 from .traffic import TrafficConfig, TrafficModel
@@ -38,9 +38,11 @@ TOLERANCE = 1e-9
 BLOCK_ROWS = 1 << 14
 
 
-def _check_tolerance(tolerance: float) -> None:
-    if not 0.0 <= tolerance < math.inf:
+def checked_tolerance(tolerance) -> float:
+    """``tolerance`` as a float, the one rule of every compliance tolerance; ``ValueError`` unless finite and >= 0."""
+    if not 0.0 <= (out := as_real(tolerance, "tolerance")) < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
+    return out
 
 
 def _column(trace, name: str) -> np.ndarray:
@@ -181,8 +183,7 @@ class RunSummary:
     """
 
     def __init__(self, tolerance: float = TOLERANCE):
-        _check_tolerance(tolerance)
-        self.tolerance = tolerance
+        self.tolerance = checked_tolerance(tolerance)
         self.periods = 0
         self.totals = None  # per summed quantity, the running total
         self.floor_periods = 0
@@ -363,9 +364,8 @@ class ComplianceCheck:
     """
 
     def __init__(self, cfg: EmfConfig, tolerance: float = TOLERANCE):
-        _check_tolerance(tolerance)
         self.cfg = cfg
-        self.tolerance = tolerance
+        self.tolerance = checked_tolerance(tolerance)
         self.sums = _WindowSums(cfg.window_w, "consumption")
         self.periods = 0
         self.worst = -math.inf
@@ -419,8 +419,7 @@ def _utility_sum(g: np.ndarray, alpha: float) -> float:
     """Sum of the alpha-fair utilities of the caps ``g``; ``ValueError`` outside their domain, inf on overflow."""
     if not np.all(g > 0.0):
         raise ValueError("alpha-fair utility is undefined for nonpositive or NaN caps")
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError("alpha must be finite and nonnegative")
+    alpha = checked(DppConfig, "alpha", alpha)
     if alpha == 1.0:
         return float(np.add.reduce(np.log(g)))
     with np.errstate(over="ignore"):
@@ -450,7 +449,7 @@ def queue_zero_every_window(trace, cfg: EmfConfig, tolerance: float = 0.0) -> tu
     consumption are checked as in ``verify_compliance``: a negative value of
     either could drain an overshoot that never drained.
     """
-    _check_tolerance(tolerance)
+    tolerance = checked_tolerance(tolerance)
     c = _column(trace, "c")
     if not c.size:
         raise ValueError("trace must be a nonempty 1-d consumption sequence")
@@ -483,7 +482,7 @@ def _replicated(cfg: SimConfig, measure) -> np.ndarray:
 
 
 def _per_load(base: SimConfig, loads, policy_kind: str) -> list[SimConfig]:
-    """``base`` running ``policy_kind`` at each of ``loads``; a load outside [0, 1] raises ``ValueError``."""
+    """``base`` running ``policy_kind`` at each of ``loads``, each converted and checked by ``TrafficConfig``'s rule."""
     return [replace(base, traffic=replace(base.traffic, load=load), policy_kind=policy_kind) for load in loads]
 
 
@@ -493,25 +492,26 @@ def sweep_v(base: SimConfig, loads, v_grid) -> list[dict]:
     Every (load, replication) pair reuses the identical demand realization
     across the whole weight grid, so grid points differ only through the
     policy. Ties resolve toward the smaller weight. Every (load, weight)
-    config is built before the first run, so a load or weight out of range
-    raises ``ValueError`` without simulating; so does a zero floor, with
-    which the controller may grant a zero cap, which has no fairness score.
+    config is built, by its fields' rules, before the first run, so a bad
+    load or weight raises ``ValueError`` without simulating, as does a zero
+    floor (the controller may then grant a zero cap, which has no fairness
+    score). Rows report the load and weight as those rules convert them.
     """
-    loads = [float(x) for x in loads]
-    vs = sorted(float(v) for v in v_grid)
-    if not loads or not vs:
+    dpps = sorted((replace(base.dpp, v_weight=v) for v in v_grid), key=lambda dpp: dpp.v_weight)
+    grid = [[replace(cfg, dpp=dpp) for dpp in dpps] for cfg in _per_load(base, loads, "dpp_exact")]
+    if not grid or not dpps:
         raise ValueError("loads and v_grid must be nonempty")
     if base.emf.floor == 0.0:
         raise ValueError(f"the weight sweep needs guaranteed_ratio > 0, got {base.emf.guaranteed_ratio!r}")
-    grid = [[replace(cfg, dpp=replace(cfg.dpp, v_weight=v)) for v in vs] for cfg in _per_load(base, loads, "dpp_exact")]
     reps = base.replications
     rows = []
-    for load, cfgs in zip(loads, grid):
+    for cfgs in grid:
         scores = np.array([_replicated(cfg, lambda trace: score_trace(trace.gamma, base.dpp.alpha)) for cfg in cfgs])
         means = scores.mean(axis=1)
         best = int(np.argmax(means))  # the first maximum, so ties go to the smaller weight
         half = 1.96 * float(scores[best].std(ddof=1)) / math.sqrt(reps) if reps > 1 else 0.0
-        rows.append({"load": load, "v_star": vs[best], "mean_score": float(means[best]), "ci_half_width": half})
+        rows.append({"load": cfgs[best].traffic.load, "v_star": cfgs[best].dpp.v_weight,
+                     "mean_score": float(means[best]), "ci_half_width": half})
     return rows
 
 
@@ -539,12 +539,12 @@ def compare_budgets(base: SimConfig, loads) -> list[dict]:
     ``min(5 * window_w, horizon // 2)`` periods, the whole stored window
     cleared the floor; it is 1.0 exactly in the saturated regime where the
     two budgets coincide. Every load's config is built before the first run,
-    so a load out of range raises ``ValueError`` without simulating.
+    so a load that ``TrafficConfig.load``'s rule rejects raises ``ValueError``
+    without simulating. Each row reports the load as that rule converts it.
     """
-    loads = [float(x) for x in loads]
-    if not loads:
-        raise ValueError("loads must be nonempty")
     cfgs = _per_load(base, loads, "greedy_exact")
+    if not cfgs:
+        raise ValueError("loads must be nonempty")
     w, floor = base.emf.window_w, base.emf.floor
     burn = min(5 * w, base.horizon // 2)
 
@@ -552,9 +552,9 @@ def compare_budgets(base: SimConfig, loads) -> list[dict]:
         return trace.budget_exact.mean(), trace.budget_conservative.mean(), _all_above_fraction(trace.c, w, floor, burn)
 
     rows = []
-    for load, cfg in zip(loads, cfgs):
+    for cfg in cfgs:
         ex, co, frac = (float(column.mean()) for column in _replicated(cfg, measure).T)
         # all_above_frac is undefined for a horizon shorter than the window; null keeps the JSON emission strict
-        rows.append({"load": load, "mean_budget_exact": ex, "mean_budget_conservative": co, "mean_gap": ex - co,
-                     "all_above_frac": None if math.isnan(frac) else frac})
+        rows.append({"load": cfg.traffic.load, "mean_budget_exact": ex, "mean_budget_conservative": co,
+                     "mean_gap": ex - co, "all_above_frac": None if math.isnan(frac) else frac})
     return rows

@@ -388,6 +388,38 @@ def test_config_file_non_integral_or_non_list_values_exit_2(tmp_path):
     assert run_cli(["bench", "--w-grid", "4,inf", "--out", out]) == 2
 
 
+# parameter -> (a command that reads it, a config file giving it a JSON integer beyond the float range)
+HUGE_INTEGER = {
+    "tolerance": ("simulate", {"tolerance": 10**400}),
+    "c_bar_dbm": ("simulate", {"c_bar_dbm": 10**400}),
+    "loads": ("compare-budgets", {"loads": [10**400], "reps": 1}),
+    "v_grid": ("sweep-v", {"v_grid": [10**400], "reps": 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_INTEGER))
+def test_an_integer_beyond_the_float_range_exits_2_naming_the_flag(tmp_path, capsys, name):
+    command, doc = HUGE_INTEGER[name]
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**doc, "horizon": 20}))
+    assert run_cli([command, "--config", config, "--out", tmp_path / "x.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag = "--" + name.replace("_", "-")
+    assert captured.err.startswith(f"emfcap: error: {flag}: ") and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_an_integer_json_cannot_read_is_reported_as_bad_json_of_its_file(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text('{"horizon": ' + "9" * 5000 + "}")  # past the 4300-digit limit of int()
+    assert run_cli(["simulate", "--config", config, "--out", tmp_path / "x.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"emfcap: error: {config}: not valid JSON: ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_integer_flag_takes_an_integral_float_as_a_config_file_does(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli(["simulate", "--W", "10", "--horizon", "60", "--out", a]) == 0
@@ -567,7 +599,7 @@ def test_a_bad_last_load_exits_2_before_simulating(tmp_path, capsys, monkeypatch
     assert run_cli([command, "--loads", loads, "--out", tmp_path / "late.csv"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "emfcap: invalid configuration: load must lie in [0, 1]\n"
+    assert captured.err == "emfcap: error: --loads: load must lie in [0, 1]\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -50,7 +50,7 @@ def test_alpha_fair_domain_errors():
         alpha_fair(-1.0, 0.5)
     with pytest.raises(ValueError, match="undefined"):
         alpha_fair(math.nan, 0.5)
-    for alpha in (-0.2, math.inf, math.nan):
+    for alpha in (-0.2, math.inf, math.nan, 10**400, True, "1"):
         with pytest.raises(ValueError):
             alpha_fair(1.0, alpha)
 

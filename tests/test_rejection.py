@@ -146,6 +146,31 @@ FIELD_VALUES = {
 }
 
 
+# (command, grid flag, the config class and field whose rule checks each item, a rejected item, an accepted one)
+GRID_VALUES = [
+    ("sweep-v", "loads", TrafficConfig, "load", 1.5, 0.5),
+    ("compare-budgets", "loads", TrafficConfig, "load", 1.5, 0.5),
+    ("sweep-v", "v_grid", DppConfig, "v_weight", 0, 1),
+    ("bench", "w_grid", EmfConfig, "window_w", 0, 4),
+]
+
+
+@pytest.mark.parametrize("command, name, cls, field, bad, good", GRID_VALUES,
+                         ids=[f"{command}-{name}" for command, name, *_ in GRID_VALUES])
+def test_a_bad_grid_item_in_the_config_file_exits_2_under_a_good_flag(tmp_path, capsys, command, name, cls, field,
+                                                                     bad, good):
+    with pytest.raises(ValueError) as rejected:
+        checked(cls, field, bad)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({name: [bad]}))
+    flag = "--" + name.replace("_", "-")
+    assert main([command, "--config", str(config), f"{flag}={good}", "--out", str(tmp_path / "out.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"emfcap: error: {flag}: {rejected.value}\n"
+    assert list(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize("name", sorted(FIELD_VALUES))
 def test_a_bad_field_value_in_the_config_file_exits_2_under_a_good_flag(tmp_path, capsys, name):
     assert set(FIELD_VALUES) == {n for n, param in PARAMS.items() if param.sets[0] is not None}

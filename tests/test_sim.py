@@ -271,7 +271,7 @@ def test_verifier_input_errors():
                 check(np.array([0.1, bad]), EMF)
     # a garbage tolerance would pass a trace averaging 5x the threshold
     trace = run_simulation(make_cfg(horizon=20))
-    for bad in (-1e-9, math.nan, math.inf):
+    for bad in (-1e-9, math.nan, math.inf, 10**400, True):
         with pytest.raises(ValueError):
             verify_compliance([5.0] * 10, EMF, tolerance=bad)
         with pytest.raises(ValueError):
@@ -458,7 +458,7 @@ def test_score_surfaces_domain_error():
             score_trace(np.array([1.0, bad]), 1.0)
     with pytest.raises(ValueError):
         score_trace(np.array([]), 1.0)
-    for alpha in (-0.5, math.inf, math.nan):
+    for alpha in (-0.5, math.inf, math.nan, 10**400, True, "1"):
         with pytest.raises(ValueError):
             score_trace(np.array([1.0, 2.0]), alpha)
 
@@ -568,6 +568,14 @@ def test_sweep_rejects_a_bad_last_grid_point_before_any_run(monkeypatch):
         sweep_v(base, loads=[0.05, 0.2], v_grid=[math.inf, 1.0, 10.0])  # sorted last
     with pytest.raises(ValueError, match="load must lie in"):
         compare_budgets(base, loads=[0.05, 0.2, -0.1])
+    # each grid value is converted by its field's rule, which takes no bool or text and no int beyond the floats
+    for bad in (True, "0.5", 10**400):
+        with pytest.raises(ValueError, match="load must"):
+            sweep_v(base, loads=[0.05, bad], v_grid=[1.0])
+        with pytest.raises(ValueError, match="v_weight must"):
+            sweep_v(base, loads=[0.05], v_grid=[1.0, bad])
+        with pytest.raises(ValueError, match="load must"):
+            compare_budgets(base, loads=[0.05, bad])
     assert runs == []
 
 
