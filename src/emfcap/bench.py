@@ -29,7 +29,7 @@ from time import perf_counter_ns
 
 import numpy as np
 
-from .budget import BudgetState, ConservativeBudgetState, EmfConfig, as_int, budget_scratch, checked
+from .budget import BudgetState, ConservativeBudgetState, EmfConfig, as_int, budget_scratch, checked, shown
 from .traffic import TrafficConfig
 
 WORKLOAD_SPARSE = "sparse"
@@ -43,7 +43,7 @@ W_GRID = (10, 100, 1000, 10_000)
 def checked_updates(updates) -> int:
     """``updates`` as an int, the one rule of the timed update count; ``ValueError`` unless integral and >= 1."""
     if (out := as_int(updates, "updates")) < 1:
-        raise ValueError(f"updates must be >= 1, got {updates!r}")
+        raise ValueError(f"updates must be >= 1, got {shown(updates)}")
     return out
 
 

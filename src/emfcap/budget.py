@@ -72,12 +72,22 @@ def as_real(value, name: str) -> float:
     return out
 
 
+def shown(value) -> str:
+    """``value`` as a rejection message shows it: its ``repr``, or an int too long for one by its bit length."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        if not isinstance(value, int):
+            raise
+        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+
+
 def rule(default, convert, holds, message: str):
     """A config dataclass field with ``default`` and its rule, the one home of both.
 
     The rule converts a value by ``convert(value, field name)``, such as
     ``as_int`` or ``as_real``, and then raises ``ValueError(message)`` unless
-    ``holds(converted)``; ``message`` may name the value as ``{value!r}``.
+    ``holds(converted)``; ``message`` may name the value as ``{value}``, by ``shown``.
     """
     return field(default=default, metadata={"rule": (convert, holds, message)})
 
@@ -87,7 +97,7 @@ def checked(cls, name: str, value):
     convert, holds, message = cls.__dataclass_fields__[name].metadata["rule"]
     out = convert(value, name)
     if not holds(out):
-        raise ValueError(message.format(value=value))
+        raise ValueError(message.format(value=shown(value)))
     return out
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .budget import EmfConfig, as_real, check_fields, checked, rule
+from .budget import EmfConfig, as_real, check_fields, checked, rule, shown
 
 # the per-period guards read module globals, which is faster than math.inf
 _INF = math.inf
@@ -41,7 +41,7 @@ def alpha_fair(x: float, alpha: float) -> float:
     """
     alpha = checked(DppConfig, "alpha", alpha)
     if not x > 0.0:
-        raise ValueError(f"alpha-fair utility is undefined for x = {x!r}")
+        raise ValueError(f"alpha-fair utility is undefined for x = {shown(x)}")
     if alpha == 1.0:
         return math.log(x)
     try:
@@ -49,7 +49,7 @@ def alpha_fair(x: float, alpha: float) -> float:
     except OverflowError:  # raised by the power; an overflowing quotient is inf instead
         u = math.inf
     if not math.isfinite(u):
-        raise ValueError(f"alpha-fair utility of {x!r} at alpha={alpha!r} overflows float64")
+        raise ValueError(f"alpha-fair utility of {shown(x)} at alpha={alpha!r} overflows float64")
     return u
 
 

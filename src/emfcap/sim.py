@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .budget import BudgetState, ConservativeBudgetState, EmfConfig, as_int, as_real, check_fields, checked, rule
+from .budget import BudgetState, ConservativeBudgetState, EmfConfig, as_int, as_real, check_fields, checked, rule, shown
 from .output import commit, csv_chunks
 from .policy import POLICY_KINDS, DppConfig
 from .traffic import TrafficConfig, TrafficModel
@@ -41,7 +41,7 @@ BLOCK_ROWS = 1 << 14
 def checked_tolerance(tolerance) -> float:
     """``tolerance`` as a float, the one rule of every compliance tolerance; ``ValueError`` unless finite and >= 0."""
     if not 0.0 <= (out := as_real(tolerance, "tolerance")) < math.inf:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
+        raise ValueError(f"tolerance must be finite and nonnegative, got {shown(tolerance)}")
     return out
 
 
@@ -68,7 +68,7 @@ class SimConfig:
     horizon: int = rule(1000, as_int, lambda t: t >= 1, "horizon must be >= 1")
     policy_kind: str = rule(
         "dpp_exact", lambda kind, name: kind, lambda kind: isinstance(kind, str) and kind in POLICY_KINDS,
-        f"unknown policy kind {{value!r}}; expected one of {tuple(POLICY_KINDS)}",
+        f"unknown policy kind {{value}}; expected one of {tuple(POLICY_KINDS)}",
     )
     replications: int = rule(100, as_int, lambda r: r >= 1, "replications must be >= 1")
 

@@ -11,14 +11,19 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter, deque
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import emfcap
+from emfcap import budget, sim
 from emfcap.bench import (
     WORKLOAD_ALL_ABOVE,
+    WORKLOAD_DIPS,
+    WORKLOAD_SPARSE,
+    _workload,
     bench_conservative_update,
     bench_exact_update,
     bench_scratch,
@@ -32,16 +37,17 @@ from emfcap.budget import (
     budget_scratch,
     omega_naive,
 )
-from emfcap.policy import DppConfig
+from emfcap.policy import POLICY_KINDS, DppConfig
 from emfcap.sim import (
     SimConfig,
     compare_budgets,
     queue_zero_every_window,
+    run_blocks,
     run_simulation,
     sweep_v,
     verify_compliance,
 )
-from emfcap.traffic import TrafficConfig
+from emfcap.traffic import TrafficConfig, TrafficModel
 
 EMF = EmfConfig(window_w=10, threshold=1.0, guaranteed_ratio=0.15)
 DPP = DppConfig(v_weight=15.0, alpha=1.0, beta=0.95)
@@ -367,6 +373,89 @@ def test_criterion_8_update_costs_scale_as_designed(capsys):
         f"incremental/scratch at W=10000: {incremental_share:.4f}",
     )
     assert ok, line
+
+
+class _CountingDeque(deque):
+    """A ``deque`` counting the elements it is built from, appends, pops and pops from the left."""
+
+    ops = 0
+
+    def __init__(self, iterable=(), maxlen=None):
+        items = list(iterable)
+        _CountingDeque.ops += len(items)
+        super().__init__(items, maxlen)
+
+    def append(self, x):
+        _CountingDeque.ops += 1
+        super().append(x)
+
+    def pop(self):
+        _CountingDeque.ops += 1
+        return super().pop()
+
+    def popleft(self):
+        _CountingDeque.ops += 1
+        return super().popleft()
+
+
+# tracker -> (fewest, most) deque element operations over n updates
+DEQUE_OPS = {BudgetState: (lambda n: 2 * n, lambda n: 5 * n + 4),
+             ConservativeBudgetState: (lambda n: n + 1, lambda n: n + 1)}
+
+
+@pytest.mark.parametrize("cls", list(DEQUE_OPS), ids=lambda cls: cls.__name__)
+def test_update_work_is_counted_and_does_not_grow_with_the_window(monkeypatch, cls):
+    """Criterion 8's scaling as counted work: deque element operations per update are bounded whatever ``W``.
+
+    ``BudgetState``, over ``n`` updates: each appends an index and a prefix
+    (``2n``); each element, the two of the initial deques included, leaves at
+    most once by ``pop`` or ``popleft`` (``2n + 2``); every ``W`` periods the
+    re-base copies the stored prefixes, at most ``W`` as the front index lies
+    within the last ``W`` periods (``n`` in all); the initial deques hold 2.
+    That is at most ``5n + 4``, and at least the ``2n`` appends.
+    ``ConservativeBudgetState`` builds its deque of ``maxlen`` ``W`` from one
+    prefix and appends one per update, and an append that evicts the oldest
+    is one call: exactly ``n + 1``.
+    """
+    monkeypatch.setattr(budget, "deque", _CountingDeque)
+    fewest, most = DEQUE_OPS[cls]
+    n = 20_000
+    for w in (10, 100, 1000, 10_000):
+        cfg = EmfConfig(window_w=w)
+        for workload in (WORKLOAD_SPARSE, WORKLOAD_ALL_ABOVE, WORKLOAD_DIPS):
+            samples = _workload(workload, np.random.default_rng([0, w]), n, cfg).tolist()
+            _CountingDeque.ops = 0
+            update = cls(cfg).update
+            for c in samples:
+                update(c)
+            assert fewest(n) <= _CountingDeque.ops <= most(n), (w, workload, _CountingDeque.ops / n)
+
+
+def test_each_period_of_a_run_updates_each_tracker_and_steps_the_policy_once(monkeypatch):
+    """Per period, ``run_blocks`` makes one update of each tracker, one ``decide``, one ``observe`` and one ``consume``."""
+    calls = Counter()
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def count(self, *args):
+            calls[f"{cls.__name__}.{name}"] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(cls, name, count)
+
+    for cls, name in ((BudgetState, "update"), (ConservativeBudgetState, "update"), (TrafficModel, "consume")):
+        counted(cls, name)
+    for cls in {cls for cls, _ in POLICY_KINDS.values()}:
+        counted(cls, "decide")
+        counted(cls, "observe")
+    monkeypatch.setattr(sim, "BLOCK_ROWS", 64)
+    for kind, (policy, _) in POLICY_KINDS.items():
+        calls.clear()
+        blocks = run_blocks(SimConfig(EMF, TrafficConfig(load=0.5), horizon=200, policy_kind=kind))
+        assert [len(block) for block in blocks] == [64, 64, 64, 8]
+        assert calls == {"BudgetState.update": 200, "ConservativeBudgetState.update": 200, "TrafficModel.consume": 200,
+                         f"{policy.__name__}.decide": 200, f"{policy.__name__}.observe": 200}, kind
 
 
 # ── criterion 9: manifest reproducibility through the real CLI ────────

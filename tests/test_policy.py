@@ -2,7 +2,7 @@ import hashlib
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from emfcap.budget import BudgetState, EmfConfig
 from emfcap.policy import (
@@ -13,6 +13,8 @@ from emfcap.policy import (
     GreedyPolicy,
     alpha_fair,
 )
+from emfcap.sim import SimConfig, run_simulation
+from emfcap.traffic import TrafficConfig
 
 EMF = EmfConfig(window_w=10, threshold=1.0, guaranteed_ratio=0.15)
 DPP = DppConfig(v_weight=15.0, alpha=1.0, beta=0.95)
@@ -259,6 +261,40 @@ def test_dpp_decide_is_the_full_chain_bit_for_bit(q, alpha, v, rho, data):
     )
     got = dpp_at(q, cfg, DppConfig(v, alpha, 0.95)).decide(budget).gamma
     assert repr(got) == repr(full_chain_gamma(q, budget, floor, v, alpha))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["dpp_exact", "dpp_conservative"]),
+    rho=st.one_of(st.sampled_from([0.0, 0.15, 1.0]), st.floats(0.01, 1.0)),
+    beta_share=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    alpha=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 3.0)),
+    v=st.floats(0.01, 200.0),
+    w=st.sampled_from([1, 2, 10, 100]),
+    threshold=st.sampled_from([0.3, 1.0, 7.0]),
+    load=st.floats(0.0, 1.0),
+    scale=st.sampled_from([0.25, 1.0, 4.0]),
+    seed=st.integers(0, 2**32),
+)
+def test_dpp_queue_stays_within_its_bound(kind, rho, beta_share, alpha, v, w, threshold, load, scale, seed):
+    """With ``rho <= beta``, and ``rho > 0`` or ``alpha == 0``, the queue never exceeds
+    ``B = V * floor**-alpha + full_budget - beta * threshold``.
+
+    Once the queue reaches ``V * floor**-alpha`` the cap is the floor, which
+    the drain ``beta * threshold`` covers, so the queue cannot grow; below
+    that level one period adds at most ``full_budget - beta * threshold``.
+    The bound is tight (runs reach ``queue == B``), so the floats are allowed
+    their rounding: a few roundings per period, each at most 2**-53 of a
+    value below ``B + full_budget``, which ``2**-50`` per period covers.
+    """
+    assume(rho > 0.0 or alpha == 0.0)
+    beta = min(1.0, rho + beta_share * (1.0 - rho))
+    emf = EmfConfig(w, threshold, rho)
+    cfg = SimConfig(emf, TrafficConfig(load=load, demand_scale=scale * threshold, seed=seed),
+                    dpp=DppConfig(v, alpha, beta), horizon=1000, policy_kind=kind)
+    bound = v * emf.floor**-alpha + emf.full_budget - beta * threshold
+    rounding = cfg.horizon * 2**-50 * (bound + emf.full_budget)
+    assert run_simulation(cfg).queue.max() <= bound + rounding
 
 
 # ── baselines ─────────────────────────────────────────────────────────

@@ -8,7 +8,6 @@ nothing, also when a flag overrides the bad value of a config file. A policy's b
 rejects only nan and the infinities.
 """
 
-import json
 import math
 import tempfile
 from dataclasses import fields
@@ -17,10 +16,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emfcap.budget import BudgetState, ConservativeBudgetState, EmfConfig, checked
+from emfcap.bench import checked_updates
+from emfcap.budget import BudgetState, ConservativeBudgetState, EmfConfig
 from emfcap.cli import COMMANDS, PARAMS, main
-from emfcap.policy import POLICY_KINDS, CautiousPolicy, DppConfig, DppPolicy, GreedyPolicy
+from emfcap.policy import POLICY_KINDS, CautiousPolicy, DppConfig, DppPolicy, GreedyPolicy, alpha_fair
+from emfcap.sim import SimConfig, checked_tolerance
 from emfcap.traffic import TrafficConfig, TrafficModel
+
+from cli_cases import FIELD_VALUES, case_tests
+
+# the command line's cases of a bad value in the config file under a good flag
+globals().update(case_tests("test_rejection"))
 
 # strictly negative floats (-inf included), nan and +inf
 BAD = st.floats(max_value=-math.ulp(0.0)) | st.sampled_from([math.nan, math.inf])
@@ -49,6 +55,8 @@ def test_every_real_field_and_numeric_flag_is_covered():
         ("TrafficConfig", "load"), ("TrafficConfig", "zipf_exponent"), ("TrafficConfig", "demand_scale"),
     }
     assert set(PARAMS) - set(FLAG_COMMAND) == {"policy", "trace", "out"}
+    # every parameter that sets a config field has a row of its own
+    assert set(FIELD_VALUES) == {n for n, param in PARAMS.items() if param.sets[0] is not None}
 
 
 @settings(max_examples=200, deadline=None)
@@ -138,53 +146,20 @@ def test_numeric_flags_reject_and_write_nothing(name, bad):
         assert list(Path(tmp).iterdir()) == []
 
 
-# flag -> (a value its field's rule rejects, a value it accepts)
-FIELD_VALUES = {
-    "policy": ("nope", "cautious"), "W": (0, 10), "C_bar": (-1.0, 1.0), "rho": (2, 0.5),
-    "alpha": (-1, 1.0), "beta": (1.5, 0.5), "V": (0, 15.0), "load": (7, 0.5), "zipf_exponent": (1, 2.0),
-    "zipf_support": (0, 20), "demand_scale": (0, 0.25), "horizon": (0, 20), "seed": (-1, 0), "reps": (0, 1),
-}
 
 
-# (command, grid flag, the config class and field whose rule checks each item, a rejected item, an accepted one)
-GRID_VALUES = [
-    ("sweep-v", "loads", TrafficConfig, "load", 1.5, 0.5),
-    ("compare-budgets", "loads", TrafficConfig, "load", 1.5, 0.5),
-    ("sweep-v", "v_grid", DppConfig, "v_weight", 0, 1),
-    ("bench", "w_grid", EmfConfig, "window_w", 0, 4),
-]
+# a library call given an int too long for repr; the command line cannot pass one, as JSON and flag text stop it first
+HUGE = 10**5000
 
 
-@pytest.mark.parametrize("command, name, cls, field, bad, good", GRID_VALUES,
-                         ids=[f"{command}-{name}" for command, name, *_ in GRID_VALUES])
-def test_a_bad_grid_item_in_the_config_file_exits_2_under_a_good_flag(tmp_path, capsys, command, name, cls, field,
-                                                                     bad, good):
+@pytest.mark.parametrize("call, message", [
+    (lambda: checked_tolerance(HUGE), "tolerance must be finite and nonnegative, got <int of 16610 bits>"),
+    (lambda: SimConfig(EmfConfig(), TrafficConfig(), policy_kind=HUGE),
+     f"unknown policy kind <int of 16610 bits>; expected one of {tuple(POLICY_KINDS)}"),
+    (lambda: checked_updates(-HUGE), "updates must be >= 1, got -<int of 16610 bits>"),
+    (lambda: alpha_fair(-HUGE, 1.0), "alpha-fair utility is undefined for x = -<int of 16610 bits>"),
+], ids=["checked_tolerance", "policy_kind", "checked_updates", "alpha_fair"])
+def test_a_rejected_int_too_long_to_print_is_shown_by_its_bit_length(call, message):
     with pytest.raises(ValueError) as rejected:
-        checked(cls, field, bad)
-    config = tmp_path / "c.json"
-    config.write_text(json.dumps({name: [bad]}))
-    flag = "--" + name.replace("_", "-")
-    assert main([command, "--config", str(config), f"{flag}={good}", "--out", str(tmp_path / "out.csv")]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"emfcap: error: {flag}: {rejected.value}\n"
-    assert list(tmp_path.iterdir()) == [config]
-
-
-@pytest.mark.parametrize("name", sorted(FIELD_VALUES))
-def test_a_bad_field_value_in_the_config_file_exits_2_under_a_good_flag(tmp_path, capsys, name):
-    assert set(FIELD_VALUES) == {n for n, param in PARAMS.items() if param.sets[0] is not None}
-    cls, field = PARAMS[name].sets
-    bad, good = FIELD_VALUES[name]
-    with pytest.raises(ValueError) as rejected:
-        checked(cls, field, bad)
-    config = tmp_path / "c.json"
-    config.write_text(json.dumps({"horizon": 20, name: bad}))
-    flag = "--" + name.replace("_", "-")
-    assert main([FLAG_COMMAND.get(name, "simulate"), "--config", str(config), f"{flag}={good}",
-                 "--out", str(tmp_path / "out.csv")]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    # the library's own message, naming the flag
-    assert captured.err == f"emfcap: error: {flag}: {rejected.value}\n"
-    assert list(tmp_path.iterdir()) == [config]
+        call()
+    assert str(rejected.value) == message
