@@ -17,10 +17,10 @@ from emfcap.policy import POLICY_KINDS
 from emfcap.sim import BLOCK_ROWS, SimConfig, compare_budgets, run_simulation, sweep_v, verify_compliance
 from emfcap.traffic import TrafficConfig
 
-from cli_cases import case_tests
+from cli_cases import CASES, case_tests
 
 # every boundary case of the command line is a row of cli_cases.CASES
-globals().update(case_tests("test_cli"))
+globals().update(case_tests(CASES))
 
 
 def run_cli(args):
