@@ -3,7 +3,8 @@
 Every parameter is declared once, in ``PARAMS``, together with the config
 dataclass field it sets, if any, whose default and rule it takes; each
 command accepts exactly the flags of the parameters it reads (``COMMANDS``),
-and fields it does not read keep their dataclass defaults. Precedence is
+and its own parser rejects any other argument, under its own usage line;
+fields it does not read keep their dataclass defaults. Precedence is
 flag > config file > built-in default. The config file is flat JSON keyed by
 flag names (dashes become underscores), and its values pass the same
 converters as the flags' text. Each value is then checked by the library's
@@ -402,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat JSON config file or a previous run manifest")
         for name in names:
             p.add_argument(_flag(name), dest=name, help=PARAMS[name].help)
-        p.set_defaults(handler=handler, params=names)
+        p.set_defaults(handler=handler, params=names, parser=p)
     return parser
 
 
@@ -460,7 +461,9 @@ def main(argv=None) -> int:
     describes, no output file is left. A failed allocation, such as a horizon
     or a demand support too large to hold, exits 2 too.
     """
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # reported by the command's own parser, whose usage lists the flags it reads
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         cfg = _resolve(args)
         paths = _outputs(args.command, cfg, args.config)

@@ -6,20 +6,16 @@ A ``Case`` names the files to create in an empty directory (text, bytes, or
 * exit with ``code``;
 * print nothing to stdout exactly when it exits 2;
 * print ``err`` to stderr as one line: the whole line when ``err`` ends with
-  a newline, else its start; argparse's usage may come before it, and an
-  empty ``err`` means an empty stderr;
+  a newline, else its start; argparse's usage may come before it, naming
+  ``emfcap <command>`` when ``argv[0]`` is a command, and an empty ``err``
+  means an empty stderr;
 * leave the directory holding its input files, byte for byte, and the files
   named in ``left``, nothing else, and write nothing beside it;
 * with ``runs=False``, exit without starting a simulation or a bench: both
   producers, ``sim._run`` and ``cli.bench_suite``, fail the test if called.
 
-``CASES`` (for ``tests/test_cli.py``) and ``REJECTION_CASES`` (for
-``tests/test_rejection.py``) group the rows under the name of the test that
-runs them, which is the name the case had as a hand-written test, so each
-test id stays as it was: a list is one test that runs every row and reports
-each failing one, a dict one test per key. A test module takes its tests with
-``globals().update(case_tests(<its dict>))``. A new boundary case is one more
-row.
+``tests/test_cli_cases.py`` runs each row of ``CASES`` as a test of its own.
+A new boundary case is one more row.
 """
 
 from __future__ import annotations
@@ -28,10 +24,7 @@ import json
 import sys
 from typing import NamedTuple
 
-import pytest
-
-from emfcap import cli, sim
-from emfcap.cli import COMMANDS, _flag, main
+from emfcap.cli import COMMANDS, _flag
 from emfcap.sim import BLOCK_ROWS
 
 TRACE = "c\n0.5\n"
@@ -98,298 +91,166 @@ GRID_VALUES = [
 ALLOCATION = "emfcap: error: Unable to allocate "
 NOT_DECODED = b"c\n0.5\n\xff\xfe\n"
 
-CASES = {
-    "test_simulate_rejects_unknown_policy": [
-        Case(["simulate", "--policy", "oracle", "--out", "x.csv"],
-             f"emfcap: error: --policy: unknown policy kind 'oracle'; expected one of {POLICIES}\n"),
-    ],
-    "test_simulate_rejects_bad_numeric_flag": [
-        Case(["simulate", "--load", "lots", "--out", "x.csv"],
-             "emfcap: error: --load: could not convert string to float: 'lots'\n"),
-    ],
-    "test_simulate_invalid_config_value_exits_2": [
-        Case(["simulate", "--horizon", "0", "--out", "x.csv"], "emfcap: error: --horizon: horizon must be >= 1\n"),
-        Case(["simulate", "--rho", "1.5", "--out", "x.csv"],
-             "emfcap: error: --rho: guaranteed_ratio must lie in [0, 1]\n"),
-    ],
-    "test_verify_malformed_csv_exits_2": [
-        Case(["verify", "--trace", "absent.csv"],
-             "emfcap: error: cannot read trace: [Errno 2] No such file or directory: 'absent.csv'\n"),
-        Case(["verify"], "emfcap: error: --trace is required\n"),
-        _reader("c\n0.5\n0.25\ninf\n", "row 4, column 'c': not finite: 'inf'"),
-        *(Case([*argv, "--tolerance", tol, "--out", "x.csv"],
-               f"emfcap: error: --tolerance: tolerance must be finite and nonnegative, got {tol}\n",
-               files={"t.csv": TRACE})
-          for argv in (["verify", "--trace", "t.csv"], ["simulate", "--horizon", "20"])
-          for tol in ("-5", "nan", "inf")),
-        _config("verify", {"tolerance": "x"}, "emfcap: error: --tolerance: could not convert string to float: 'x'\n",
-                "--trace", "t.csv", files={"t.csv": TRACE}),
-    ],
-    "test_verify_reader_error_messages_are_pinned": [
-        _reader("t,gamma\n0,1.0\n", "missing required column 'c' in header"),
-        _reader("", "missing required column 'c' in header"),
-        # either column could be the trace, and the second one's window average, 2.0, is above the threshold
-        _reader("c,c\n0.5,20\n", "column 'c' appears more than once in header"),
-        _reader("c\n0.5\nnot-a-number\n", "row 3, column 'c': not a number: 'not-a-number'"),
-        # blank lines are skipped and not counted in the row numbers
-        _reader("c\n0.5\n\n0.25\n\nx\n", "row 4, column 'c': not a number: 'x'"),
-        _reader("t,c\n0,0.5\n1\n", "row 3: empty 'c' cell"),
-        _reader("t,c\n0,0.5\n1,\n", "row 3: empty 'c' cell"),
-        _reader("c\n0.5\nnan\n", "row 3, column 'c': not finite: 'nan'"),
-        _reader("c\n0.5\n-inf\n", "row 3, column 'c': not finite: '-inf'"),
-        _reader("t,c\n0,0.5\n1,-0.25\n", "row 3, column 'c': negative: '-0.25'"),
-        _reader("c\n", "no data rows"),
-        _reader("c\n\n\n", "no data rows"),
-    ],
-    "test_reader_names_the_row_of_a_bad_cell_in_a_later_block": [
-        # the header is row 1
-        Case(["verify", "--trace", "bad.csv", "--out", "r.json"],
-             f"emfcap: error: bad.csv: row {BLOCK_ROWS + 5}, column 'c': negative: '-0.5'\n",
-             files={"bad.csv": "c\n" + "0.5\n" * (BLOCK_ROWS + 3) + "-0.5\n" + "0.5\n" * (BLOCK_ROWS - 4)}),
-    ],
-    "test_overflowing_sums_exit_2_with_the_quantity_and_write_nothing": [
-        Case(["simulate", "--C-bar", "1e306", "--horizon", "1000", "--out", "x.csv"],
-             "emfcap: invalid configuration: mean_gamma overflows float64\n"),
-        Case(["verify", "--W", "2", "--trace", "big.csv", "--out", "r.json"],
-             "emfcap: error: big.csv: the running sum of consumption overflows float64\n",
-             files={"big.csv": "t,c\n0,1e308\n1,1e308\n2,0.5\n3,0.5\n"}),
-    ],
+CASES = [
+    Case(["simulate", "--policy", "oracle", "--out", "x.csv"],
+         f"emfcap: error: --policy: unknown policy kind 'oracle'; expected one of {POLICIES}\n"),
+    Case(["simulate", "--load", "lots", "--out", "x.csv"],
+         "emfcap: error: --load: could not convert string to float: 'lots'\n"),
+    Case(["simulate", "--horizon", "0", "--out", "x.csv"], "emfcap: error: --horizon: horizon must be >= 1\n"),
+    Case(["simulate", "--rho", "1.5", "--out", "x.csv"], "emfcap: error: --rho: guaranteed_ratio must lie in [0, 1]\n"),
+    Case(["verify", "--trace", "absent.csv"],
+         "emfcap: error: cannot read trace: [Errno 2] No such file or directory: 'absent.csv'\n"),
+    Case(["verify"], "emfcap: error: --trace is required\n"),
+    _reader("c\n0.5\n0.25\ninf\n", "row 4, column 'c': not finite: 'inf'"),
+    *(Case([*argv, "--tolerance", tol, "--out", "x.csv"],
+           f"emfcap: error: --tolerance: tolerance must be finite and nonnegative, got {tol}\n", files={"t.csv": TRACE})
+      for argv in (["verify", "--trace", "t.csv"], ["simulate", "--horizon", "20"])
+      for tol in ("-5", "nan", "inf")),
+    _config("verify", {"tolerance": "x"}, "emfcap: error: --tolerance: could not convert string to float: 'x'\n",
+            "--trace", "t.csv", files={"t.csv": TRACE}),
+    _reader("t,gamma\n0,1.0\n", "missing required column 'c' in header"),
+    _reader("", "missing required column 'c' in header"),
+    # either column could be the trace, and the second one's window average, 2.0, is above the threshold
+    _reader("c,c\n0.5,20\n", "column 'c' appears more than once in header"),
+    _reader("c\n0.5\nnot-a-number\n", "row 3, column 'c': not a number: 'not-a-number'"),
+    # blank lines are skipped and not counted in the row numbers
+    _reader("c\n0.5\n\n0.25\n\nx\n", "row 4, column 'c': not a number: 'x'"),
+    _reader("t,c\n0,0.5\n1\n", "row 3: empty 'c' cell"),
+    _reader("t,c\n0,0.5\n1,\n", "row 3: empty 'c' cell"),
+    _reader("c\n0.5\nnan\n", "row 3, column 'c': not finite: 'nan'"),
+    _reader("c\n0.5\n-inf\n", "row 3, column 'c': not finite: '-inf'"),
+    _reader("t,c\n0,0.5\n1,-0.25\n", "row 3, column 'c': negative: '-0.25'"),
+    _reader("c\n", "no data rows"),
+    _reader("c\n\n\n", "no data rows"),
+    # a bad cell in a later block is named by its row; the header is row 1
+    Case(["verify", "--trace", "bad.csv", "--out", "r.json"],
+         f"emfcap: error: bad.csv: row {BLOCK_ROWS + 5}, column 'c': negative: '-0.5'\n",
+         files={"bad.csv": "c\n" + "0.5\n" * (BLOCK_ROWS + 3) + "-0.5\n" + "0.5\n" * (BLOCK_ROWS - 4)}),
+    Case(["simulate", "--C-bar", "1e306", "--horizon", "1000", "--out", "x.csv"],
+         "emfcap: invalid configuration: mean_gamma overflows float64\n"),
+    Case(["verify", "--W", "2", "--trace", "big.csv", "--out", "r.json"],
+         "emfcap: error: big.csv: the running sum of consumption overflows float64\n",
+         files={"big.csv": "t,c\n0,1e308\n1,1e308\n2,0.5\n3,0.5\n"}),
     # rejected before any draw, so no RuntimeWarning (an error under pytest's configuration)
-    "test_an_overflowing_largest_demand_exits_2_before_any_draw": [
-        Case(["simulate", "--horizon", horizon, "--demand-scale", "1e308", "--out", "x.csv"],
-             "emfcap: invalid configuration: the largest demand, demand_scale * zipf_support, must be finite\n")
-        for horizon in ("1000", "5")
-    ],
+    *(Case(["simulate", "--horizon", horizon, "--demand-scale", "1e308", "--out", "x.csv"],
+           "emfcap: invalid configuration: the largest demand, demand_scale * zipf_support, must be finite\n")
+      for horizon in ("1000", "5")),
     # a config file giving a JSON integer beyond the float range
-    "test_an_integer_beyond_the_float_range_exits_2_naming_the_flag": {
-        "tolerance": _config("simulate", {"tolerance": 10**400, "horizon": 20},
-                             f"emfcap: error: --tolerance: tolerance must be finite and nonnegative, got {10**400}\n",
-                             "--out", "x.csv"),
-        "c_bar_dbm": _config("simulate", {"c_bar_dbm": 10**400, "horizon": 20},
-                             f"emfcap: error: --c-bar-dbm: c_bar_dbm must be finite, got {10**400}\n",
-                             "--out", "x.csv"),
-        "loads": _config("compare-budgets", {"loads": [10**400], "reps": 1, "horizon": 20},
-                         "emfcap: error: --loads: load must lie in [0, 1]\n", "--out", "x.csv"),
-        "v_grid": _config("sweep-v", {"v_grid": [10**400], "reps": 1, "horizon": 20},
-                          "emfcap: error: --v-grid: v_weight must be positive and finite\n", "--out", "x.csv"),
-    },
-    "test_an_integer_json_cannot_read_is_reported_as_bad_json_of_its_file": [
-        # past the 4300-digit limit of int()
-        _config("simulate", '{"horizon": ' + "9" * 5000 + "}", "emfcap: error: c.json: not valid JSON: ",
-                "--out", "x.csv"),
-    ],
-    "test_config_file_unknown_key_exits_2": [
-        _config("simulate", {"loda": 0.9}, "emfcap: error: config file has keys not used by this command: ['loda']\n",
-                "--out", "x.csv"),
-        _config("simulate", '{"load": NaN}', "emfcap: error: config file: non-finite number NaN is not allowed\n",
-                "--out", "x.csv"),
-    ],
-    "test_config_file_non_integral_or_non_list_values_exit_2": [
-        _config("simulate", '{"W": 2.7}', "emfcap: error: --W: window_w must be an integer, got 2.7\n",
-                "--out", "x.csv"),
-        # 1e400 parses to inf
-        _config("simulate", '{"horizon": 1e400}', "emfcap: error: --horizon: horizon must be an integer, got inf\n",
-                "--out", "x.csv"),
-        _config("simulate", '{"zipf_support": 2.5}',
-                "emfcap: error: --zipf-support: zipf_support must be an integer, got 2.5\n", "--out", "x.csv"),
-        _config("simulate", {"W": 10.0, "horizon": 50.0}, "", "--out", "x.csv", code=0, left=SIMULATE_OUT),
-        _config("compare-budgets", {"loads": 5}, "emfcap: error: --loads: expected a list or a comma list, got 5\n",
-                "--out", "x.csv"),
-        _config("bench", {"w_grid": [4, 2.7]}, "emfcap: error: --w-grid: window_w must be an integer, got 2.7\n",
-                "--out", "x.csv"),
-        Case(["bench", "--w-grid", "4,2.7", "--out", "x.csv"],
-             "emfcap: error: --w-grid: window_w must be an integer, got 2.7\n"),
-        Case(["bench", "--w-grid", "4,inf", "--out", "x.csv"],
-             "emfcap: error: --w-grid: window_w must be an integer, got inf\n"),
-    ],
+    _config("simulate", {"tolerance": 10**400, "horizon": 20},
+            f"emfcap: error: --tolerance: tolerance must be finite and nonnegative, got {10**400}\n", "--out", "x.csv"),
+    _config("simulate", {"c_bar_dbm": 10**400, "horizon": 20},
+            f"emfcap: error: --c-bar-dbm: c_bar_dbm must be finite, got {10**400}\n", "--out", "x.csv"),
+    _config("compare-budgets", {"loads": [10**400], "reps": 1, "horizon": 20},
+            "emfcap: error: --loads: load must lie in [0, 1]\n", "--out", "x.csv"),
+    _config("sweep-v", {"v_grid": [10**400], "reps": 1, "horizon": 20},
+            "emfcap: error: --v-grid: v_weight must be positive and finite\n", "--out", "x.csv"),
+    # past the 4300-digit limit of int(), so reported as bad JSON of its file
+    _config("simulate", '{"horizon": ' + "9" * 5000 + "}", "emfcap: error: c.json: not valid JSON: ", "--out", "x.csv"),
+    _config("simulate", {"loda": 0.9}, "emfcap: error: config file has keys not used by this command: ['loda']\n",
+            "--out", "x.csv"),
+    _config("simulate", '{"load": NaN}', "emfcap: error: config file: non-finite number NaN is not allowed\n",
+            "--out", "x.csv"),
+    _config("simulate", '{"W": 2.7}', "emfcap: error: --W: window_w must be an integer, got 2.7\n", "--out", "x.csv"),
+    # 1e400 parses to inf
+    _config("simulate", '{"horizon": 1e400}', "emfcap: error: --horizon: horizon must be an integer, got inf\n",
+            "--out", "x.csv"),
+    _config("simulate", '{"zipf_support": 2.5}',
+            "emfcap: error: --zipf-support: zipf_support must be an integer, got 2.5\n", "--out", "x.csv"),
+    _config("simulate", {"W": 10.0, "horizon": 50.0}, "", "--out", "x.csv", code=0, left=SIMULATE_OUT),
+    _config("compare-budgets", {"loads": 5}, "emfcap: error: --loads: expected a list or a comma list, got 5\n",
+            "--out", "x.csv"),
+    _config("bench", {"w_grid": [4, 2.7]}, "emfcap: error: --w-grid: window_w must be an integer, got 2.7\n",
+            "--out", "x.csv"),
+    Case(["bench", "--w-grid", "4,2.7", "--out", "x.csv"],
+         "emfcap: error: --w-grid: window_w must be an integer, got 2.7\n"),
+    Case(["bench", "--w-grid", "4,inf", "--out", "x.csv"],
+         "emfcap: error: --w-grid: window_w must be an integer, got inf\n"),
     # a config value that a flag overrides is still checked, by its field's range too
-    "test_config_value_overridden_by_a_flag_is_still_checked": [
-        _config("simulate", {"out": 5, "horizon": 20}, "emfcap: error: --out: expected a string, got 5\n"),
-        _config("simulate", {"c_bar_dbm": "abc", "horizon": 20},
-                "emfcap: error: --c-bar-dbm: could not convert string to float: 'abc'\n",
-                "--c-bar-dbm", "30", "--out", "x.csv"),
-        _config("simulate", {"rho": 2, "horizon": 20}, "emfcap: error: --rho: guaranteed_ratio must lie in [0, 1]\n",
-                "--rho", "0.5", "--out", "x.csv"),
-        _config("simulate", {"load": 7, "horizon": 20}, "emfcap: error: --load: load must lie in [0, 1]\n",
-                "--load", "0.5", "--out", "x.csv"),
-    ],
+    _config("simulate", {"out": 5, "horizon": 20}, "emfcap: error: --out: expected a string, got 5\n"),
+    _config("simulate", {"c_bar_dbm": "abc", "horizon": 20},
+            "emfcap: error: --c-bar-dbm: could not convert string to float: 'abc'\n", "--c-bar-dbm", "30",
+            "--out", "x.csv"),
+    _config("simulate", {"rho": 2, "horizon": 20}, "emfcap: error: --rho: guaranteed_ratio must lie in [0, 1]\n",
+            "--rho", "0.5", "--out", "x.csv"),
+    _config("simulate", {"load": 7, "horizon": 20}, "emfcap: error: --load: load must lie in [0, 1]\n",
+            "--load", "0.5", "--out", "x.csv"),
     # sweep.json is the JSON table of --out sweep.csv
-    "test_an_output_that_is_the_config_file_exits_2": [
-        Case(["sweep-v", "--config", "sweep.json", "--out", "sweep.csv"],
-             "emfcap: error: sweep.json: an output of this command would replace its --config file\n",
-             files={"sweep.json": '{"loads": "0.5", "reps": 100000, "horizon": 2000}'}, runs=False),
-    ],
-    # the same path, the same file by another name (``run`` works in ``<root>/cwd``), and a trace named as the
+    Case(["sweep-v", "--config", "sweep.json", "--out", "sweep.csv"],
+         "emfcap: error: sweep.json: an output of this command would replace its --config file\n",
+         files={"sweep.json": '{"loads": "0.5", "reps": 100000, "horizon": 2000}'}, runs=False),
+    # the same path, the same file by another name (the run works in ``<root>/cwd``), and a trace named as the
     # manifest of --out run.json
-    "test_an_output_that_is_the_trace_exits_2": [
-        Case(["verify", "--trace", source, "--out", out],
-             f"emfcap: error: {source}: an output of this command would replace its --trace file\n",
-             files={"t.csv": TRACE, "run.manifest.json": TRACE})
-        for source, out in (("t.csv", "t.csv"), ("t.csv", "../cwd/t.csv"), ("run.manifest.json", "run.json"))
-    ],
-    "test_a_directory_output_exits_2_before_the_command_runs": [
-        Case(["sweep-v", "--loads", "0.5", "--reps", "100000", "--out", "adir"],
-             "emfcap: error: adir: Is a directory\n", files={"adir": None}, runs=False),
-        # the trace could be written, its summary cannot
-        Case(["simulate", "--out", "x.csv"], "emfcap: error: x.summary.json: Is a directory\n",
-             files={"x.summary.json": None}, runs=False),
-    ],
-    "test_an_out_that_names_no_file_exits_2": {
-        f"{command}-{value}-{source}": _no_file(command, value, source)
-        for command in COMMANDS for value in ("", ".", "..", "nd/") for source in ("flag", "config")
-    },
-    "test_sweep_v_empty_grid_exits_2": [
-        Case(["sweep-v", "--loads", "", "--v-grid", "12", "--out", "s.csv"],
-             "emfcap: error: --loads: must be nonempty\n"),
-    ],
+    *(Case(["verify", "--trace", source, "--out", out],
+           f"emfcap: error: {source}: an output of this command would replace its --trace file\n",
+           files={"t.csv": TRACE, "run.manifest.json": TRACE})
+      for source, out in (("t.csv", "t.csv"), ("t.csv", "../cwd/t.csv"), ("run.manifest.json", "run.json"))),
+    # a directory output exits 2 before the command runs
+    Case(["sweep-v", "--loads", "0.5", "--reps", "100000", "--out", "adir"], "emfcap: error: adir: Is a directory\n",
+         files={"adir": None}, runs=False),
+    # the trace could be written, its summary cannot
+    Case(["simulate", "--out", "x.csv"], "emfcap: error: x.summary.json: Is a directory\n",
+         files={"x.summary.json": None}, runs=False),
+    *(_no_file(command, value, source)
+      for command in COMMANDS for value in ("", ".", "..", "nd/") for source in ("flag", "config")),
+    Case(["sweep-v", "--loads", "", "--v-grid", "12", "--out", "s.csv"], "emfcap: error: --loads: must be nonempty\n"),
     # a zero floor lets the controller grant a zero cap, which has no score
-    "test_sweep_v_zero_floor_exits_2_before_simulating": [
-        Case(["sweep-v", "--rho", "0", "--loads", "0.05", "--out", "s.csv"],
-             "emfcap: invalid configuration: the weight sweep needs guaranteed_ratio > 0, got 0.0\n", runs=False),
-    ],
+    Case(["sweep-v", "--rho", "0", "--loads", "0.05", "--out", "s.csv"],
+         "emfcap: invalid configuration: the weight sweep needs guaranteed_ratio > 0, got 0.0\n", runs=False),
     # the whole grid is checked before the first run
-    "test_a_bad_last_load_exits_2_before_simulating": {
-        f"{command}-{loads}": Case([command, "--loads", loads, "--reps", "100000", "--out", "late.csv"],
-                                   "emfcap: error: --loads: load must lie in [0, 1]\n", runs=False)
-        for command, loads in (("sweep-v", "0.2,1.5"), ("compare-budgets", "0.2,-1"))
-    },
-    "test_an_allocation_failure_exits_2_and_writes_nothing": {
-        "horizon": Case(["sweep-v", "--horizon", str(10**17), "--loads", "0.5", "--v-grid", "1", "--reps", "1",
-                         "--out", "huge.csv"], ALLOCATION),
-        "zipf_support": Case(["simulate", "--horizon", "10", "--zipf-support", str(10**17), "--demand-scale", "1e-18",
-                              "--out", "huge.csv"], ALLOCATION),
-    },
+    *(Case([command, "--loads", loads, "--reps", "100000", "--out", "late.csv"],
+           "emfcap: error: --loads: load must lie in [0, 1]\n", runs=False)
+      for command, loads in (("sweep-v", "0.2,1.5"), ("compare-budgets", "0.2,-1"))),
+    Case(["sweep-v", "--horizon", str(10**17), "--loads", "0.5", "--v-grid", "1", "--reps", "1", "--out", "huge.csv"],
+         ALLOCATION),
+    Case(["simulate", "--horizon", "10", "--zipf-support", str(10**17), "--demand-scale", "1e-18",
+          "--out", "huge.csv"], ALLOCATION),
     # at alpha 1000 a cap below about 0.49 overflows the score: 0.15 ** -999 > 1.8e308
-    "test_sweep_v_with_an_overflowing_score_exits_2_and_writes_nothing": [
-        Case(["sweep-v", "--alpha", "1000", "--loads", "1", "--demand-scale", "5", "--v-grid", "1", "--reps", "2",
-              "--horizon", "100", "--out", "s.csv"],
-             "emfcap: invalid configuration: mean alpha-fair utility at alpha=1000.0 overflows float64\n"),
-    ],
-    "test_bench_rejects_bad_updates": [
-        Case(["bench", "--w-grid", "4", "--updates", "0", "--out", "b.csv"],
-             "emfcap: error: --updates: updates must be >= 1, got 0\n"),
-    ],
-    "test_flags_a_command_does_not_read_exit_2": [
-        Case([*argv, "--out", "x.csv"], f"emfcap: error: unrecognized arguments: {' '.join(argv[-2:])}\n",
-             files={"t.csv": TRACE})
-        for argv in (["sweep-v", "--V", "99"], ["sweep-v", "--load", "0.9"], ["compare-budgets", "--load", "0.9"],
-                     ["verify", "--trace", "t.csv", "--seed", "3"], ["verify", "--trace", "t.csv", "--rho", "0.5"])
-    ],
-    # without --out: the default outputs would land in the directory
-    "test_bad_values_exit_2_and_write_nothing": [
-        _config("simulate", '{"c_bar_dbm": 1e400}', "emfcap: error: --c-bar-dbm: c_bar_dbm must be finite, got inf\n"),
-        _config("simulate", '{"horizon": true}', "emfcap: error: --horizon: horizon must be an integer, got True\n"),
-        # null means unset only where the default is unset
-        _config("simulate", '{"tolerance": null}',
-                "emfcap: error: --tolerance: tolerance must be a real number, got None\n"),
-        _config("simulate", '{"seed": null}', "emfcap: error: --seed: seed must be an integer, got None\n"),
-        Case(["simulate", "--c-bar-dbm", "inf"], "emfcap: error: --c-bar-dbm: c_bar_dbm must be finite, got 'inf'\n"),
-        # integer flags read non-integer text as a config file reads a number
-        Case(["simulate", "--W", "10.5"], "emfcap: error: --W: window_w must be an integer, got 10.5\n"),
-        Case(["simulate", "--seed", "1e400"], "emfcap: error: --seed: seed must be an integer, got inf\n"),
-        Case(["simulate", "--horizon", "nan"], "emfcap: error: --horizon: horizon must be an integer, got nan\n"),
-        # a window too long to index, and a threshold whose full budget overflows to inf
-        *(Case([*argv, *flags], err, files={"t.csv": TRACE})
-          for argv in (["simulate"], ["verify", "--trace", "t.csv", "--out", "report.json"])
-          for flags, err in ((["--W", str(10**400)], f"emfcap: error: --W: {WINDOW_RULE}\n"),
-                             (["--C-bar", "1e308"], "emfcap: invalid configuration: full budget floor + threshold * "
-                                                    "(1 - ratio) * window_w must be finite\n"))),
-        # an input that is not UTF-8 is named in the message
-        _config("simulate", NOT_DECODED, "emfcap: error: c.json: cannot decode"),
-        Case(["verify", "--trace", "t.csv", "--out", "report.json"], "emfcap: error: t.csv: cannot decode",
-             files={"t.csv": NOT_DECODED}),
-    ],
-    # each set of outputs fails as a whole
-    "test_unwritable_output_exits_2_without_a_traceback": [
-        Case(["verify", "--trace", "t.csv", "--out", "adir"], "emfcap: error: adir: Is a directory\n",
-             files={"t.csv": TRACE, "adir": None}),
-        Case(["simulate", "--horizon", "20", "--out", "adir"], "emfcap: error: adir: Is a directory\n",
-             files={"adir": None}, runs=False),
-        # a .json table path is also the JSON table's path
-        Case(["bench", "--w-grid", "10", "--updates", "50", "--out", "b.json"],
-             "emfcap: error: b.json: named twice in one set of outputs\n", runs=False),
-    ],
-}
-
-# the cases of ``tests/test_rejection.py``
-REJECTION_CASES = {
-    # a bad item in the config file, under a good flag
-    "test_a_bad_grid_item_in_the_config_file_exits_2_under_a_good_flag": {
-        f"{command}-{name}": _config(command, {name: [bad]}, f"emfcap: error: {_flag(name)}: {message}\n",
-                                     f"{_flag(name)}={good}", "--out", "out.csv")
-        for command, name, bad, good, message in GRID_VALUES
-    },
-    # a bad value in the config file, under a good flag: the library's own message, naming the flag
-    "test_a_bad_field_value_in_the_config_file_exits_2_under_a_good_flag": {
-        name: _config("sweep-v" if name == "reps" else "simulate", {"horizon": 20, name: bad},
-                      f"emfcap: error: {_flag(name)}: {message}\n", f"{_flag(name)}={good}", "--out", "out.csv")
-        for name, (bad, good, message) in FIELD_VALUES.items()
-    },
-}
-
-
-def _ran(*args, **kwargs):
-    raise AssertionError("a simulation or a bench ran before the command's input was checked")
-
-
-def run(case: Case, tmp_path_factory, monkeypatch, capsys) -> None:
-    """Run ``case`` in a fresh directory and check every outcome it states."""
-    root = tmp_path_factory.mktemp("case")
-    cwd = root / "cwd"
-    cwd.mkdir()
-    for name, content in case.files.items():
-        if content is None:
-            (cwd / name).mkdir()
-        elif isinstance(content, bytes):
-            (cwd / name).write_bytes(content)
-        else:
-            (cwd / name).write_text(content)
-    inputs = {name: (cwd / name).read_bytes() for name, content in case.files.items() if content is not None}
-    with monkeypatch.context() as patch:
-        patch.chdir(cwd)
-        if not case.runs:
-            patch.setattr(sim, "_run", _ran)
-            patch.setattr(cli, "bench_suite", _ran)
-        capsys.readouterr()
-        try:
-            code = main(case.argv)
-        except SystemExit as exc:  # argparse rejected the argv
-            code = exc.code
-        out, err = capsys.readouterr()
-    assert code == case.code, (case.argv, err)
-    assert (out == "") == (code == 2), (case.argv, out)
-    if case.err:
-        *usage, last = err.splitlines(keepends=True) or [""]
-        assert last.startswith(case.err) and (not usage or usage[0].startswith("usage: ")), (case.argv, err)
-    else:
-        assert err == "", (case.argv, err)
-    assert [p.name for p in root.iterdir()] == ["cwd"], case.argv
-    assert sorted(p.relative_to(cwd).as_posix() for p in cwd.rglob("*")) == sorted([*case.files, *case.left]), case.argv
-    assert {name: (cwd / name).read_bytes() for name in inputs} == inputs, case.argv
-
-
-def _rows_test(rows: list):
-    """One test running every row of ``rows`` and reporting each failing row, not only the first."""
-    def test(tmp_path_factory, monkeypatch, capsys):
-        failed = []
-        for case in rows:
-            try:
-                run(case, tmp_path_factory, monkeypatch, capsys)
-            except Exception as exc:
-                failed.append(f"{case.argv}: {exc!r}")
-        assert not failed, "\n".join(failed)
-
-    return test
-
-
-def _test_per_key(rows: dict):
-    @pytest.mark.parametrize("case", list(rows.values()), ids=list(rows))
-    def test(case, tmp_path_factory, monkeypatch, capsys):
-        run(case, tmp_path_factory, monkeypatch, capsys)
-
-    return test
-
-
-def case_tests(groups: dict) -> dict:
-    """The test of each group of ``groups``, by test name: a list is one test, a dict one test per key."""
-    return {name: _test_per_key(rows) if isinstance(rows, dict) else _rows_test(rows) for name, rows in groups.items()}
+    Case(["sweep-v", "--alpha", "1000", "--loads", "1", "--demand-scale", "5", "--v-grid", "1", "--reps", "2",
+          "--horizon", "100", "--out", "s.csv"],
+         "emfcap: invalid configuration: mean alpha-fair utility at alpha=1000.0 overflows float64\n"),
+    Case(["bench", "--w-grid", "4", "--updates", "0", "--out", "b.csv"],
+         "emfcap: error: --updates: updates must be >= 1, got 0\n"),
+    # a flag its command does not read, reported by the command's own parser
+    *(Case([*argv, "--out", "x.csv"], f"emfcap {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}\n",
+           files={"t.csv": TRACE})
+      for argv in (["sweep-v", "--V", "99"], ["sweep-v", "--load", "0.9"], ["compare-budgets", "--load", "0.9"],
+                   ["verify", "--trace", "t.csv", "--seed", "3"], ["verify", "--trace", "t.csv", "--rho", "0.5"],
+                   ["simulate", "--loads", "0.5"], ["bench", "--load", "0.5"])),
+    # bad values without --out: the default outputs would land in the directory
+    _config("simulate", '{"c_bar_dbm": 1e400}', "emfcap: error: --c-bar-dbm: c_bar_dbm must be finite, got inf\n"),
+    _config("simulate", '{"horizon": true}', "emfcap: error: --horizon: horizon must be an integer, got True\n"),
+    # null means unset only where the default is unset
+    _config("simulate", '{"tolerance": null}',
+            "emfcap: error: --tolerance: tolerance must be a real number, got None\n"),
+    _config("simulate", '{"seed": null}', "emfcap: error: --seed: seed must be an integer, got None\n"),
+    Case(["simulate", "--c-bar-dbm", "inf"], "emfcap: error: --c-bar-dbm: c_bar_dbm must be finite, got 'inf'\n"),
+    # integer flags read non-integer text as a config file reads a number
+    Case(["simulate", "--W", "10.5"], "emfcap: error: --W: window_w must be an integer, got 10.5\n"),
+    Case(["simulate", "--seed", "1e400"], "emfcap: error: --seed: seed must be an integer, got inf\n"),
+    Case(["simulate", "--horizon", "nan"], "emfcap: error: --horizon: horizon must be an integer, got nan\n"),
+    # a window too long to index, and a threshold whose full budget overflows to inf
+    *(Case([*argv, *flags], err, files={"t.csv": TRACE})
+      for argv in (["simulate"], ["verify", "--trace", "t.csv", "--out", "report.json"])
+      for flags, err in ((["--W", str(10**400)], f"emfcap: error: --W: {WINDOW_RULE}\n"),
+                         (["--C-bar", "1e308"], "emfcap: invalid configuration: full budget floor + threshold * "
+                                                "(1 - ratio) * window_w must be finite\n"))),
+    # an input that is not UTF-8 is named in the message
+    _config("simulate", NOT_DECODED, "emfcap: error: c.json: cannot decode"),
+    Case(["verify", "--trace", "t.csv", "--out", "report.json"], "emfcap: error: t.csv: cannot decode",
+         files={"t.csv": NOT_DECODED}),
+    # an unwritable output exits 2 without a traceback; each set of outputs fails as a whole
+    Case(["verify", "--trace", "t.csv", "--out", "adir"], "emfcap: error: adir: Is a directory\n",
+         files={"t.csv": TRACE, "adir": None}),
+    Case(["simulate", "--horizon", "20", "--out", "adir"], "emfcap: error: adir: Is a directory\n",
+         files={"adir": None}, runs=False),
+    # a .json table path is also the JSON table's path
+    Case(["bench", "--w-grid", "10", "--updates", "50", "--out", "b.json"],
+         "emfcap: error: b.json: named twice in one set of outputs\n", runs=False),
+    # a bad item or value in the config file, under a good flag: the library's own message, naming the flag
+    *(_config(command, {name: [bad]}, f"emfcap: error: {_flag(name)}: {message}\n", f"{_flag(name)}={good}",
+              "--out", "out.csv")
+      for command, name, bad, good, message in GRID_VALUES),
+    *(_config("sweep-v" if name == "reps" else "simulate", {"horizon": 20, name: bad},
+              f"emfcap: error: {_flag(name)}: {message}\n", f"{_flag(name)}={good}", "--out", "out.csv")
+      for name, (bad, good, message) in FIELD_VALUES.items()),
+]

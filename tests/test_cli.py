@@ -17,11 +17,6 @@ from emfcap.policy import POLICY_KINDS
 from emfcap.sim import BLOCK_ROWS, SimConfig, compare_budgets, run_simulation, sweep_v, verify_compliance
 from emfcap.traffic import TrafficConfig
 
-from cli_cases import CASES, case_tests
-
-# every boundary case of the command line is a row of cli_cases.CASES
-globals().update(case_tests(CASES))
-
 
 def run_cli(args):
     return main([str(a) for a in args])

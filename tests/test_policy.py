@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -286,6 +287,11 @@ def test_dpp_queue_stays_within_its_bound(kind, rho, beta_share, alpha, v, w, th
     The bound is tight (runs reach ``queue == B``), so the floats are allowed
     their rounding: a few roundings per period, each at most 2**-53 of a
     value below ``B + full_budget``, which ``2**-50`` per period covers.
+    The largest sum of ``c - beta * threshold`` over any span of the served
+    ``c``, taken exactly, is the queue recursion replayed without rounding,
+    so the bound is also checked from the trace and not only from the
+    policy's float queue: any ``n`` periods consume at most
+    ``n * beta * threshold + B``.
     """
     assume(rho > 0.0 or alpha == 0.0)
     beta = min(1.0, rho + beta_share * (1.0 - rho))
@@ -294,7 +300,15 @@ def test_dpp_queue_stays_within_its_bound(kind, rho, beta_share, alpha, v, w, th
                     dpp=DppConfig(v, alpha, beta), horizon=1000, policy_kind=kind)
     bound = v * emf.floor**-alpha + emf.full_budget - beta * threshold
     rounding = cfg.horizon * 2**-50 * (bound + emf.full_budget)
-    assert run_simulation(cfg).queue.max() <= bound + rounding
+    trace = run_simulation(cfg)
+    assert trace.queue.max() <= bound + rounding
+    # Kadane over the served ``c``, in exact arithmetic: the largest sum of ``c - beta * threshold`` over any span
+    drain = Fraction(beta * threshold)
+    span = largest = Fraction(0)
+    for c in trace.c.tolist():
+        span = max(span, 0) + Fraction(c) - drain
+        largest = max(largest, span)
+    assert largest <= bound + rounding
 
 
 # ── baselines ─────────────────────────────────────────────────────────

@@ -23,10 +23,7 @@ from emfcap.policy import POLICY_KINDS, CautiousPolicy, DppConfig, DppPolicy, Gr
 from emfcap.sim import SimConfig, checked_tolerance
 from emfcap.traffic import TrafficConfig, TrafficModel
 
-from cli_cases import FIELD_VALUES, REJECTION_CASES, case_tests
-
-# the command line's cases of a bad value in the config file under a good flag
-globals().update(case_tests(REJECTION_CASES))
+from cli_cases import FIELD_VALUES
 
 # strictly negative floats (-inf included), nan and +inf
 BAD = st.floats(max_value=-math.ulp(0.0)) | st.sampled_from([math.nan, math.inf])
