@@ -14,8 +14,12 @@ A ``Case`` names the files to create in an empty directory (text, bytes, or
 * with ``runs=False``, exit without starting a simulation or a bench: both
   producers, ``sim._run`` and ``cli.bench_suite``, fail the test if called.
 
-``tests/test_cli_cases.py`` runs each row of ``CASES`` as a test of its own.
-A new boundary case is one more row.
+``run`` makes those checks. ``tests/test_cli_cases.py`` runs each row of
+``CASES`` as a test of its own; a new boundary case is one more row. Three
+grids of one rule over commands or fields are dicts keyed by the grid point,
+whose rows differ only in a file's content: ``NO_FILE``, run by
+``tests/test_cli.py``, and ``GRID_ITEMS`` and ``FIELD_ITEMS``, run by
+``tests/test_rejection.py``, each as one test parametrized by key.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import json
 import sys
 from typing import NamedTuple
 
-from emfcap.cli import COMMANDS, _flag
+from emfcap import cli, sim
+from emfcap.cli import COMMANDS, _flag, main
 from emfcap.sim import BLOCK_ROWS
 
 TRACE = "c\n0.5\n"
@@ -190,8 +195,6 @@ CASES = [
     # the trace could be written, its summary cannot
     Case(["simulate", "--out", "x.csv"], "emfcap: error: x.summary.json: Is a directory\n",
          files={"x.summary.json": None}, runs=False),
-    *(_no_file(command, value, source)
-      for command in COMMANDS for value in ("", ".", "..", "nd/") for source in ("flag", "config")),
     Case(["sweep-v", "--loads", "", "--v-grid", "12", "--out", "s.csv"], "emfcap: error: --loads: must be nonempty\n"),
     # a zero floor lets the controller grant a zero cap, which has no score
     Case(["sweep-v", "--rho", "0", "--loads", "0.05", "--out", "s.csv"],
@@ -246,11 +249,60 @@ CASES = [
     # a .json table path is also the JSON table's path
     Case(["bench", "--w-grid", "10", "--updates", "50", "--out", "b.json"],
          "emfcap: error: b.json: named twice in one set of outputs\n", runs=False),
-    # a bad item or value in the config file, under a good flag: the library's own message, naming the flag
-    *(_config(command, {name: [bad]}, f"emfcap: error: {_flag(name)}: {message}\n", f"{_flag(name)}={good}",
-              "--out", "out.csv")
-      for command, name, bad, good, message in GRID_VALUES),
-    *(_config("sweep-v" if name == "reps" else "simulate", {"horizon": 20, name: bad},
-              f"emfcap: error: {_flag(name)}: {message}\n", f"{_flag(name)}={good}", "--out", "out.csv")
-      for name, (bad, good, message) in FIELD_VALUES.items()),
 ]
+# an --out that names no file, by flag or by config file
+NO_FILE = {
+    f"{command}-{value}-{source}": _no_file(command, value, source)
+    for command in COMMANDS for value in ("", ".", "..", "nd/") for source in ("flag", "config")
+}
+# a bad item or value in the config file, under a good flag: the library's own message, naming the flag
+GRID_ITEMS = {
+    f"{command}-{name}": _config(command, {name: [bad]}, f"emfcap: error: {_flag(name)}: {message}\n",
+                                 f"{_flag(name)}={good}", "--out", "out.csv")
+    for command, name, bad, good, message in GRID_VALUES
+}
+FIELD_ITEMS = {
+    name: _config("sweep-v" if name == "reps" else "simulate", {"horizon": 20, name: bad},
+                  f"emfcap: error: {_flag(name)}: {message}\n", f"{_flag(name)}={good}", "--out", "out.csv")
+    for name, (bad, good, message) in FIELD_VALUES.items()
+}
+
+
+def _ran(*args, **kwargs):
+    raise AssertionError("a simulation or a bench ran before the command's input was checked")
+
+
+def run(case: Case, tmp_path, monkeypatch, capsys) -> None:
+    """Run ``case`` in a fresh directory under ``tmp_path`` and check every outcome it states."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    for name, content in case.files.items():
+        if content is None:
+            (cwd / name).mkdir()
+        elif isinstance(content, bytes):
+            (cwd / name).write_bytes(content)
+        else:
+            (cwd / name).write_text(content)
+    inputs = {name: (cwd / name).read_bytes() for name, content in case.files.items() if content is not None}
+    with monkeypatch.context() as patch:
+        patch.chdir(cwd)
+        if not case.runs:
+            patch.setattr(sim, "_run", _ran)
+            patch.setattr(cli, "bench_suite", _ran)
+        capsys.readouterr()
+        try:
+            code = main(case.argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            code = exc.code
+        out, err = capsys.readouterr()
+    assert code == case.code, (case.argv, err)
+    assert (out == "") == (code == 2), (case.argv, out)
+    if case.err:
+        *usage, last = err.splitlines(keepends=True) or [""]
+        prog = f"emfcap {case.argv[0]}" if case.argv[0] in COMMANDS else "emfcap"
+        assert last.startswith(case.err) and (not usage or usage[0].startswith(f"usage: {prog} ")), (case.argv, err)
+    else:
+        assert err == "", (case.argv, err)
+    assert [p.name for p in tmp_path.iterdir()] == ["cwd"], case.argv
+    assert sorted(p.relative_to(cwd).as_posix() for p in cwd.rglob("*")) == sorted([*case.files, *case.left]), case.argv
+    assert {name: (cwd / name).read_bytes() for name in inputs} == inputs, case.argv

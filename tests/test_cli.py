@@ -17,6 +17,8 @@ from emfcap.policy import POLICY_KINDS
 from emfcap.sim import BLOCK_ROWS, SimConfig, compare_budgets, run_simulation, sweep_v, verify_compliance
 from emfcap.traffic import TrafficConfig
 
+from cli_cases import NO_FILE, run
+
 
 def run_cli(args):
     return main([str(a) for a in args])
@@ -177,6 +179,11 @@ def test_simulate_failing_mid_stream_leaves_nothing(tmp_path, monkeypatch, capsy
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "emfcap: invalid configuration: stopped mid-stream\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", NO_FILE.values(), ids=list(NO_FILE))
+def test_an_out_that_names_no_file_exits_2(case, tmp_path, monkeypatch, capsys):
+    run(case, tmp_path, monkeypatch, capsys)
 
 
 def test_output_names_up_to_the_name_limit_are_written(tmp_path, capsys):

@@ -6,48 +6,9 @@ numbers the rows whose ids repeat.
 
 import pytest
 
-from emfcap import cli, sim
-from emfcap.cli import COMMANDS, main
-
-from cli_cases import CASES, Case
-
-
-def _ran(*args, **kwargs):
-    raise AssertionError("a simulation or a bench ran before the command's input was checked")
+from cli_cases import CASES, Case, run
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: "_".join(case.argv)[:60])
 def test_case(case: Case, tmp_path, monkeypatch, capsys):
-    """Run ``case`` in a fresh directory and check every outcome it states."""
-    cwd = tmp_path / "cwd"
-    cwd.mkdir()
-    for name, content in case.files.items():
-        if content is None:
-            (cwd / name).mkdir()
-        elif isinstance(content, bytes):
-            (cwd / name).write_bytes(content)
-        else:
-            (cwd / name).write_text(content)
-    inputs = {name: (cwd / name).read_bytes() for name, content in case.files.items() if content is not None}
-    with monkeypatch.context() as patch:
-        patch.chdir(cwd)
-        if not case.runs:
-            patch.setattr(sim, "_run", _ran)
-            patch.setattr(cli, "bench_suite", _ran)
-        capsys.readouterr()
-        try:
-            code = main(case.argv)
-        except SystemExit as exc:  # argparse rejected the argv
-            code = exc.code
-        out, err = capsys.readouterr()
-    assert code == case.code, (case.argv, err)
-    assert (out == "") == (code == 2), (case.argv, out)
-    if case.err:
-        *usage, last = err.splitlines(keepends=True) or [""]
-        prog = f"emfcap {case.argv[0]}" if case.argv[0] in COMMANDS else "emfcap"
-        assert last.startswith(case.err) and (not usage or usage[0].startswith(f"usage: {prog} ")), (case.argv, err)
-    else:
-        assert err == "", (case.argv, err)
-    assert [p.name for p in tmp_path.iterdir()] == ["cwd"], case.argv
-    assert sorted(p.relative_to(cwd).as_posix() for p in cwd.rglob("*")) == sorted([*case.files, *case.left]), case.argv
-    assert {name: (cwd / name).read_bytes() for name in inputs} == inputs, case.argv
+    run(case, tmp_path, monkeypatch, capsys)

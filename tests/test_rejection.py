@@ -23,7 +23,7 @@ from emfcap.policy import POLICY_KINDS, CautiousPolicy, DppConfig, DppPolicy, Gr
 from emfcap.sim import SimConfig, checked_tolerance
 from emfcap.traffic import TrafficConfig, TrafficModel
 
-from cli_cases import FIELD_VALUES
+from cli_cases import FIELD_ITEMS, FIELD_VALUES, GRID_ITEMS, run
 
 # strictly negative floats (-inf included), nan and +inf
 BAD = st.floats(max_value=-math.ulp(0.0)) | st.sampled_from([math.nan, math.inf])
@@ -54,6 +54,16 @@ def test_every_real_field_and_numeric_flag_is_covered():
     assert set(PARAMS) - set(FLAG_COMMAND) == {"policy", "trace", "out"}
     # every parameter that sets a config field has a row of its own
     assert set(FIELD_VALUES) == {n for n, param in PARAMS.items() if param.sets[0] is not None}
+
+
+@pytest.mark.parametrize("case", GRID_ITEMS.values(), ids=list(GRID_ITEMS))
+def test_a_bad_grid_item_in_the_config_file_exits_2_under_a_good_flag(case, tmp_path, monkeypatch, capsys):
+    run(case, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("case", FIELD_ITEMS.values(), ids=list(FIELD_ITEMS))
+def test_a_bad_field_value_in_the_config_file_exits_2_under_a_good_flag(case, tmp_path, monkeypatch, capsys):
+    run(case, tmp_path, monkeypatch, capsys)
 
 
 @settings(max_examples=200, deadline=None)
