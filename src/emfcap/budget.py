@@ -225,26 +225,28 @@ class BudgetState:
     """Exact budget tracker, advanced once per period with the realized consumption.
 
     With ``P_t`` the prefix sum of ``c - floor`` over the first ``t`` periods,
-    the excess is ``P_t - min(P_i for i in [max(0, t-W+1), t])``. A deque of
-    ascending minima (indices and prefixes in two parallel deques, the newest
-    prefix last) keeps that minimum: each new prefix pops every stored one at
-    or above it, so among equal minima the newest survives and
-    ``argmax_len = period - front index`` is the smallest maximizing span.
-    Each prefix enters and leaves once, so an update is amortized constant
-    time whatever the traffic.
+    the excess is ``P_t - min(P_i for i in [max(0, t-W+1), t])``. One deque
+    of ascending ``(prefix, period)`` pairs keeps that minimum: each new
+    prefix pops every stored pair whose prefix is at or above it, so among
+    equal minima the newest survives and ``argmax_len = period - front
+    period`` is the smallest maximizing span. Each pair enters and leaves
+    once, so an update is amortized constant time whatever the traffic.
 
     Every ``W`` periods the front minimum is subtracted from every stored
-    prefix (at most ``W`` of them), which keeps them bounded over any horizon
-    at amortized constant cost. Pre-history counts as zero consumption, so
-    the stored window is always full.
+    prefix (at most ``W`` of them) and from the newest, which keeps them
+    bounded over any horizon at amortized constant cost. Rounding is
+    monotone, so the deque stays ascending; where it makes neighbours equal,
+    the older stays in front, as its prefix was the smaller before the
+    shift. Pre-history counts as zero consumption, so the stored window is
+    always full.
 
     ``omega`` and ``budget`` are plain attributes, read-only by convention:
     ``update`` refreshes both, with ``budget == budget_from_omega(omega, cfg)``
     bit for bit. The consumptions themselves are not stored; the tracker
-    keeps only the prefix minima.
+    keeps only the prefix minima and the newest prefix.
     """
 
-    __slots__ = ("omega", "budget", "period", "_floor", "_full", "_w", "_idx", "_pre", "_rebase_at")
+    __slots__ = ("omega", "budget", "period", "_floor", "_full", "_w", "_min", "_last", "_rebase_at")
 
     def __init__(self, cfg: EmfConfig):
         self.omega = 0.0
@@ -252,50 +254,39 @@ class BudgetState:
         self._floor = cfg.floor
         self._full = cfg.full_budget
         self._w = cfg.window_w
-        self._idx = deque([0])
-        self._pre = deque([0.0])
+        self._min = deque([(0.0, 0)])
+        self._last = 0.0  # the newest prefix
         self._rebase_at = cfg.window_w
         self.budget = self._full - self.omega
 
     @property
     def argmax_len(self) -> int:
         """Smallest span (in periods, newest first) whose overshoot equals the excess."""
-        return self.period - self._idx[0]
+        return self.period - self._min[0][1]
 
     def update(self, c: float) -> "BudgetState":
         """Advance one period after consuming ``c``. Returns ``self``."""
         if not 0.0 <= c < _INF:
             raise ValueError("consumption must be finite and nonnegative")
-        idx = self._idx
-        pre = self._pre
+        q = self._min
         # c == floor adds exactly 0.0, so an at-floor period never moves P
-        p = pre[-1] + (c - self._floor)
+        p = self._last + (c - self._floor)
         t = self.period + 1
-        while pre and pre[-1] >= p:
-            pre.pop()
-            idx.pop()
-        pre.append(p)
-        idx.append(t)
-        if idx[0] <= t - self._w:
-            idx.popleft()
-            pre.popleft()
+        while q and q[-1][0] >= p:
+            q.pop()
+        q.append((p, t))
+        if q[0][1] <= t - self._w:
+            q.popleft()
         self.period = t
-        omega = self.omega = p - pre[0]
+        omega = self.omega = p - q[0][0]
         self.budget = self._full - omega
         if t == self._rebase_at:
-            self._rebase()
+            shift = q[0][0]
+            self._min = deque([(v - shift, i) for v, i in q])
+            p -= shift
+            self._rebase_at = t + self._w
+        self._last = p
         return self
-
-    def _rebase(self) -> None:
-        """Shift every stored prefix by the front minimum, so the front sits at 0.0.
-
-        Rounding is monotone, so the deque stays ascending; where it makes
-        neighbours equal, the older one stays in front, as its prefix was the
-        smaller before the shift.
-        """
-        shift = self._pre[0]
-        self._pre = deque([v - shift for v in self._pre])
-        self._rebase_at += self._w
 
 
 class ConservativeBudgetState:

@@ -15,7 +15,7 @@ reject the same values with the same message; only the display-only
 is checked, grids included, also one a flag overrides. A JSON ``null`` means
 unset only where the default is unset.
 Each handler writes and prints nothing: it returns its
-exit code, its stdout text and the text of each role of its ``OUTPUTS``.
+exit code, its stdout text and the text of each output role of its ``COMMANDS`` row.
 Only ``main`` makes paths: it checks them before the handler runs, then
 commits them and the manifest with one ``output.commit`` and prints.
 ``simulate`` streams: ``commit`` writes its trace while the run folds its
@@ -196,7 +196,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     Every supplied value, winner or not, passes its parameter's converter,
     which for a field is the field's rule; an error names the flag.
     """
-    names = args.params
+    names = COMMANDS[args.command].params
     from_file = _load_config_file(args.config) if args.config else {}
     unknown = set(from_file) - set(names)
     if unknown:
@@ -212,7 +212,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             supplied.append(from_file[name])
         if not supplied:
             if name == "out":
-                default = OUTPUTS[args.command][0]
+                default = COMMANDS[args.command].out
             if default is None:
                 resolved[name] = None
                 continue
@@ -370,24 +370,30 @@ def cmd_bench(cfg: dict) -> tuple[int, str, dict]:
 _RUN_PARAMS = (
     "W", "C_bar", "rho", "zipf_exponent", "zipf_support", "demand_scale", "horizon", "seed", "out",
 )
-# command -> (handler, help, the parameters it reads)
-COMMANDS = {
-    "simulate": (cmd_simulate, "run one closed loop and write trace/summary/manifest",
-                 ("policy", "alpha", "beta", "V", "load", "tolerance", "c_bar_dbm", *_RUN_PARAMS)),
-    "verify": (cmd_verify, "check a trace CSV against the windowed-average rule",
-               ("trace", "W", "C_bar", "tolerance", "out")),
-    "sweep-v": (cmd_sweep_v, "best utility weight per load (paired demand per replication)",
-                ("loads", "v_grid", "reps", "alpha", "beta", *_RUN_PARAMS)),
-    "compare-budgets": (cmd_compare_budgets, "exact vs conservative budget along greedy runs",
-                        ("loads", "reps", *_RUN_PARAMS)),
-    "bench": (cmd_bench, "per-update cost of the budget maintenance routines",
-              ("w_grid", "updates", "seed", "out")),
-}
+
+
+class Command(NamedTuple):
+    handler: Callable
+    help: str
+    params: tuple  # the parameters it reads
+    out: str | None  # --out when unset; None: it then only prints
+    roles: dict  # {role: suffix of its sibling of --out, or None for --out itself}
+
+
 _TABLE = {"table_csv": None, "table_json": ".json"}
-# command -> (--out when unset, {role: suffix of its sibling of --out, or None for --out}); verify then only prints
-OUTPUTS = {"simulate": ("trace.csv", {"trace_csv": None, "summary_json": ".summary.json"}),
-           "verify": (None, {"report_json": None}), "sweep-v": ("sweep_v.csv", _TABLE),
-           "compare-budgets": ("budget_compare.csv", _TABLE), "bench": ("bench.csv", _TABLE)}
+COMMANDS = {
+    "simulate": Command(cmd_simulate, "run one closed loop and write trace/summary/manifest",
+                        ("policy", "alpha", "beta", "V", "load", "tolerance", "c_bar_dbm", *_RUN_PARAMS),
+                        "trace.csv", {"trace_csv": None, "summary_json": ".summary.json"}),
+    "verify": Command(cmd_verify, "check a trace CSV against the windowed-average rule",
+                      ("trace", "W", "C_bar", "tolerance", "out"), None, {"report_json": None}),
+    "sweep-v": Command(cmd_sweep_v, "best utility weight per load (paired demand per replication)",
+                       ("loads", "v_grid", "reps", "alpha", "beta", *_RUN_PARAMS), "sweep_v.csv", _TABLE),
+    "compare-budgets": Command(cmd_compare_budgets, "exact vs conservative budget along greedy runs",
+                               ("loads", "reps", *_RUN_PARAMS), "budget_compare.csv", _TABLE),
+    "bench": Command(cmd_bench, "per-update cost of the budget maintenance routines",
+                     ("w_grid", "updates", "seed", "out"), "bench.csv", _TABLE),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,13 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"emfcap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (handler, help_text, names) in COMMANDS.items():
+    for command, row in COMMANDS.items():
         # no abbreviations: sweep-v must not read --load as --loads
-        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        p = sub.add_parser(command, help=row.help, allow_abbrev=False)
         p.add_argument("--config", help="flat JSON config file or a previous run manifest")
-        for name in names:
+        for name in row.params:
             p.add_argument(_flag(name), dest=name, help=PARAMS[name].help)
-        p.set_defaults(handler=handler, params=names, parser=p)
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -434,7 +440,7 @@ def _outputs(command: str, cfg: dict, config) -> dict:
         raise CliError(f"--out: {cfg['out']!r} names no file")
     out = Path(cfg["out"])
     paths = {role: out if suffix is None else out.with_name(out.stem + suffix)
-             for role, suffix in {**OUTPUTS[command][1], "manifest": ".manifest.json"}.items()}
+             for role, suffix in {**COMMANDS[command].roles, "manifest": ".manifest.json"}.items()}
     for flag, source, exempt in (("--config", config, "manifest"), ("--trace", cfg.get("trace"), None)):
         if source and any(_same_file(path, source) for role, path in paths.items() if role != exempt):
             raise CliError(f"{source}: an output of this command would replace its {flag} file")
@@ -468,7 +474,7 @@ def main(argv=None) -> int:
         cfg = _resolve(args)
         paths = _outputs(args.command, cfg, args.config)
         t0 = perf_counter()
-        code, stdout, texts = args.handler(cfg)
+        code, stdout, texts = COMMANDS[args.command].handler(cfg)
         texts["manifest"] = _manifest(args.command, cfg, paths, t0)
         commit([(path, texts[role]) for role, path in paths.items()])
     except (CliError, OSError, MemoryError) as exc:

@@ -399,7 +399,7 @@ class _CountingDeque(deque):
 
 
 # tracker -> (fewest, most) deque element operations over n updates
-DEQUE_OPS = {BudgetState: (lambda n: 2 * n, lambda n: 5 * n + 4),
+DEQUE_OPS = {BudgetState: (lambda n: 2 * n, lambda n: 3 * n + 1),
              ConservativeBudgetState: (lambda n: n + 1, lambda n: n + 1)}
 
 
@@ -407,12 +407,16 @@ DEQUE_OPS = {BudgetState: (lambda n: 2 * n, lambda n: 5 * n + 4),
 def test_update_work_is_counted_and_does_not_grow_with_the_window(monkeypatch, cls):
     """Criterion 8's scaling as counted work: deque element operations per update are bounded whatever ``W``.
 
-    ``BudgetState``, over ``n`` updates: each appends an index and a prefix
-    (``2n``); each element, the two of the initial deques included, leaves at
-    most once by ``pop`` or ``popleft`` (``2n + 2``); every ``W`` periods the
-    re-base copies the stored prefixes, at most ``W`` as the front index lies
-    within the last ``W`` periods (``n`` in all); the initial deques hold 2.
-    That is at most ``5n + 4``, and at least the ``2n`` appends.
+    ``BudgetState``, over ``n`` updates: the initial deque holds one
+    ``(prefix, period)`` pair and each update appends one (``n + 1``); each
+    pair leaves at most once by ``pop`` or ``popleft``, and the newest is
+    always stored (``n``); every ``W`` periods the re-base copies the stored
+    pairs, at most ``W`` as the front period lies within the last ``W``
+    periods (``n`` in all). That is at most ``3n + 1``. Each of the ``n + 1``
+    pairs is removed or still stored at the end, and the last re-base copied
+    every stored pair but those appended after it, so there are at least
+    ``2n + 2 - (n mod W)``; ``n`` here is a multiple of every ``W``, so at
+    least ``2n``.
     ``ConservativeBudgetState`` builds its deque of ``maxlen`` ``W`` from one
     prefix and appends one per update, and an append that evicts the oldest
     is one call: exactly ``n + 1``.

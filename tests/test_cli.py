@@ -382,11 +382,11 @@ def test_every_declared_parameter_is_echoed_in_the_manifest(tmp_path, capsys):
     trace.write_text("c\n0.5\n")
     small = small_runs(trace)
     assert set(small) == set(COMMANDS)
-    for command, (_, _, names) in COMMANDS.items():
+    for command, row in COMMANDS.items():
         out = tmp_path / f"{command}.out"
         assert run_cli([command, *small[command], "--out", out]) == 0, command
         manifest = read_json(tmp_path / f"{command}.manifest.json")
-        assert set(manifest["config"]) == set(names), command
+        assert set(manifest["config"]) == set(row.params), command
 
 
 def test_commands_without_out_write_their_default_files(tmp_path, monkeypatch, capsys):
@@ -443,7 +443,7 @@ def with_field(cfg, path, value):
 
 
 def test_every_flag_sets_its_config_field(tmp_path, capsys):
-    assert set(SIMULATE_FIELDS) | {"tolerance", "c_bar_dbm", "out"} == set(COMMANDS["simulate"][2])
+    assert set(SIMULATE_FIELDS) | {"tolerance", "c_bar_dbm", "out"} == set(COMMANDS["simulate"].params)
     base = SimConfig(emf=EmfConfig(), traffic=TrafficConfig())
     base_csv = tmp_path / "base.csv"
     run_simulation(base).write_csv(base_csv)

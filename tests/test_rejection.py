@@ -40,7 +40,7 @@ REAL_FLAGS = (
 INTEGER_FLAGS = ("W", "zipf_support", "horizon", "seed", "reps", "updates", "w_grid")
 # the first command that reads each flag
 FLAG_COMMAND = {
-    name: next(cmd for cmd, (_, _, names) in COMMANDS.items() if name in names)
+    name: next(cmd for cmd, row in COMMANDS.items() if name in row.params)
     for name in REAL_FLAGS + INTEGER_FLAGS
 }
 

@@ -280,6 +280,15 @@ def test_verifier_input_errors():
             queue_zero_every_window([5.0] * 10, EMF, tolerance=bad)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_verifier_rounding_does_not_grow_with_the_horizon():
+    """A greedy run at a large threshold is compliant; one cumsum over the stream reads it 2.2e-9 over."""
+    cfg = SimConfig(EmfConfig(threshold=731.3), TrafficConfig(load=0.9, demand_scale=731.3 / 4),
+                    horizon=100_000, policy_kind="greedy_exact")
+    trace = run_simulation(cfg)
+    assert verify_compliance(trace, cfg.emf).compliant
+
+
 def gathered_worst_window(c, w):
     """``(worst average, its start)`` from a zero-led prefix and index gathers: the reference formula."""
     prefix = np.concatenate(([0.0], np.cumsum(c)))
