@@ -226,27 +226,26 @@ class BudgetState:
 
     With ``P_t`` the prefix sum of ``c - floor`` over the first ``t`` periods,
     the excess is ``P_t - min(P_i for i in [max(0, t-W+1), t])``. One deque
-    of ascending ``(prefix, period)`` pairs keeps that minimum: each new
+    of ascending ``[prefix, period]`` pairs keeps that minimum: each new
     prefix pops every stored pair whose prefix is at or above it, so among
     equal minima the newest survives and ``argmax_len = period - front
     period`` is the smallest maximizing span. Each pair enters and leaves
     once, so an update is amortized constant time whatever the traffic.
 
-    Every ``W`` periods the front minimum is subtracted from every stored
-    prefix (at most ``W`` of them) and from the newest, which keeps them
-    bounded over any horizon at amortized constant cost. Rounding is
-    monotone, so the deque stays ascending; where it makes neighbours equal,
-    the older stays in front, as its prefix was the smaller before the
-    shift. Pre-history counts as zero consumption, so the stored window is
-    always full.
+    Every ``W`` periods the front minimum is subtracted in place from every
+    stored prefix, at most ``W``, which bounds them over any horizon at
+    amortized constant cost. Rounding is monotone, so the deque stays
+    ascending; where it makes neighbours equal, the older stays in front,
+    as its prefix was the smaller before the shift. Pre-history counts as
+    zero consumption, so the stored window is always full.
 
     ``omega`` and ``budget`` are plain attributes, read-only by convention:
     ``update`` refreshes both, with ``budget == budget_from_omega(omega, cfg)``
     bit for bit. The consumptions themselves are not stored; the tracker
-    keeps only the prefix minima and the newest prefix.
+    keeps only the prefix minima, the newest last, as it never expires.
     """
 
-    __slots__ = ("omega", "budget", "period", "_floor", "_full", "_w", "_min", "_last", "_rebase_at")
+    __slots__ = ("omega", "budget", "period", "_floor", "_full", "_w", "_min", "_rebase_at")
 
     def __init__(self, cfg: EmfConfig):
         self.omega = 0.0
@@ -254,8 +253,7 @@ class BudgetState:
         self._floor = cfg.floor
         self._full = cfg.full_budget
         self._w = cfg.window_w
-        self._min = deque([(0.0, 0)])
-        self._last = 0.0  # the newest prefix
+        self._min = deque([[0.0, 0]])
         self._rebase_at = cfg.window_w
         self.budget = self._full - self.omega
 
@@ -270,11 +268,11 @@ class BudgetState:
             raise ValueError("consumption must be finite and nonnegative")
         q = self._min
         # c == floor adds exactly 0.0, so an at-floor period never moves P
-        p = self._last + (c - self._floor)
+        p = q[-1][0] + (c - self._floor)
         t = self.period + 1
         while q and q[-1][0] >= p:
             q.pop()
-        q.append((p, t))
+        q.append([p, t])
         if q[0][1] <= t - self._w:
             q.popleft()
         self.period = t
@@ -282,10 +280,9 @@ class BudgetState:
         self.budget = self._full - omega
         if t == self._rebase_at:
             shift = q[0][0]
-            self._min = deque([(v - shift, i) for v, i in q])
-            p -= shift
+            for pair in q:
+                pair[0] -= shift
             self._rebase_at = t + self._w
-        self._last = p
         return self
 
 

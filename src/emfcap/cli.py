@@ -36,6 +36,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from itertools import islice
 from pathlib import Path
 from time import perf_counter
@@ -272,6 +273,7 @@ def cmd_simulate(cfg: dict) -> tuple[int, Callable, dict]:
             fold.add(block)
             yield block
 
+    @cache  # one text for the summary file and stdout
     def summary_text() -> str:
         summary = fold.result()
         if cfg["c_bar_dbm"] is not None:

@@ -439,15 +439,15 @@ def score_trace(trace, alpha: float) -> float:
     return mean
 
 
-def queue_zero_every_window(trace, cfg: EmfConfig, tolerance: float = 0.0) -> tuple[bool, int]:
+def queue_zero_every_window(trace, cfg: EmfConfig, tolerance: float = TOLERANCE) -> tuple[bool, int]:
     """Whether the unit-rate overshoot queue drains within every stretch of ``window_w`` periods.
 
     Replays ``queue' = max(queue + c - threshold, 0)`` over the consumption
     sequence and returns ``(ok, longest_positive_run)``; ``ok`` means no run
-    of strictly positive queue values reaches the window length. ``tolerance``
-    treats queue values at or below it as drained. The tolerance and the
-    consumption are checked as in ``verify_compliance``: a negative value of
-    either could drain an overshoot that never drained.
+    of queue values above ``tolerance`` (as in the other checks, so a
+    rounding residue drains) reaches the window length. The tolerance and
+    the consumption are checked as in ``verify_compliance``: a negative
+    value of either could drain an overshoot that never drained.
     """
     tolerance = checked_tolerance(tolerance)
     c = _column(trace, "c")

@@ -376,9 +376,14 @@ def test_criterion_8_update_costs_scale_as_designed(capsys):
 
 
 class _CountingDeque(deque):
-    """A ``deque`` counting the elements it is built from, appends, pops and pops from the left."""
+    """A ``deque`` counting its element operations and the elements its iteration yields.
 
-    ops = 0
+    Operations (``ops``) are the elements it is built from, appends, pops and
+    pops from the left; every other mutator raises, so no deque work goes
+    uncounted.
+    """
+
+    ops = visits = 0
 
     def __init__(self, iterable=(), maxlen=None):
         items = list(iterable)
@@ -397,42 +402,51 @@ class _CountingDeque(deque):
         _CountingDeque.ops += 1
         return super().popleft()
 
+    def __iter__(self):
+        for x in super().__iter__():
+            _CountingDeque.visits += 1
+            yield x
 
-# tracker -> (fewest, most) deque element operations over n updates
-DEQUE_OPS = {BudgetState: (lambda n: 2 * n, lambda n: 3 * n + 1),
-             ConservativeBudgetState: (lambda n: n + 1, lambda n: n + 1)}
+
+def _uncounted(name):
+    def refuse(self, *args):
+        raise AssertionError(f"deque.{name} is not counted")
+
+    return refuse
 
 
-@pytest.mark.parametrize("cls", list(DEQUE_OPS), ids=lambda cls: cls.__name__)
-def test_update_work_is_counted_and_does_not_grow_with_the_window(monkeypatch, cls):
-    """Criterion 8's scaling as counted work: deque element operations per update are bounded whatever ``W``.
+for _name in ("extend", "extendleft", "appendleft", "insert", "remove", "rotate", "clear",
+              "__setitem__", "__delitem__", "__iadd__", "__imul__"):
+    setattr(_CountingDeque, _name, _uncounted(_name))
 
-    ``BudgetState``, over ``n`` updates: the initial deque holds one
-    ``(prefix, period)`` pair and each update appends one (``n + 1``); each
-    pair leaves at most once by ``pop`` or ``popleft``, and the newest is
-    always stored (``n``); every ``W`` periods the re-base copies the stored
-    pairs, at most ``W`` as the front period lies within the last ``W``
-    periods (``n`` in all). That is at most ``3n + 1``. Each of the ``n + 1``
-    pairs is removed or still stored at the end, and the last re-base copied
-    every stored pair but those appended after it, so there are at least
-    ``2n + 2 - (n mod W)``; ``n`` here is a multiple of every ``W``, so at
-    least ``2n``.
-    ``ConservativeBudgetState`` builds its deque of ``maxlen`` ``W`` from one
-    prefix and appends one per update, and an append that evicts the oldest
-    is one call: exactly ``n + 1``.
+
+@pytest.mark.parametrize("cls, ops, most_visits", [
+    pytest.param(BudgetState, lambda n, state: 2 * n + 2 - len(state._min), lambda n: n, id="BudgetState"),
+    pytest.param(ConservativeBudgetState, lambda n, state: n + 1, lambda n: 0, id="ConservativeBudgetState"),
+])
+def test_update_work_is_counted_and_does_not_grow_with_the_window(monkeypatch, cls, ops, most_visits):
+    """Criterion 8's scaling as counted work: deque element operations over ``n`` updates are an identity whatever ``W``.
+
+    ``n + 1`` elements enter either deque, one at construction and one per
+    update. Each pair of ``BudgetState`` leaves at most once, so it makes
+    exactly ``2n + 2 - len(_min)`` operations; its re-base visits the stored
+    pairs, at most ``W``, once every ``W`` updates, at most ``n`` in all.
+    ``ConservativeBudgetState`` evicts through ``maxlen``, inside the append,
+    and visits none: exactly ``n + 1``.
     """
     monkeypatch.setattr(budget, "deque", _CountingDeque)
-    fewest, most = DEQUE_OPS[cls]
     n = 20_000
     for w in (10, 100, 1000, 10_000):
         cfg = EmfConfig(window_w=w)
         for workload in (WORKLOAD_SPARSE, WORKLOAD_ALL_ABOVE, WORKLOAD_DIPS):
             samples = _workload(workload, np.random.default_rng([0, w]), n, cfg).tolist()
-            _CountingDeque.ops = 0
-            update = cls(cfg).update
+            _CountingDeque.ops = _CountingDeque.visits = 0
+            state = cls(cfg)
+            update = state.update
             for c in samples:
                 update(c)
-            assert fewest(n) <= _CountingDeque.ops <= most(n), (w, workload, _CountingDeque.ops / n)
+            assert _CountingDeque.ops == ops(n, state), (w, workload, _CountingDeque.ops / n)
+            assert _CountingDeque.visits <= most_visits(n), (w, workload, _CountingDeque.visits / n)
 
 
 def test_each_period_of_a_run_updates_each_tracker_and_steps_the_policy_once(monkeypatch):

@@ -181,6 +181,16 @@ def test_simulate_failing_mid_stream_leaves_nothing(tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_renders_its_summary_once(tmp_path, monkeypatch, capsys):
+    """The summary file and stdout are one text, from one ``RunSummary.result``."""
+    calls = []
+    result = sim.RunSummary.result
+    monkeypatch.setattr(sim.RunSummary, "result", lambda fold: calls.append(fold) or result(fold))
+    assert run_cli(["simulate", "--horizon", "50", "--out", tmp_path / "t.csv"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (tmp_path / "t.summary.json").read_text()
+
+
 @pytest.mark.parametrize("case", NO_FILE.values(), ids=list(NO_FILE))
 def test_an_out_that_names_no_file_exits_2(case, tmp_path, monkeypatch, capsys):
     run(case, tmp_path, monkeypatch, capsys)

@@ -512,10 +512,18 @@ def test_queue_never_drains_on_violating_trace():
     assert longest == 100
 
 
+def test_queue_check_drains_a_rounding_residue_by_default():
+    """A compliant trace whose queue keeps an ulp-sized residue reads as drained, as ``verify_compliance`` reads it compliant."""
+    trace = run_simulation(make_cfg(policy="greedy_exact", load=0.2, horizon=500, scale=1.0, seed=1234))
+    assert verify_compliance(trace, EMF).compliant
+    assert queue_zero_every_window(trace, EMF) == (True, 9)
+    assert queue_zero_every_window(trace, EMF, tolerance=0.0) == (False, 47)
+
+
 def test_queue_drain_on_compliant_simulated_traces():
     for policy in ("greedy_exact", "dpp_exact", "cautious"):
         trace = run_simulation(make_cfg(policy=policy, load=0.5, horizon=2000, scale=1.0, seed=6, beta=1.0))
-        ok, _ = queue_zero_every_window(trace, EMF, tolerance=1e-9)
+        ok, _ = queue_zero_every_window(trace, EMF)
         assert ok, policy
 
 
