@@ -21,6 +21,12 @@ the clipped overshoot; its budget never exceeds the exact one and it updates
 in constant time. Both trackers re-base their prefixes every ``W`` periods,
 so their rounding error stays bounded over any horizon.
 
+Both trackers share one contract: ``update(c)`` advances one period and
+returns the tracker, and the plain attributes ``omega`` (the excess),
+``budget`` and ``period`` are read-only by convention. After every update
+``budget == budget_from_omega(omega, cfg)`` bit for bit, and an update that
+rejects its consumption changes nothing.
+
 ``omega_naive`` and ``budget_oracle_minform`` are brute-force reference
 evaluations used by the test suite; they are deliberately independent of the
 incremental code paths. ``budget_scratch`` is the linear recompute of the
@@ -227,21 +233,15 @@ class BudgetState:
     With ``P_t`` the prefix sum of ``c - floor`` over the first ``t`` periods,
     the excess is ``P_t - min(P_i for i in [max(0, t-W+1), t])``. One deque
     of ascending ``[prefix, period]`` pairs keeps that minimum: each new
-    prefix pops every stored pair whose prefix is at or above it, so among
-    equal minima the newest survives and ``argmax_len = period - front
-    period`` is the smallest maximizing span. Each pair enters and leaves
-    once, so an update is amortized constant time whatever the traffic.
+    prefix pops every stored pair whose prefix is at or above it. Each pair
+    enters and leaves once, so an update is amortized constant time whatever
+    the traffic.
 
     Every ``W`` periods the front minimum is subtracted in place from every
     stored prefix, at most ``W``, which bounds them over any horizon at
     amortized constant cost. Rounding is monotone, so the deque stays
-    ascending; where it makes neighbours equal, the older stays in front,
-    as its prefix was the smaller before the shift. Pre-history counts as
-    zero consumption, so the stored window is always full.
-
-    ``omega`` and ``budget`` are plain attributes, read-only by convention:
-    ``update`` refreshes both, with ``budget == budget_from_omega(omega, cfg)``
-    bit for bit. The consumptions themselves are not stored; the tracker
+    ascending. Pre-history counts as zero consumption, so the stored window
+    is always full. The consumptions themselves are not stored; the tracker
     keeps only the prefix minima, the newest last, as it never expires.
     """
 
@@ -256,11 +256,6 @@ class BudgetState:
         self._min = deque([[0.0, 0]])
         self._rebase_at = cfg.window_w
         self.budget = self._full - self.omega
-
-    @property
-    def argmax_len(self) -> int:
-        """Smallest span (in periods, newest first) whose overshoot equals the excess."""
-        return self.period - self._min[0][1]
 
     def update(self, c: float) -> "BudgetState":
         """Advance one period after consuming ``c``. Returns ``self``."""
@@ -289,35 +284,32 @@ class BudgetState:
 class ConservativeBudgetState:
     """Constant-time conservative tracker: a difference of clipped prefix sums.
 
-    With ``Q_t`` the prefix sum of ``max(c - floor, 0)``, the excess is
-    ``Q_t - Q_{t-W+1}``: a sample below the floor counts as one at the floor,
-    so the excess bounds the exact one from above and the budget the exact
-    budget from below, and it is nonnegative as ``Q`` never decreases. A
-    deque keeps the last ``W`` prefixes, zero before the first period. Every
-    ``W`` periods, as in :class:`BudgetState`, the oldest stored prefix
-    becomes the origin; older prefixes are shifted as they are read, bit for
-    bit the eager shift of every stored prefix but in constant time.
+    With ``Q_t`` the prefix sum of ``max(c - floor, 0)``, the excess
+    ``omega`` (the paper's omega-tilde) is ``Q_t - Q_{t-W+1}``: a sample
+    below the floor counts as one at the floor, so the excess bounds the
+    exact one from above and the budget the exact budget from below, and it
+    is nonnegative as ``Q`` never decreases. A deque keeps the last ``W``
+    prefixes, zero before the first period. Every ``W`` periods, as in
+    :class:`BudgetState`, the oldest stored prefix becomes the origin; older
+    prefixes are shifted as they are read, bit for bit the eager shift of
+    every stored prefix but in constant time.
 
     It is bit for bit a :class:`BudgetState` fed ``max(c, floor)``, whose
     sliding minimum is then always the oldest prefix; the deque of minima
     would only cost more per update.
-
-    ``omega_tilde`` and ``budget`` are plain attributes, read-only by
-    convention: ``update`` refreshes both, with
-    ``budget == budget_from_omega(omega_tilde, cfg)`` bit for bit.
     """
 
-    __slots__ = ("omega_tilde", "budget", "period", "_floor", "_full", "_q", "_top", "_lag", "_rebase_at")
+    __slots__ = ("omega", "budget", "period", "_floor", "_full", "_q", "_top", "_lag", "_rebase_at")
 
     def __init__(self, cfg: EmfConfig):
-        self.omega_tilde = 0.0
+        self.omega = 0.0
         self.period = 0
         self._floor = cfg.floor
         self._full = cfg.full_budget
         self._q = deque([0.0], maxlen=cfg.window_w)
         self._top = self._lag = 0.0  # newest prefix and previous origin
         self._rebase_at = cfg.window_w
-        self.budget = self._full - self.omega_tilde
+        self.budget = self._full - self.omega
 
     def update(self, c: float) -> "ConservativeBudgetState":
         """Advance one period after consuming ``c``. Returns ``self``."""
@@ -335,6 +327,6 @@ class ConservativeBudgetState:
             self._rebase_at = t + q.maxlen
         else:
             omega = top - (q[0] - self._lag)
-        self._top, self.omega_tilde = top, omega
+        self._top, self.omega = top, omega
         self.budget = self._full - omega
         return self

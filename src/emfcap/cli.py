@@ -432,15 +432,21 @@ def _outputs(command: str, cfg: dict, config) -> dict:
     """Role -> path of each file ``command`` writes, the ``"manifest"`` last.
 
     Raises ``CliError`` if ``--out`` names no file (its last part is empty,
-    ``.`` or ``..``), an output would replace ``--trace`` or, unless it is the
-    manifest (that is the rerun), ``--config``, a path is named twice, or an
-    output is a directory (``commit``'s rule: a symlink is replaced itself).
+    ``.`` or ``..``), its nearest existing ancestor is not a directory, an
+    output would replace ``--trace`` or, unless it is the manifest (that is
+    the rerun), ``--config``, a path is named twice, or an output is a
+    directory (``commit``'s rule: a symlink is replaced itself).
     """
     if cfg["out"] is None:
         return {}
     if os.path.basename(cfg["out"]) in ("", ".", ".."):
         raise CliError(f"--out: {cfg['out']!r} names no file")
     out = Path(cfg["out"])
+    ancestor = out.parent
+    while not os.path.lexists(ancestor) and ancestor != ancestor.parent:
+        ancestor = ancestor.parent
+    if not os.path.isdir(ancestor):  # commit could not make the parent directories
+        raise CliError(f"{out}: {os.strerror(errno.ENOTDIR)}")
     paths = {role: out if suffix is None else out.with_name(out.stem + suffix)
              for role, suffix in {**COMMANDS[command].roles, "manifest": ".manifest.json"}.items()}
     for flag, source, exempt in (("--config", config, "manifest"), ("--trace", cfg.get("trace"), None)):

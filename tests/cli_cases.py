@@ -246,6 +246,12 @@ CASES = [
          files={"t.csv": TRACE, "adir": None}),
     Case(["simulate", "--horizon", "20", "--out", "adir"], "emfcap: error: adir: Is a directory\n",
          files={"adir": None}, runs=False),
+    # an output below a regular file exits 2 before the command runs
+    *(Case([*argv, "--out", "f/x.csv"], "emfcap: error: f/x.csv: Not a directory\n", files={"f": "x"}, runs=False)
+      for argv in (["simulate", "--horizon", "20"], ["sweep-v", "--loads", "0.5", "--reps", "100000"])),
+    Case(["simulate", "--config", "nope.json"],
+         "emfcap: error: cannot read config file: [Errno 2] No such file or directory: 'nope.json'\n", runs=False),
+    _config("simulate", [1], "emfcap: error: c.json: config must be a JSON object\n", runs=False),
     # a .json table path is also the JSON table's path
     Case(["bench", "--w-grid", "10", "--updates", "50", "--out", "b.json"],
          "emfcap: error: b.json: named twice in one set of outputs\n", runs=False),

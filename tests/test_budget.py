@@ -1,7 +1,5 @@
 import math
 import sys
-import tracemalloc
-from collections import deque
 
 import numpy as np
 import pytest
@@ -17,6 +15,8 @@ from emfcap.budget import (
     omega_naive,
 )
 from emfcap.sim import verify_compliance
+
+from traced import traced_peak
 
 CFG = EmfConfig(window_w=4, threshold=1.0, guaranteed_ratio=0.2)
 
@@ -113,10 +113,11 @@ def test_bruteforce_tie_takes_smallest_span():
 
 
 def test_bruteforce_input_errors():
-    with pytest.raises(ValueError):
-        omega_naive([], -1, CFG)
-    with pytest.raises(ValueError):
-        omega_naive([0.5], 2, CFG)
+    for oracle in (omega_naive, budget_oracle_minform):
+        with pytest.raises(ValueError, match="period index must be nonnegative"):
+            oracle([], -1, CFG)
+        with pytest.raises(ValueError, match="history does not cover"):
+            oracle([0.5], 2, CFG)
     with pytest.raises(ValueError):
         omega_naive([0.5, -0.1, 0.6], 3, CFG)
     for bad in (math.nan, math.inf):
@@ -193,7 +194,6 @@ def test_scratch_rejects_oversized_window():
 def test_state_starts_replenished():
     state = BudgetState(CFG)
     assert state.omega == 0.0
-    assert state.argmax_len == 0
     assert state.period == 0
     assert (state.budget, state.omega) == budget_scratch(_stored_window([], CFG.window_w), CFG)
     assert state.budget == CFG.full_budget
@@ -202,14 +202,12 @@ def test_state_starts_replenished():
 def test_state_first_idle_period():
     state = BudgetState(CFG).update(0.0)
     assert state.omega == 0.0
-    assert state.argmax_len == 0
     assert state.period == 1
 
 
 def test_state_consumption_exactly_at_floor_stays_zero():
     state = BudgetState(CFG).update(CFG.floor)
     assert state.omega == 0.0
-    assert state.argmax_len == 0
 
 
 def test_state_follows_worked_example():
@@ -217,28 +215,18 @@ def test_state_follows_worked_example():
     state = _run_updates(CFG, values)
     assert (state.budget, state.omega) == pytest.approx(budget_scratch(_stored_window(values, 4), CFG))
     assert state.omega == pytest.approx(0.6)
-    assert state.argmax_len == 3
     assert state.budget == pytest.approx(2.8)
 
 
-def test_state_full_span_refold_matches_bruteforce():
-    # span covers the whole window, and one stored entry is below the floor,
-    # so the next update has to re-fold; the result must match the reference
+def test_state_matches_bruteforce_when_the_maximizing_span_expires():
+    # the maximizing span covered the whole window, so it expires; the
+    # longest span left reaches back to an entry below the floor, so the new
+    # maximum is a shorter one
     history = [0.5, 0.1, 0.6, 0.9]
     state = _run_updates(CFG, history)
     omega, span = omega_naive(history, 4, CFG)
-    assert omega == pytest.approx(1.1)
+    assert (omega, span) == (pytest.approx(1.1), 2)
     assert state.omega == pytest.approx(omega)
-    assert state.argmax_len == span == 2
-
-
-def test_state_rejects_negative_consumption():
-    for bad in (-0.1, math.nan, math.inf):
-        state = _run_updates(CFG, [0.5, 0.1])
-        budget = state.budget
-        with pytest.raises(ValueError):
-            state.update(bad)
-        assert state.budget == budget
 
 
 def test_single_period_window_budget_is_constant():
@@ -258,7 +246,7 @@ def test_single_period_window_budget_is_constant():
 
 def test_conservative_all_below_floor_is_replenished():
     state = _run_updates(CFG, [0.1, 0.2, 0.0, 0.15], ConservativeBudgetState)
-    assert state.omega_tilde == 0.0
+    assert state.omega == 0.0
     assert state.budget == CFG.full_budget
 
 
@@ -266,7 +254,7 @@ def test_conservative_worked_example_lower_bounds_exact():
     values = [0.5, 0.1, 0.6]
     cons = _run_updates(CFG, values, ConservativeBudgetState)
     exact = _run_updates(CFG, values)
-    assert cons.omega_tilde == pytest.approx(0.7)
+    assert cons.omega == pytest.approx(0.7)
     assert cons.budget == pytest.approx(2.7)
     assert cons.budget <= exact.budget
 
@@ -278,7 +266,7 @@ def test_conservative_equals_exact_when_all_above_floor_dyadic():
     exact = _run_updates(cfg, values)
     cons = _run_updates(cfg, values, ConservativeBudgetState)
     assert exact.omega == 1.5
-    assert cons.omega_tilde == 1.5
+    assert cons.omega == 1.5
     assert cons.budget == exact.budget
 
 
@@ -288,17 +276,8 @@ def test_conservative_equals_exact_after_window_drains_dyadic():
     exact = _run_updates(cfg, values)
     cons = _run_updates(cfg, values, ConservativeBudgetState)
     assert exact.omega == 0.0
-    assert cons.omega_tilde == 0.0
+    assert cons.omega == 0.0
     assert exact.budget == cons.budget == cfg.full_budget
-
-
-def test_conservative_rejects_negative_consumption():
-    for bad in (-0.1, math.nan, math.inf):
-        state = ConservativeBudgetState(CFG).update(0.5)
-        budget = state.budget
-        with pytest.raises(ValueError):
-            state.update(bad)
-        assert state.budget == budget
 
 
 def test_conservative_matches_direct_window_sum():
@@ -311,31 +290,7 @@ def test_conservative_matches_direct_window_sum():
             state.update(c)
             history.append(c)
             direct = sum(max(x - cfg.floor, 0.0) for x in _stored_window(history, w))
-            assert state.omega_tilde == pytest.approx(direct, abs=1e-12)
-
-
-def _eager_conservative(values, cfg):
-    """Conservative excess after each value, shifting every stored prefix at each re-base."""
-    w, floor = cfg.window_w, cfg.floor
-    q = deque([0.0], maxlen=w)
-    out = []
-    for t, c in enumerate(values, 1):
-        q.append(q[-1] + max(c - floor, 0.0))
-        out.append(q[-1] - q[0])
-        if t % w == 0:
-            shift = q[0]
-            q = deque([v - shift for v in q], maxlen=w)
-    return out
-
-
-@pytest.mark.parametrize("w", [1, 2, 3, 10, 37])
-def test_conservative_lazy_rebase_is_the_eager_rebase_bit_for_bit(w):
-    cfg = EmfConfig(w, 1.0, 0.15)
-    rng = np.random.default_rng([17, w])
-    values = rng.uniform(0.0, 2.0, size=20 * w + 100)
-    values[rng.random(values.size) < 0.3] = 0.0
-    state = ConservativeBudgetState(cfg)
-    assert [state.update(c).omega_tilde for c in values.tolist()] == _eager_conservative(values.tolist(), cfg)
+            assert state.omega == pytest.approx(direct, abs=1e-12)
 
 
 @pytest.mark.parametrize("w", [1, 2, 3, 7, 10, 37, 1000])
@@ -355,7 +310,7 @@ def test_conservative_is_exact_tracker_fed_clipped_consumption_bit_for_bit(w):
             for t, c in enumerate(values.tolist()):
                 cons.update(c)
                 exact.update(c if c > floor else floor)
-                assert (cons.budget, cons.omega_tilde) == (exact.budget, exact.omega), (rho, idle, t)
+                assert (cons.budget, cons.omega) == (exact.budget, exact.omega), (rho, idle, t)
 
 
 @pytest.mark.parametrize("w", [10, 1000])
@@ -373,54 +328,41 @@ def test_conservative_drift_stays_bounded_over_long_runs(w):
         for c in values[t - step : t].tolist():
             update(c)
         direct = math.fsum(max(x - cfg.floor, 0.0) for x in values[t - (w - 1) : t].tolist())
-        assert abs(state.omega_tilde - direct) <= bound, t
+        assert abs(state.omega - direct) <= bound, t
 
 
 def test_conservative_allocates_no_window_up_front():
-    tracemalloc.start()
-    try:
-        cfg = EmfConfig(window_w=10**6)
-        state = ConservativeBudgetState(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    cfg = EmfConfig(window_w=10**6)
+    state, peak = traced_peak(ConservativeBudgetState, cfg)
     assert peak < 2**20
-    assert state.update(0.5).omega_tilde == 0.5 - cfg.floor
+    assert state.update(0.5).omega == 0.5 - cfg.floor
 
 
 # ── budget attribute ──────────────────────────────────────────────────
 
 
-@pytest.mark.parametrize("state_cls, excess", [(BudgetState, "omega"), (ConservativeBudgetState, "omega_tilde")])
+@pytest.mark.parametrize(
+    "state_cls", [BudgetState, ConservativeBudgetState], ids=["BudgetState-omega", "ConservativeBudgetState-omega"]
+)
 @pytest.mark.parametrize("w", [1, 2, 10, 1000])
-def test_budget_attribute_is_formula_of_excess_bit_for_bit(state_cls, excess, w):
+def test_budget_attribute_is_formula_of_excess_bit_for_bit(state_cls, w):
     cfg = EmfConfig(w, 1.0, 0.15)
     rng = np.random.default_rng([5, w])
     values = rng.uniform(0.0, 2.0, size=3 * w + 300)
     values[rng.random(values.size) < 0.1] = 0.0
     state = state_cls(cfg)
-    assert state.budget == budget_from_omega(getattr(state, excess), cfg)
+    assert state.budget == budget_from_omega(state.omega, cfg)
     for c in values.tolist():
         state.update(c)
-        assert state.budget == budget_from_omega(getattr(state, excess), cfg)
-    before = (state.budget, getattr(state, excess), state.period)
+        assert state.budget == budget_from_omega(state.omega, cfg)
+    before = (state.budget, state.omega, state.period)
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
             state.update(bad)
-        assert (state.budget, getattr(state, excess), state.period) == before
+        assert (state.budget, state.omega, state.period) == before
 
 
 # ── cross-checks over random runs ─────────────────────────────────────
-
-
-def _partial_sums(window, floor):
-    """Scores of every span over the stored window, newest entry first."""
-    out = [0.0]
-    acc = 0.0
-    for c in reversed(window):
-        acc += c - floor
-        out.append(acc)
-    return out
 
 
 def test_random_runs_branch_rules_and_span_bookkeeping():
@@ -430,8 +372,8 @@ def test_random_runs_branch_rules_and_span_bookkeeping():
         floor = cfg.floor
         state = BudgetState(cfg)
         history = []
+        span_before = 0  # the smallest maximizing span of the previous period
         for c in rng.uniform(0.0, 2.0, size=300).tolist():
-            span_before = state.argmax_len
             omega_before = state.omega
             window_before = _stored_window(history, w)
             all_above = c >= floor and all(x >= floor for x in window_before)
@@ -449,20 +391,7 @@ def test_random_runs_branch_rules_and_span_bookkeeping():
             # short-span extension rule is exact whenever it is eligible
             if span_before < w - 1:
                 assert max(omega_before + c - floor, 0.0) == pytest.approx(omega_ref, abs=1e-9)
-
-            # span bookkeeping: zero iff no excess, inside its domain, and
-            # always attaining the maximum
-            assert (state.omega > 0.0) == (state.argmax_len >= 1)
-            assert state.argmax_len <= min(state.period, w - 1)
-            scores = _partial_sums(_stored_window(history, w), floor)
-            assert scores[state.argmax_len] == pytest.approx(state.omega, abs=1e-9)
-            if state.omega > 0.0:
-                if all_above:
-                    assert state.argmax_len == min(state.period, w - 1)
-                elif span_before < w - 1:
-                    assert state.argmax_len == span_before + 1
-                else:
-                    assert state.argmax_len == span_ref
+            span_before = span_ref
 
 
 def test_recursion_extends_one_sample_at_a_time():
@@ -568,23 +497,6 @@ def test_long_runs_across_many_rebases_match_bruteforce(w, dips):
         window = values[t - (w - 1) : t].tolist()
         omega_ref, _ = omega_naive(window, len(window), cfg)
         assert abs(state.omega - omega_ref) <= 1e-9
-        scores = _partial_sums(window, cfg.floor)
-        assert abs(scores[state.argmax_len] - state.omega) <= 1e-9
-
-
-def test_rebase_keeps_older_of_prefixes_rounded_together():
-    # floor 1.0: after 100 idle periods the prefix sits at -100; the next two
-    # prefixes are 1.0 and 1.0 + 2**-52, and the rebase at t = 102 shifts both
-    # to 101.0. The older one is still the smaller, so once the -100 leaves the
-    # window the maximizing span reaches back to it.
-    cfg = EmfConfig(102, 1.0, 1.0)
-    state = _run_updates(cfg, [0.0] * 100 + [102.0, 1.0 + 2**-52])
-    assert (state.omega, state.argmax_len) == (101.0, 2)
-    for _ in range(100):
-        state.update(2.0)
-    assert state.period == 202
-    assert state.omega == 100.0
-    assert state.argmax_len == 101
 
 
 # ── the budget against its definition ─────────────────────────────────
@@ -605,7 +517,7 @@ def test_rebase_keeps_older_of_prefixes_rounded_together():
 def test_budget_is_the_largest_compliant_consumption(w, rho, shares):
     cfg = EmfConfig(w, 1.0, rho)
     tail = [cfg.floor] * (w - 1)
-    for state_cls in (BudgetState, ConservativeBudgetState):
+    for state_cls in (ConservativeBudgetState, BudgetState):
         # each tracker spends a share of its own budget every period
         state, history = state_cls(cfg), []
         for share in shares:
@@ -613,6 +525,6 @@ def test_budget_is_the_largest_compliant_consumption(w, rho, shares):
             state.update(history[-1])
         b = state.budget
         assert verify_compliance(history + [b] + tail, cfg, tolerance=1e-12).compliant, state_cls
-        if state_cls is BudgetState:
-            over = b + 1e-9 * max(1.0, b)
-            assert not verify_compliance(history + [over] + tail, cfg, tolerance=0.0).compliant
+    # the exact tracker, run last, gives the largest compliant consumption
+    over = b + 1e-9 * max(1.0, b)
+    assert not verify_compliance(history + [over] + tail, cfg, tolerance=0.0).compliant

@@ -2,7 +2,7 @@ import inspect
 import io
 import json
 import math
-import tracemalloc
+import re
 from contextlib import redirect_stdout
 from dataclasses import replace
 
@@ -13,11 +13,13 @@ from emfcap import cli, sim
 from emfcap.bench import bench_conservative_update, bench_exact_update, bench_scratch, bench_suite
 from emfcap.budget import EmfConfig
 from emfcap.cli import COMMANDS, _json_text, _trace_blocks, main
+from emfcap.output import commit
 from emfcap.policy import POLICY_KINDS
 from emfcap.sim import BLOCK_ROWS, SimConfig, compare_budgets, run_simulation, sweep_v, verify_compliance
 from emfcap.traffic import TrafficConfig
 
 from cli_cases import NO_FILE, run
+from traced import traced_peak
 
 
 def run_cli(args):
@@ -58,10 +60,12 @@ def test_simulate_is_deterministic(tmp_path):
 def test_simulate_zero_load_summary(tmp_path):
     out = tmp_path / "idle.csv"
     assert run_cli(["simulate", "--load", "0", "--policy", "greedy_exact",
-                    "--horizon", "150", "--out", out]) == 0
+                    "--horizon", "150", "--c-bar-dbm", "30", "--out", out]) == 0
     summary = read_json(tmp_path / "idle.summary.json")
     assert summary["total_served"] == 0.0
     assert summary["compliant"] is True
+    # no consumption has no level in dBm
+    assert summary["display_dbm"]["worst_window_average_dbm"] is None
 
 
 def test_simulate_dbm_display_block(tmp_path):
@@ -132,15 +136,15 @@ def test_reader_holds_a_packed_column(tmp_path):
     trace = run_simulation(SimConfig(emf=EmfConfig(), traffic=TrafficConfig(load=0.5), horizon=rows))
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
-    equal, lo = True, 0
-    tracemalloc.start()
-    try:
+
+    def read():
+        equal, lo = True, 0
         for c in _trace_blocks(str(path), "c"):
             equal &= np.array_equal(c, trace.c[lo:lo + c.size])
             lo += c.size
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return equal, lo
+
+    (equal, lo), peak = traced_peak(read)
     assert equal and lo == rows
     assert peak / rows <= 16
     # the block being filled, the one the caller holds, and np.fromiter's growth slack
@@ -191,6 +195,19 @@ def test_simulate_renders_its_summary_once(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == (tmp_path / "t.summary.json").read_text()
 
 
+def test_commit_rejects_a_target_made_a_directory_while_it_writes(tmp_path):
+    late = tmp_path / "late.json"
+
+    def makes_the_later_target_a_directory():
+        late.mkdir()
+        yield "t\n"
+
+    with pytest.raises(OSError, match=f"^{re.escape(str(late))}: Is a directory$"):
+        commit([(tmp_path / "early.csv", makes_the_later_target_a_directory()), (late, "{}\n")])
+    assert [p.name for p in tmp_path.iterdir()] == ["late.json"]
+    assert list(late.iterdir()) == []
+
+
 @pytest.mark.parametrize("case", NO_FILE.values(), ids=list(NO_FILE))
 def test_an_out_that_names_no_file_exits_2(case, tmp_path, monkeypatch, capsys):
     run(case, tmp_path, monkeypatch, capsys)
@@ -206,13 +223,10 @@ def test_output_names_up_to_the_name_limit_are_written(tmp_path, capsys):
 
 def cli_peak(argv):
     """Peak bytes traced while the CLI runs ``argv``, stdout discarded."""
-    tracemalloc.start()
-    try:
-        with redirect_stdout(io.StringIO()):
-            assert run_cli(argv) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with redirect_stdout(io.StringIO()):
+        code, peak = traced_peak(run_cli, argv)
+    assert code == 0
+    return peak
 
 
 def test_simulate_and_verify_peaks_do_not_grow_with_the_horizon(tmp_path):
@@ -327,6 +341,14 @@ def test_compare_budgets_zero_load(tmp_path, capsys):
     assert header == "load,mean_budget_exact,mean_budget_conservative,mean_gap,all_above_frac"
 
 
+def test_compare_budgets_shorter_than_the_window_leaves_all_above_frac_empty(tmp_path, capsys):
+    out = tmp_path / "cmp.csv"
+    assert run_cli(["compare-budgets", "--W", "50", "--horizon", "40", "--loads", "0.5", "--reps", "1",
+                    "--out", out]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["all_above_frac"] is None
+    assert out.read_text().splitlines()[1].endswith(",")
+
+
 def test_compare_budgets_manifest_rerun(tmp_path):
     a = tmp_path / "cmp.csv"
     assert run_cli(["compare-budgets", "--loads", "0.1,0.4", "--reps", "2",
@@ -359,6 +381,13 @@ def test_bench_defaults_live_in_the_bench_module():
     assert cli.PARAMS["w_grid"].default == list(W_GRID)  # _grid accepts a list, not a tuple
     for bench in (bench_suite, bench_scratch, bench_exact_update, bench_conservative_update):
         assert inspect.signature(bench).parameters["updates"].default is UPDATES, bench.__name__
+
+
+def test_bench_rejects_an_empty_grid_and_an_unknown_workload():
+    with pytest.raises(ValueError, match="w_grid must be nonempty"):
+        bench_suite([])
+    with pytest.raises(ValueError, match="unknown workload 'bursty'"):
+        bench_exact_update(4, 100, workload="bursty")
 
 
 def test_bench_suite_sizes_must_be_integral():

@@ -19,7 +19,6 @@ from emfcap.traffic import TrafficConfig
 
 EMF = EmfConfig(window_w=10, threshold=1.0, guaranteed_ratio=0.15)
 DPP = DppConfig(v_weight=15.0, alpha=1.0, beta=0.95)
-BAD_CONSUMPTION = (-0.1, math.nan, math.inf)
 
 
 def dpp_at(queue, cfg=EMF, dpp=DPP):
@@ -101,14 +100,6 @@ def test_queue_update_exact_balance():
     policy = DppPolicy(EMF, DPP)
     policy.observe(DPP.beta * EMF.threshold)
     assert policy.queue == 0.0
-
-
-def test_queue_update_rejects_negative_consumption():
-    for bad in BAD_CONSUMPTION:
-        policy = dpp_at(1.0)
-        with pytest.raises(ValueError):
-            policy.observe(bad)
-        assert policy.queue == 1.0
 
 
 def test_dpp_config_validation():

@@ -79,17 +79,14 @@ def test_rejected_tracker_update_changes_nothing(cls, w, history, bad):
     for c in history:
         state.update(c)
         twin.update(c)
-    excess = "omega" if cls is BudgetState else "omega_tilde"
-    before = (getattr(state, excess), state.budget, state.period)
+    before = (state.omega, state.budget, state.period)
     with pytest.raises(ValueError):
         state.update(bad)
-    assert (getattr(state, excess), state.budget, state.period) == before
+    assert (state.omega, state.budget, state.period) == before
     # and the tracker goes on exactly as one that never saw the value
     state.update(0.5)
     twin.update(0.5)
-    assert (getattr(state, excess), state.budget, state.period) == (
-        getattr(twin, excess), twin.budget, twin.period
-    )
+    assert (state.omega, state.budget, state.period) == (twin.omega, twin.budget, twin.period)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import sys
-import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -31,6 +30,8 @@ from emfcap.sim import (
     verify_compliance,
 )
 from emfcap.traffic import TrafficConfig
+
+from traced import traced_peak
 
 EMF = EmfConfig(window_w=10, threshold=1.0, guaranteed_ratio=0.15)
 
@@ -428,6 +429,8 @@ def test_run_summary_skips_empty_blocks():
     empty = replace(trace, **{name: getattr(trace, name)[:0] for name in sim._STORED_COLUMNS})
     fold = RunSummary()
     fold.add(empty)  # neither raises nor fixes the period the run starts at
+    with pytest.raises(ValueError, match="cannot summarize an empty run"):
+        fold.result()
     fold.add(replace(trace, start=7))
     fold.add(empty)
     assert fold.result() == trace.summary()
@@ -490,6 +493,11 @@ def test_summary_utility_is_null_when_the_score_overflows():
     assert summary["mean_utility"] is None
     assert summary["compliant"]
     json.dumps(summary, allow_nan=False)
+    # so is a cap outside the score's domain
+    trace = run_simulation(make_cfg(load=0.6, horizon=50))
+    gamma = trace.gamma.copy()
+    gamma[7] = 0.0
+    assert replace(trace, gamma=gamma).summary()["mean_utility"] is None
 
 
 def test_score_accepts_trace_object():
@@ -796,18 +804,6 @@ def test_trace_length_and_summary_fields():
 
 
 # ── memory ────────────────────────────────────────────────────────────
-# tracemalloc counts numpy's buffers as well as Python objects, so these
-# peaks are the same on every host.
-
-
-def traced_peak(fn, *args):
-    """``(result, peak bytes traced while fn(*args) ran)``."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("kind", sorted(POLICY_KINDS))

@@ -106,19 +106,6 @@ def test_zero_cap_blocks_everything():
     assert tm.backlog == 1.5
 
 
-def test_consume_rejects_negative_inputs():
-    tm = TrafficModel(TrafficConfig(seed=0))
-    tm.consume(0.5, 0.25)
-    for bad in (-0.1, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            tm.consume(bad, 1.0)
-        assert tm.backlog == 0.25
-    for bad in (-1.0, math.nan):
-        with pytest.raises(ValueError):
-            tm.consume(0.1, bad)
-        assert tm.backlog == 0.25
-
-
 def test_consume_never_exceeds_cap_and_conserves_demand():
     tm = TrafficModel(TrafficConfig(load=0.6, demand_scale=1.0, seed=17))
     rng = np.random.default_rng(4)
