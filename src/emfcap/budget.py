@@ -145,9 +145,9 @@ class EmfConfig:
 def budget_from_omega(omega: float, cfg: EmfConfig) -> float:
     """Budget for the current period given the tracked excess.
 
-    Returned unclamped: under any history produced by budget-respecting
-    control it never drops below ``cfg.floor``, and callers that need a
-    usable cap clamp it themselves.
+    Returned unclamped: rounding can take it a few ulps below ``cfg.floor``,
+    even under budget-respecting control, so callers that need a usable cap
+    clamp it themselves.
     """
     if omega < 0.0:
         raise ValueError("excess must be nonnegative")

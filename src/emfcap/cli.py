@@ -21,7 +21,8 @@ commits them and the manifest with one ``output.commit`` and prints.
 ``simulate`` streams: ``commit`` writes its trace while the run folds its
 summary block by block, so its summary file and its stdout text (a
 callable there) exist only once the trace is written. A manifest is also
-accepted as a config file, so any run can be reproduced bit-for-bit from it.
+accepted as a config file: the command that wrote it reruns the run bit for
+bit, and another command takes from it the keys it reads but ``out``.
 All EIRP quantities are linear-unit reals normalized so the threshold
 defaults to 1.0; the optional ``--c-bar-dbm`` flag only converts a display
 block in the summary.
@@ -36,6 +37,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from functools import cache
 from itertools import islice
 from pathlib import Path
@@ -75,7 +77,7 @@ class CliError(Exception):
 
 
 def _number(value):
-    """Flag text as a number, read as JSON reads one; any other value, such as a file's number, as it is."""
+    """Flag text read by ``int()``, else by ``float()``, so ``1_0`` and ``١٠`` are 10; a file's value as it is."""
     # int() keeps a 64-bit seed given as text exact; any other text is read as
     # a float, so "10.0" passes as_int as a file's 10.0 does
     if isinstance(value, str):
@@ -174,7 +176,8 @@ def _reject_constant(name: str):
     raise CliError(f"config file: non-finite number {name} is not allowed")
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, command: str) -> tuple[dict, bool]:
+    """The values ``command`` takes from the config file at ``path``, and whether it is another command's manifest."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh, parse_constant=_reject_constant)
@@ -186,19 +189,22 @@ def _load_config_file(path: str) -> dict:
         raise CliError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliError(f"{path}: config must be a JSON object")
-    if doc.get("tool") == "emfcap" and isinstance(doc.get("config"), dict):
-        return doc["config"]  # a run manifest; reuse its config snapshot
-    return doc
+    if doc.get("tool") != "emfcap" or not isinstance(doc.get("config"), dict):
+        return doc, False
+    if doc.get("command") == command:
+        return doc["config"], False  # a rerun; reuse its config snapshot
+    names = COMMANDS[command].params
+    return {name: value for name, value in doc["config"].items() if name in names and name != "out"}, True
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """Merge flag over config-file over default values.
+def _resolve(args: argparse.Namespace) -> tuple[dict, bool]:
+    """Merge flag over config-file over default values; also whether ``--config`` is another command's manifest.
 
     Every supplied value, winner or not, passes its parameter's converter,
     which for a field is the field's rule; an error names the flag.
     """
     names = COMMANDS[args.command].params
-    from_file = _load_config_file(args.config) if args.config else {}
+    from_file, foreign = _load_config_file(args.config, args.command) if args.config else ({}, False)
     unknown = set(from_file) - set(names)
     if unknown:
         raise CliError(f"config file has keys not used by this command: {sorted(unknown)}")
@@ -226,7 +232,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         resolved[name] = converted[0]
     if "demand_scale" in resolved and resolved["demand_scale"] is None:
         resolved["demand_scale"] = resolved["C_bar"] / 4.0
-    return resolved
+    return resolved, foreign
 
 
 def _config(cls, cfg: dict, **nested):
@@ -349,7 +355,7 @@ def cmd_verify(cfg: dict) -> tuple[int, str, dict]:
             check.add(c)
         except ValueError as exc:  # the trace's sums overflow; the configuration is fine
             raise CliError(f"{cfg['trace']}: {exc}") from exc
-    report = check.report().as_dict()
+    report = asdict(check.report())
     text = _json_text(report)
     return (0 if report["compliant"] else 1), text, {"report_json": text}
 
@@ -428,14 +434,15 @@ def _manifest(command: str, cfg: dict, paths: dict, t0: float):
     })
 
 
-def _outputs(command: str, cfg: dict, config) -> dict:
+def _outputs(command: str, cfg: dict, config, foreign: bool) -> dict:
     """Role -> path of each file ``command`` writes, the ``"manifest"`` last.
 
     Raises ``CliError`` if ``--out`` names no file (its last part is empty,
     ``.`` or ``..``), its nearest existing ancestor is not a directory, an
-    output would replace ``--trace`` or, unless it is the manifest (that is
-    the rerun), ``--config``, a path is named twice, or an output is a
-    directory (``commit``'s rule: a symlink is replaced itself).
+    output would replace ``--trace`` or ``--config`` (the manifest may
+    replace a ``--config`` that is not another command's manifest: that is
+    the rerun), a path is named twice, or an output is a directory
+    (``commit``'s rule: a symlink is replaced itself).
     """
     if cfg["out"] is None:
         return {}
@@ -449,7 +456,8 @@ def _outputs(command: str, cfg: dict, config) -> dict:
         raise CliError(f"{out}: {os.strerror(errno.ENOTDIR)}")
     paths = {role: out if suffix is None else out.with_name(out.stem + suffix)
              for role, suffix in {**COMMANDS[command].roles, "manifest": ".manifest.json"}.items()}
-    for flag, source, exempt in (("--config", config, "manifest"), ("--trace", cfg.get("trace"), None)):
+    for flag, source, exempt in (("--config", config, None if foreign else "manifest"),
+                                 ("--trace", cfg.get("trace"), None)):
         if source and any(_same_file(path, source) for role, path in paths.items() if role != exempt):
             raise CliError(f"{source}: an output of this command would replace its {flag} file")
     if len(set(paths.values())) < len(paths):  # siblings of --out differ in name: --out is the repeat
@@ -479,8 +487,8 @@ def main(argv=None) -> int:
     if extra:  # reported by the command's own parser, whose usage lists the flags it reads
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        cfg = _resolve(args)
-        paths = _outputs(args.command, cfg, args.config)
+        cfg, foreign = _resolve(args)
+        paths = _outputs(args.command, cfg, args.config, foreign)
         t0 = perf_counter()
         code, stdout, texts = COMMANDS[args.command].handler(cfg)
         texts["manifest"] = _manifest(args.command, cfg, paths, t0)

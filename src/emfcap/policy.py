@@ -27,30 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .budget import EmfConfig, as_real, check_fields, checked, rule, shown
+from .budget import EmfConfig, as_real, check_fields, rule
 
 # the per-period guards read module globals, which is faster than math.inf
 _INF = math.inf
 _NEG_INF = -math.inf
-
-
-def alpha_fair(x: float, alpha: float) -> float:
-    """Concave fairness utility ``x**(1-alpha) / (1-alpha)``, natural log at ``alpha == 1``.
-
-    Raises ``ValueError`` outside its domain or ``DppConfig.alpha``'s rule, and when the value overflows float64.
-    """
-    alpha = checked(DppConfig, "alpha", alpha)
-    if not x > 0.0:
-        raise ValueError(f"alpha-fair utility is undefined for x = {shown(x)}")
-    if alpha == 1.0:
-        return math.log(x)
-    try:
-        u = x ** (1.0 - alpha) / (1.0 - alpha)
-    except OverflowError:  # raised by the power; an overflowing quotient is inf instead
-        u = math.inf
-    if not math.isfinite(u):
-        raise ValueError(f"alpha-fair utility of {shown(x)} at alpha={alpha!r} overflows float64")
-    return u
 
 
 @dataclass(frozen=True)
@@ -93,8 +74,9 @@ class DppPolicy:
         returns before the utility weight and exponent are read. ``alpha ==
         0`` makes the inner objective linear, handled as bang-bang: everything
         while the queue is below the utility weight, the floor once it reaches
-        it. A budget below the floor cannot arise under budget-respecting
-        control; if forced, the floor wins. Returns ``self``.
+        it. Rounding in the trackers can leave a budget a few ulps below the
+        floor even under budget-respecting control; the floor wins, as it
+        does for any budget below it. Returns ``self``.
         """
         if not _NEG_INF < budget < _INF:
             raise ValueError("budget must be finite")
@@ -130,13 +112,19 @@ class DppPolicy:
         self.queue = q if q > 0.0 else 0.0
 
 
+def _baseline_observe(self, c: float) -> None:
+    """The ``observe`` of both baselines: checks ``c`` as ``DppPolicy.observe`` does; their caps never depend on it."""
+    if not 0.0 <= c < _INF:
+        raise ValueError("consumption must be finite and nonnegative")
+
+
 class GreedyPolicy:
     """Spends the whole budget every period, never less than the floor."""
 
     __slots__ = ("gamma", "_floor")
     queue = 0.0
 
-    def __init__(self, cfg: EmfConfig, dpp: DppConfig | None = None):
+    def __init__(self, cfg: EmfConfig, dpp: DppConfig):
         self._floor = cfg.floor
 
     def decide(self, budget: float) -> GreedyPolicy:
@@ -146,10 +134,7 @@ class GreedyPolicy:
         self.gamma = budget if budget > floor else floor
         return self
 
-    def observe(self, c: float) -> None:
-        """Checks ``c`` as ``DppPolicy.observe`` does; the cap never depends on it."""
-        if not 0.0 <= c < _INF:
-            raise ValueError("consumption must be finite and nonnegative")
+    observe = _baseline_observe
 
 
 class CautiousPolicy:
@@ -158,7 +143,7 @@ class CautiousPolicy:
     __slots__ = ("gamma", "_threshold")
     queue = 0.0
 
-    def __init__(self, cfg: EmfConfig, dpp: DppConfig | None = None):
+    def __init__(self, cfg: EmfConfig, dpp: DppConfig):
         self._threshold = cfg.threshold
 
     def decide(self, budget: float) -> CautiousPolicy:
@@ -167,10 +152,7 @@ class CautiousPolicy:
         self.gamma = self._threshold
         return self
 
-    def observe(self, c: float) -> None:
-        """Checks ``c`` as ``DppPolicy.observe`` does; the cap never depends on it."""
-        if not 0.0 <= c < _INF:
-            raise ValueError("consumption must be finite and nonnegative")
+    observe = _baseline_observe
 
 
 # kind -> (policy class, the trace budget column it reads, or None)

@@ -13,7 +13,7 @@ and checked in memory that does not grow with its horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,9 +45,9 @@ def checked_tolerance(tolerance) -> float:
     return out
 
 
-def _column(trace, name: str) -> np.ndarray:
-    """Column ``name`` of a ``SimTrace`` (or ``trace`` itself) as a 1-d float64 array; values unchecked."""
-    x = np.asarray(getattr(trace, name, trace), dtype=np.float64)
+def _column(values, name: str) -> np.ndarray:
+    """``values``, the trace column ``name``, as a 1-d float64 array; values unchecked."""
+    x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"trace must be a nonempty 1-d {'consumption' if name == 'c' else name} sequence")
     return x
@@ -84,9 +84,6 @@ class ComplianceReport:
     worst_window_start: int
     worst_window_average: float
     margin: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -201,7 +198,7 @@ class RunSummary:
                 self.check = ComplianceCheck(block.emf, self.tolerance)
             elif run != self.run or block.start != self.start + self.periods:
                 raise ValueError(f"the block at period {block.start} does not continue the run folded so far")
-            self.check.add(block)
+            self.check.add(block.c)
             with np.errstate(over="ignore", invalid="ignore"):
                 part = [float(np.add.reduce(getattr(block, name))) for name in _SUMMED]
                 part.append(float(np.add.reduce(block.budget_exact - block.budget_conservative)))
@@ -354,8 +351,8 @@ class _WindowSums:
 class ComplianceCheck:
     """The windowed-average check of ``verify_compliance``, fed consecutive consumption segments in period order.
 
-    ``add`` cuts a segment of any length, a sequence or a ``SimTrace``'s ``c``,
-    into ``BLOCK_ROWS``-period views; ``report`` gives the same verdict, bit
+    ``add`` cuts a consumption segment ``c`` of any length into
+    ``BLOCK_ROWS``-period views; ``report`` gives the same verdict, bit
     for bit, however the trace was cut: the window sums are those of
     ``_WindowSums`` and the earliest maximum wins, as in ``np.argmax``. ``add``
     raises ``ValueError``, as ``verify_compliance`` does, for a segment that
@@ -371,8 +368,8 @@ class ComplianceCheck:
         self.worst = -math.inf
         self.end = 0
 
-    def add(self, segment) -> None:
-        c = _column(segment, "c")
+    def add(self, c) -> None:
+        c = _column(c, "c")
         for lo in range(0, c.size, BLOCK_ROWS):
             view = c[lo:lo + BLOCK_ROWS]
             _check_consumption(view)
@@ -397,21 +394,20 @@ class ComplianceCheck:
         )
 
 
-def verify_compliance(trace, cfg: EmfConfig, tolerance: float = TOLERANCE) -> ComplianceReport:
-    """Check every windowed average of consumption against the threshold.
+def verify_compliance(c, cfg: EmfConfig, tolerance: float = TOLERANCE) -> ComplianceReport:
+    """Check every windowed average of the consumption sequence ``c`` against the threshold.
 
-    Works straight off the consumption values (an array or anything with a
-    ``c`` attribute); deliberately independent of the budget trackers.
-    Warm-up windows divide by the full window length, so early periods can
-    only be easier to satisfy. A negative or non-finite ``tolerance`` raises
-    ``ValueError``: it would pass any trace. It feeds the trace once to
-    ``ComplianceCheck``, which reads it in ``BLOCK_ROWS``-period views, so its
-    memory does not grow with the horizon. Limit: each windowed sum is a
+    Works straight off the consumption values; deliberately independent of
+    the budget trackers. Warm-up windows divide by the full window length, so
+    early periods can only be easier to satisfy. A negative or non-finite
+    ``tolerance`` raises ``ValueError``: it would pass any trace. It feeds
+    ``c`` once to ``ComplianceCheck``, which reads it in ``BLOCK_ROWS``-period
+    views, so its memory does not grow with the horizon. Limit: each windowed sum is a
     difference of whole-trace prefix sums, so its rounding grows with the
     horizon, while ``tolerance`` is absolute.
     """
     check = ComplianceCheck(cfg, tolerance)
-    check.add(trace)
+    check.add(c)
     return check.report()
 
 
@@ -428,9 +424,9 @@ def _utility_sum(g: np.ndarray, alpha: float) -> float:
         return float(np.add.reduce(u))
 
 
-def score_trace(trace, alpha: float) -> float:
-    """Mean fairness utility of the granted caps over a run; ``ValueError`` when undefined or not finite."""
-    g = _column(trace, "gamma")
+def score_trace(gamma, alpha: float) -> float:
+    """Mean fairness utility of a run's granted caps ``gamma``; ``ValueError`` when undefined or not finite."""
+    g = _column(gamma, "gamma")
     if g.size == 0:
         raise ValueError("cannot score an empty trace")
     mean = _utility_sum(g, alpha) / g.size
@@ -439,18 +435,18 @@ def score_trace(trace, alpha: float) -> float:
     return mean
 
 
-def queue_zero_every_window(trace, cfg: EmfConfig, tolerance: float = TOLERANCE) -> tuple[bool, int]:
+def queue_zero_every_window(c, cfg: EmfConfig, tolerance: float = TOLERANCE) -> tuple[bool, int]:
     """Whether the unit-rate overshoot queue drains within every stretch of ``window_w`` periods.
 
     Replays ``queue' = max(queue + c - threshold, 0)`` over the consumption
-    sequence and returns ``(ok, longest_positive_run)``; ``ok`` means no run
-    of queue values above ``tolerance`` (as in the other checks, so a
+    sequence ``c`` and returns ``(ok, longest_positive_run)``; ``ok`` means no
+    run of queue values above ``tolerance`` (as in the other checks, so a
     rounding residue drains) reaches the window length. The tolerance and
     the consumption are checked as in ``verify_compliance``: a negative
     value of either could drain an overshoot that never drained.
     """
     tolerance = checked_tolerance(tolerance)
-    c = _column(trace, "c")
+    c = _column(c, "c")
     if not c.size:
         raise ValueError("trace must be a nonempty 1-d consumption sequence")
     _check_consumption(c)

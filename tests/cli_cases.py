@@ -58,6 +58,11 @@ def _config(command: str, doc, err: str, *flags: str, files: dict = {}, **kwargs
     return Case([command, "--config", "c.json", *flags], err, files={"c.json": text, **files}, **kwargs)
 
 
+def _manifest(command: str, config: dict) -> str:
+    """The text of a run manifest of ``command`` holding ``config``, as ``cli.main`` writes one."""
+    return json.dumps({"tool": "emfcap", "command": command, "config": config})
+
+
 def _no_file(command: str, value: str, source: str) -> Case:
     """``command`` given an ``--out`` that names no file, by flag or by config file."""
     argv = [command, *(["--trace", "t.csv"] if command == "verify" else [])]
@@ -249,6 +254,20 @@ CASES = [
     # an output below a regular file exits 2 before the command runs
     *(Case([*argv, "--out", "f/x.csv"], "emfcap: error: f/x.csv: Not a directory\n", files={"f": "x"}, runs=False)
       for argv in (["simulate", "--horizon", "20"], ["sweep-v", "--loads", "0.5", "--reps", "100000"])),
+    # another command's manifest supplies the keys verify reads but out (here the trace itself); V is ignored
+    Case(["verify", "--config", "s.manifest.json", "--trace", "t.csv"], code=1,
+         files={"s.manifest.json": _manifest("simulate", {"W": 2, "C_bar": 0.2, "V": 15.0, "out": "t.csv"}),
+                "t.csv": TRACE}),
+    # ... and an output may not replace it, the manifest included
+    Case(["verify", "--config", "s.manifest.json", "--trace", "t.csv", "--out", "s.json"],
+         "emfcap: error: s.manifest.json: an output of this command would replace its --config file\n",
+         files={"s.manifest.json": _manifest("simulate", {"W": 2}), "t.csv": TRACE}),
+    # a plain config file, and a manifest of the same command, supply only keys the command reads
+    *(Case(["verify", "--config", name, "--trace", "t.csv"],
+           "emfcap: error: config file has keys not used by this command: ['V']\n",
+           files={name: text, "t.csv": TRACE}, runs=False)
+      for name, text in (("plain.json", json.dumps({"W": 2, "V": 15.0})),
+                         ("v.manifest.json", _manifest("verify", {"W": 2, "V": 15.0})))),
     Case(["simulate", "--config", "nope.json"],
          "emfcap: error: cannot read config file: [Errno 2] No such file or directory: 'nope.json'\n", runs=False),
     _config("simulate", [1], "emfcap: error: c.json: config must be a JSON object\n", runs=False),

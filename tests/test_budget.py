@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from emfcap.budget import (
     BudgetState,
@@ -60,14 +60,6 @@ def test_config_rejects_bad_values():
     cfg = EmfConfig(sys.maxsize, 1.0, 0.2)
     for state_cls in (BudgetState, ConservativeBudgetState):
         assert math.isfinite(state_cls(cfg).update(0.5).budget)
-
-
-def test_config_window_must_be_integral():
-    assert EmfConfig(10.0, 1.0, 0.2).window_w == 10
-    assert type(EmfConfig(np.int64(10), 1.0, 0.2).window_w) is int
-    for bad in (2.7, math.inf, math.nan, "10", None):
-        with pytest.raises(ValueError):
-            EmfConfig(bad, 1.0, 0.2)
 
 
 def test_config_defaults_are_the_operating_point():
@@ -505,7 +497,11 @@ def test_long_runs_across_many_rebases_match_bruteforce(w, dips):
 # windowed average at or under C while every later period can still take
 # the floor. Checked only with verify_compliance, which shares no code with
 # the trackers: spending the budget and then the floor for W - 1 periods is
-# compliant, and for the exact tracker spending any more is not.
+# compliant, and for the exact tracker spending any more is not. Rounding can
+# leave a budget a few ulps below the floor; a negative one is spent as zero.
+
+# how far below the floor rounding may take a budget, as in acceptance criterion 3
+FLOOR_ROUNDING = 1e-12
 
 
 @settings(max_examples=300, deadline=None)
@@ -514,6 +510,8 @@ def test_long_runs_across_many_rebases_match_bruteforce(w, dips):
     rho=st.sampled_from([0.0, 0.15, 0.5, 1.0]),
     shares=st.lists(st.floats(0.0, 1.0), max_size=59),
 )
+# both trackers end at an excess of 5.000000000000001 against a full budget of 5: budget -8.9e-16
+@example(w=5, rho=0.0, shares=[0.3308626808350242, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
 def test_budget_is_the_largest_compliant_consumption(w, rho, shares):
     cfg = EmfConfig(w, 1.0, rho)
     tail = [cfg.floor] * (w - 1)
@@ -524,7 +522,9 @@ def test_budget_is_the_largest_compliant_consumption(w, rho, shares):
             history.append(share * max(state.budget, 0.0))
             state.update(history[-1])
         b = state.budget
-        assert verify_compliance(history + [b] + tail, cfg, tolerance=1e-12).compliant, state_cls
+        assert b >= cfg.floor - FLOOR_ROUNDING, state_cls
+        spent = max(b, 0.0)
+        assert verify_compliance(history + [spent] + tail, cfg, tolerance=1e-12).compliant, state_cls
     # the exact tracker, run last, gives the largest compliant consumption
-    over = b + 1e-9 * max(1.0, b)
+    over = spent + 1e-9 * max(1.0, spent)
     assert not verify_compliance(history + [over] + tail, cfg, tolerance=0.0).compliant

@@ -4,7 +4,7 @@ import json
 import math
 import re
 from contextlib import redirect_stdout
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -121,7 +121,7 @@ def test_trace_may_start_with_a_utf8_byte_order_mark(tmp_path, capsys):
     trace = tmp_path / "bom.csv"
     trace.write_bytes(b"\xef\xbb\xbfc\r\n0.5\r\n0.25\r\n")
     assert run_cli(["verify", "--W", "2", "--trace", trace]) == 0
-    assert json.loads(capsys.readouterr().out) == verify_compliance([0.5, 0.25], EmfConfig(window_w=2)).as_dict()
+    assert json.loads(capsys.readouterr().out) == asdict(verify_compliance([0.5, 0.25], EmfConfig(window_w=2)))
 
 
 def test_config_file_may_start_with_a_utf8_byte_order_mark(tmp_path):
@@ -278,6 +278,20 @@ def test_manifest_rerun_reproduces_outputs(tmp_path):
     assert run_cli(["simulate", "--config", tmp_path / "a.manifest.json", "--out", b]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.summary.json").read_bytes() == (tmp_path / "b.summary.json").read_bytes()
+
+
+def test_verify_checks_a_simulate_run_by_the_rule_in_its_manifest(tmp_path, capsys):
+    out = tmp_path / "tr.csv"
+    assert run_cli(["simulate", "--policy", "greedy_exact", "--load", "0.9", "--horizon", "3000",
+                    "--W", "100", "--C-bar", "2.0", "--out", out]) == 0
+    summary = read_json(tmp_path / "tr.summary.json")
+    capsys.readouterr()
+    code = run_cli(["verify", "--config", tmp_path / "tr.manifest.json", "--trace", out])
+    report = json.loads(capsys.readouterr().out)
+    assert code == (0 if summary["compliant"] else 1) == 0
+    assert report["worst_window_average"] == summary["worst_window_average"]
+    # the default W = 10 and C-bar = 1 read the same run as a violation
+    assert run_cli(["verify", "--trace", out]) == 1
 
 
 def test_manifest_rerun_without_out_replaces_its_manifest(tmp_path):
@@ -509,7 +523,7 @@ def test_every_flag_sets_its_config_field(tmp_path, capsys):
     trace.write_text("c\n" + "".join(f"{v!r}\n" for v in c.tolist()))
     for emf in (EmfConfig(window_w=3, threshold=0.6), EmfConfig(window_w=25, threshold=0.7)):
         code = run_cli(["verify", "--trace", trace, "--W", emf.window_w, "--C-bar", emf.threshold])
-        report = verify_compliance(c, emf).as_dict()
+        report = asdict(verify_compliance(c, emf))
         assert capsys.readouterr().out == _json_text(report)
         assert code == (0 if report["compliant"] else 1)
-    assert report != verify_compliance(c, EmfConfig()).as_dict()
+    assert report != asdict(verify_compliance(c, EmfConfig()))

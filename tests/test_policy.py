@@ -12,7 +12,6 @@ from emfcap.policy import (
     DppConfig,
     DppPolicy,
     GreedyPolicy,
-    alpha_fair,
 )
 from emfcap.sim import SimConfig, run_simulation
 from emfcap.traffic import TrafficConfig
@@ -26,51 +25,6 @@ def dpp_at(queue, cfg=EMF, dpp=DPP):
     policy = DppPolicy(cfg, dpp)
     policy.queue = queue
     return policy
-
-
-# ── fairness utility ──────────────────────────────────────────────────
-
-
-def test_alpha_fair_log_branch():
-    assert alpha_fair(1.0, 1.0) == 0.0
-    assert alpha_fair(4.0, 1.0) == pytest.approx(math.log(4.0))
-
-
-def test_alpha_fair_linear_branch_is_identity():
-    for x in (0.25, 1.0, 7.5):
-        assert alpha_fair(x, 0.0) == pytest.approx(x)
-
-
-def test_alpha_fair_worked_example():
-    assert alpha_fair(2.0, 2.0) == -0.5
-
-
-def test_alpha_fair_domain_errors():
-    with pytest.raises(ValueError):
-        alpha_fair(0.0, 1.0)
-    with pytest.raises(ValueError):
-        alpha_fair(-1.0, 0.5)
-    with pytest.raises(ValueError, match="undefined"):
-        alpha_fair(math.nan, 0.5)
-    for alpha in (-0.2, math.inf, math.nan, 10**400, True, "1"):
-        with pytest.raises(ValueError):
-            alpha_fair(1.0, alpha)
-
-
-def test_alpha_fair_overflow_is_a_value_error():
-    # the power overflows at the first point; at the second only the quotient does
-    for x, alpha in ((0.15, 1000.0), (5e-324, 1.953385)):
-        with pytest.raises(ValueError, match="overflows float64"):
-            alpha_fair(x, alpha)
-
-
-def test_alpha_fair_increasing_and_concave():
-    for alpha in (0.0, 0.5, 1.0, 2.0):
-        xs = [0.5, 1.0, 1.5, 2.0, 2.5]
-        ys = [alpha_fair(x, alpha) for x in xs]
-        diffs = [b - a for a, b in zip(ys, ys[1:])]
-        assert all(d > 0 for d in diffs)
-        assert all(d2 <= d1 + 1e-12 for d1, d2 in zip(diffs, diffs[1:]))
 
 
 # ── virtual queue ─────────────────────────────────────────────────────
@@ -306,12 +260,12 @@ def test_dpp_queue_stays_within_its_bound(kind, rho, beta_share, alpha, v, w, th
 
 
 def test_greedy_takes_whole_budget():
-    dec = GreedyPolicy(EMF).decide(3.4)
+    dec = GreedyPolicy(EMF, DPP).decide(3.4)
     assert dec.gamma == 3.4 != EMF.floor
 
 
 def test_greedy_depleted_budget_sits_at_floor():
-    greedy = GreedyPolicy(EMF)
+    greedy = GreedyPolicy(EMF, DPP)
     dec = greedy.decide(EMF.floor)
     assert dec.gamma == EMF.floor
     assert greedy.decide(0.01).gamma == EMF.floor
@@ -323,7 +277,7 @@ def test_greedy_saturation_drains_budget_within_window():
     for w in (4, 10):
         cfg = EmfConfig(w, 1.0, 0.15)
         state = BudgetState(cfg)
-        policy = GreedyPolicy(cfg)
+        policy = GreedyPolicy(cfg, DPP)
         gammas = []
         for _ in range(w + 1):
             g = policy.decide(state.budget).gamma
@@ -333,7 +287,7 @@ def test_greedy_saturation_drains_budget_within_window():
 
 
 def test_cautious_is_constant_threshold():
-    policy = CautiousPolicy(EMF)
+    policy = CautiousPolicy(EMF, DPP)
     dec = policy.decide(EMF.threshold)
     assert dec.gamma == EMF.threshold != EMF.floor
     assert policy.decide(0.2).gamma == EMF.threshold
@@ -343,7 +297,7 @@ def test_cautious_is_constant_threshold():
 def test_dpp_equals_greedy_under_zero_consumption():
     state = BudgetState(EMF)
     dpp = DppPolicy(EMF, DPP)
-    greedy = GreedyPolicy(EMF)
+    greedy = GreedyPolicy(EMF, DPP)
     for _ in range(50):
         b = state.budget
         assert dpp.queue == 0.0

@@ -1,8 +1,8 @@
 """Every input boundary rejects a nan, an infinity or a negative value.
 
 The boundaries are both tracker updates, every policy's ``observe`` and
-``decide``, ``TrafficModel.consume``, every real field of the
-config dataclasses and every numeric CLI flag. A library call raises
+``decide``, ``TrafficModel.consume``, every real and every integer field
+of the config dataclasses and every numeric CLI flag. A library call raises
 ``ValueError`` and leaves its object as it was; the CLI exits 2 and writes
 nothing, also when a flag overrides the bad value of a config file. A policy's budget may be negative (the floor wins), so ``decide``
 rejects only nan and the infinities.
@@ -13,13 +13,14 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from emfcap.bench import checked_updates
-from emfcap.budget import BudgetState, ConservativeBudgetState, EmfConfig
+from emfcap.budget import BudgetState, ConservativeBudgetState, EmfConfig, as_int
 from emfcap.cli import COMMANDS, PARAMS, main
-from emfcap.policy import POLICY_KINDS, CautiousPolicy, DppConfig, DppPolicy, GreedyPolicy, alpha_fair
+from emfcap.policy import POLICY_KINDS, CautiousPolicy, DppConfig, DppPolicy, GreedyPolicy
 from emfcap.sim import SimConfig, checked_tolerance
 from emfcap.traffic import TrafficConfig, TrafficModel
 
@@ -31,6 +32,11 @@ GOOD = st.floats(min_value=0.0, max_value=10.0)
 
 REAL_FIELDS = [
     (cls, f.name) for cls in (EmfConfig, DppConfig, TrafficConfig) for f in fields(cls) if f.type == "float"
+]
+
+INTEGER_FIELDS = [
+    (cls, f.name) for cls in (EmfConfig, DppConfig, TrafficConfig, SimConfig) for f in fields(cls)
+    if f.metadata.get("rule", (None,))[0] is as_int
 ]
 
 REAL_FLAGS = (
@@ -54,6 +60,22 @@ def test_every_real_field_and_numeric_flag_is_covered():
     assert set(PARAMS) - set(FLAG_COMMAND) == {"policy", "trace", "out"}
     # every parameter that sets a config field has a row of its own
     assert set(FIELD_VALUES) == {n for n, param in PARAMS.items() if param.sets[0] is not None}
+
+
+def test_config_integer_fields_take_only_integral_values():
+    """Each field whose rule converts by ``as_int`` takes an integral float or NumPy integer, as an ``int``."""
+    assert sorted(name for _, name in INTEGER_FIELDS) == ["horizon", "replications", "seed", "window_w", "zipf_support"]
+
+    def build(cls, name, value):
+        nested = {"emf": EmfConfig(), "traffic": TrafficConfig()} if cls is SimConfig else {}
+        return getattr(cls(**nested, **{name: value}), name)
+
+    for cls, name in INTEGER_FIELDS:
+        for good in (10.0, np.int64(10)):
+            assert type(value := build(cls, name, good)) is int and value == 10, (name, good)
+        for bad in (2.7, math.inf, math.nan, True, "10", None):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                build(cls, name, bad)
 
 
 @pytest.mark.parametrize("case", GRID_ITEMS.values(), ids=list(GRID_ITEMS))
@@ -161,8 +183,7 @@ HUGE = 10**5000
     (lambda: SimConfig(EmfConfig(), TrafficConfig(), policy_kind=HUGE),
      f"unknown policy kind <int of 16610 bits>; expected one of {tuple(POLICY_KINDS)}"),
     (lambda: checked_updates(-HUGE), "updates must be >= 1, got -<int of 16610 bits>"),
-    (lambda: alpha_fair(-HUGE, 1.0), "alpha-fair utility is undefined for x = -<int of 16610 bits>"),
-], ids=["checked_tolerance", "policy_kind", "checked_updates", "alpha_fair"])
+], ids=["checked_tolerance", "policy_kind", "checked_updates"])
 def test_a_rejected_int_too_long_to_print_is_shown_by_its_bit_length(call, message):
     with pytest.raises(ValueError) as rejected:
         call()

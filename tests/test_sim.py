@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -57,12 +59,6 @@ def test_sim_config_validation():
         make_cfg(policy="oracle")
     with pytest.raises(ValueError):
         SimConfig(EMF, TrafficConfig(), replications=0)
-    assert make_cfg(horizon=40.0).horizon == 40
-    for bad in (2.7, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            make_cfg(horizon=bad)
-        with pytest.raises(ValueError):
-            SimConfig(EMF, TrafficConfig(), replications=bad)
 
 
 # ── closed loop ───────────────────────────────────────────────────────
@@ -87,7 +83,7 @@ def test_cautious_under_heavy_demand_rides_the_boundary():
     trace = run_simulation(cfg)
     assert np.all(trace.gamma == EMF.threshold)
     assert np.all(trace.c == EMF.threshold)
-    report = verify_compliance(trace, EMF)
+    report = verify_compliance(trace.c, EMF)
     assert report.compliant
     assert report.margin == 0.0
     assert trace.summary()["mean_utility"] == pytest.approx(0.0)
@@ -171,7 +167,7 @@ def test_every_policy_is_compliant_and_respects_bounds():
         for load in (0.1, 0.6, 0.95):
             cfg = make_cfg(policy=policy, load=load, horizon=600, scale=1.5, seed=2)
             trace = run_simulation(cfg, replication=1)
-            assert verify_compliance(trace, EMF, 1e-9).compliant, (policy, load)
+            assert verify_compliance(trace.c, EMF, 1e-9).compliant, (policy, load)
             # consumption never exceeds the cap; budgets keep their order and floor
             assert np.all(trace.c <= trace.gamma + 1e-12)
             assert np.all(trace.budget_conservative <= trace.budget_exact + 1e-12)
@@ -287,7 +283,7 @@ def test_verifier_rounding_does_not_grow_with_the_horizon():
     cfg = SimConfig(EmfConfig(threshold=731.3), TrafficConfig(load=0.9, demand_scale=731.3 / 4),
                     horizon=100_000, policy_kind="greedy_exact")
     trace = run_simulation(cfg)
-    assert verify_compliance(trace, cfg.emf).compliant
+    assert verify_compliance(trace.c, cfg.emf).compliant
 
 
 def gathered_worst_window(c, w):
@@ -374,15 +370,6 @@ def test_compliance_check_skips_empty_blocks():
     assert check.report() == verify_compliance(c, EmfConfig(window_w=2))
 
 
-def test_compliance_check_takes_a_trace_as_its_c_column():
-    trace = run_simulation(make_cfg(load=0.9, horizon=300, scale=2.0))
-    with mock.patch.object(sim, "BLOCK_ROWS", 7):
-        from_trace, from_c = ComplianceCheck(trace.emf), ComplianceCheck(trace.emf)
-        from_trace.add(trace)
-        from_c.add(trace.c)
-    assert from_trace.report() == from_c.report() == verify_compliance(trace, trace.emf)
-
-
 @pytest.mark.parametrize("block", [0.5, [[0.5, 0.25], [0.0, 1.0]]], ids=["0-d", "2-d"])
 def test_compliance_check_rejects_a_block_that_is_not_1d(block):
     check = ComplianceCheck(EmfConfig(window_w=2))
@@ -454,10 +441,10 @@ def test_score_constant_threshold_is_zero():
 
 
 def test_score_constant_matches_pointwise_utility():
-    from emfcap.policy import alpha_fair
-
     for alpha in (0.0, 0.5, 1.0, 2.0):
-        assert score_trace(np.full(9, 2.5), alpha) == pytest.approx(alpha_fair(2.5, alpha))
+        pointwise = math.log(2.5) if alpha == 1.0 else 2.5 ** (1 - alpha) / (1 - alpha)
+        assert score_trace(np.full(9, 2.5), alpha) == pytest.approx(pointwise)
+    assert score_trace(np.full(3, 2.0), 2.0) == -0.5
 
 
 def test_score_two_period_example():
@@ -482,9 +469,10 @@ def test_score_rejects_a_column_that_is_not_1d(gamma):
 
 
 def test_score_overflow_is_a_value_error():
-    # 0.15 ** -999 overflows float64, so the mean would be -inf
-    with pytest.raises(ValueError, match="overflows float64"):
-        score_trace(np.array([0.15, 1.0]), 1000.0)
+    # 0.15 ** -999 overflows float64, so the mean would be -inf; at the second point only the quotient overflows
+    for gamma, alpha in (([0.15, 1.0], 1000.0), ([5e-324], 1.953385)):
+        with pytest.raises(ValueError, match="overflows float64"):
+            score_trace(np.array(gamma), alpha)
 
 
 def test_summary_utility_is_null_when_the_score_overflows():
@@ -500,9 +488,15 @@ def test_summary_utility_is_null_when_the_score_overflows():
     assert replace(trace, gamma=gamma).summary()["mean_utility"] is None
 
 
-def test_score_accepts_trace_object():
-    trace = run_simulation(make_cfg(load=0.3, horizon=100))
-    assert score_trace(trace, 1.0) == score_trace(trace.gamma, 1.0)
+def test_each_check_takes_a_column_and_each_policy_its_dpp_config():
+    trace = run_simulation(make_cfg(horizon=20))
+    for check in (lambda: verify_compliance(trace, EMF), lambda: ComplianceCheck(EMF).add(trace),
+                  lambda: score_trace(trace, 1.0), lambda: queue_zero_every_window(trace, EMF)):
+        with pytest.raises(TypeError):
+            check()
+    for cls, _ in POLICY_KINDS.values():
+        with pytest.raises(TypeError):
+            cls(EMF)
 
 
 # ── queue drain checker ───────────────────────────────────────────────
@@ -523,15 +517,15 @@ def test_queue_never_drains_on_violating_trace():
 def test_queue_check_drains_a_rounding_residue_by_default():
     """A compliant trace whose queue keeps an ulp-sized residue reads as drained, as ``verify_compliance`` reads it compliant."""
     trace = run_simulation(make_cfg(policy="greedy_exact", load=0.2, horizon=500, scale=1.0, seed=1234))
-    assert verify_compliance(trace, EMF).compliant
-    assert queue_zero_every_window(trace, EMF) == (True, 9)
-    assert queue_zero_every_window(trace, EMF, tolerance=0.0) == (False, 47)
+    assert verify_compliance(trace.c, EMF).compliant
+    assert queue_zero_every_window(trace.c, EMF) == (True, 9)
+    assert queue_zero_every_window(trace.c, EMF, tolerance=0.0) == (False, 47)
 
 
 def test_queue_drain_on_compliant_simulated_traces():
     for policy in ("greedy_exact", "dpp_exact", "cautious"):
         trace = run_simulation(make_cfg(policy=policy, load=0.5, horizon=2000, scale=1.0, seed=6, beta=1.0))
-        ok, _ = queue_zero_every_window(trace, EMF)
+        ok, _ = queue_zero_every_window(trace.c, EMF)
         assert ok, policy
 
 
@@ -839,3 +833,19 @@ def test_csv_writer_holds_one_block_at_a_time():
     trace = run_simulation(make_cfg(load=0.5, horizon=20_000))
     _, peak = traced_peak(lambda: sum(map(len, trace_csv([trace]))))
     assert peak <= 2 * 2**20
+
+
+# ── README's Python examples ──────────────────────────────────────────
+
+
+def test_readme_python_examples_run(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)  # the first block writes trace.csv
+    names = {}
+    for block in blocks:  # in order: the second block streams the first block's cfg
+        exec(compile(block, "README.md", "exec"), names)
+    trace, cfg, fold, check = (names[name] for name in ("trace", "cfg", "fold", "check"))
+    assert fold.result() == trace.summary()
+    assert check.report() == verify_compliance(trace.c, cfg.emf)
