@@ -3,9 +3,9 @@
 Three timed subjects: the linear from-scratch recompute, the incremental
 exact tracker (amortized constant time per period) and the constant-time
 conservative tracker. Each update is timed individually with the ns counter
-so the tail of the exact tracker (the deque pops after a dip, the prefix
-rebase every ``W`` periods) shows up in the p99 instead of being averaged
-away.
+so the tail of the exact tracker (the deque pops after a dip) shows up in the
+p99 instead of being averaged away. Its prefix rebase is one update in ``W``,
+so it reaches the p99 only while ``W <= 100``.
 
 Workloads of the exact tracker:
 

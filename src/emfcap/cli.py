@@ -160,7 +160,7 @@ PARAMS = {
     "w_grid": Param(_grid(EmfConfig, "window_w"), list(W_GRID), "comma list of window lengths"),
     "updates": Param(lambda value: checked_updates(_number(value)), UPDATES, "timed updates per constant-time subject"),
     "c_bar_dbm": Param(_finite, None, "display-only dBm value of the threshold; adds a dBm block to the summary"),
-    "trace": Param(_text, None, "trace CSV with a 'c' column"),
+    "trace": Param(_text, None, "trace CSV with a 'c' column, from period 0: a later cut reads its first W-1 windows short"),
     "out": Param(_text, None, "primary output path (siblings derive from its stem)"),
 }
 

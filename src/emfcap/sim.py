@@ -136,7 +136,7 @@ class SimTrace:
         """Headline numbers for one run; ``mean_utility`` is null when undefined.
 
         ``RunSummary(tolerance)`` fed the whole trace once, whose docstring
-        gives every field and error.
+        gives every field and error, such as the one of a later ``run_blocks`` block.
         """
         fold = RunSummary(tolerance)
         fold.add(self)
@@ -173,20 +173,19 @@ class RunSummary:
     bit. One that overflows float64 raises ``ValueError`` naming it;
     ``mean_utility`` is null instead, as for a cap outside its domain.
 
-    The first segment may start at any period. A later one that does not
-    start where the one before ended, or is of another config or replication
-    (its ``(cfg, replication)`` differs from the first's), raises
+    A fold starts at period 0, as ``ComplianceCheck`` counts. A segment that
+    does not start where the one before ended, or is of another config or
+    replication (its ``(cfg, replication)`` differs from the first's), raises
     ``ValueError``. An empty segment has no views and changes nothing.
     """
 
     def __init__(self, tolerance: float = TOLERANCE):
         self.tolerance = checked_tolerance(tolerance)
-        self.periods = 0
         self.totals = None  # per summed quantity, the running total
         self.floor_periods = 0
         self.shortage_periods = 0
         self.peak_backlog = -math.inf
-        self.run = self.check = self.start = self.final_backlog = None
+        self.run = self.check = self.final_backlog = None
 
     def add(self, segment: SimTrace) -> None:
         for lo in range(0, len(segment), BLOCK_ROWS):
@@ -194,9 +193,8 @@ class RunSummary:
                             **{name: getattr(segment, name)[lo:lo + BLOCK_ROWS] for name in _STORED_COLUMNS})
             run = (block.cfg, block.replication)
             if self.run is None:
-                self.run, self.start = run, block.start
-                self.check = ComplianceCheck(block.emf, self.tolerance)
-            elif run != self.run or block.start != self.start + self.periods:
+                self.run, self.check = run, ComplianceCheck(block.emf, self.tolerance)
+            if run != self.run or block.start != self.check.periods:
                 raise ValueError(f"the block at period {block.start} does not continue the run folded so far")
             self.check.add(block.c)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -212,11 +210,10 @@ class RunSummary:
             self.shortage_periods += int(np.count_nonzero(floor_mask & (block.backlog > self.tolerance)))
             self.peak_backlog = max(self.peak_backlog, float(block.backlog.max()))
             self.final_backlog = float(block.backlog[-1])
-            self.periods += len(block)
             del floor_mask  # so the next view's window sums are not allocated beside it
 
     def result(self) -> dict:
-        n = self.periods
+        n = self.check.periods if self.check else 0
         if not n:
             raise ValueError("cannot summarize an empty run")
         gamma, d, c, b_ex, b_co, queue, gap, utility = self.totals
@@ -352,12 +349,13 @@ class ComplianceCheck:
     """The windowed-average check of ``verify_compliance``, fed consecutive consumption segments in period order.
 
     ``add`` cuts a consumption segment ``c`` of any length into
-    ``BLOCK_ROWS``-period views; ``report`` gives the same verdict, bit
-    for bit, however the trace was cut: the window sums are those of
-    ``_WindowSums`` and the earliest maximum wins, as in ``np.argmax``. ``add``
-    raises ``ValueError``, as ``verify_compliance`` does, for a segment that
-    is not 1-d and, once the views before it are folded, for a view holding a
-    negative or non-finite value. An empty segment has no views.
+    ``BLOCK_ROWS``-period views; ``report`` gives the same verdict, bit for
+    bit, however the trace was cut: the window sums are those of
+    ``_WindowSums`` and the earliest maximum wins, as in ``np.argmax``. The
+    first value is period 0, as in ``verify_compliance``. ``add`` raises its
+    ``ValueError`` for a segment that is not 1-d and, once the views before it
+    are folded, for a view holding a negative or non-finite value. An empty
+    segment has no views.
     """
 
     def __init__(self, cfg: EmfConfig, tolerance: float = TOLERANCE):
@@ -397,13 +395,14 @@ class ComplianceCheck:
 def verify_compliance(c, cfg: EmfConfig, tolerance: float = TOLERANCE) -> ComplianceReport:
     """Check every windowed average of the consumption sequence ``c`` against the threshold.
 
-    Works straight off the consumption values; deliberately independent of
-    the budget trackers. Warm-up windows divide by the full window length, so
-    early periods can only be easier to satisfy. A negative or non-finite
-    ``tolerance`` raises ``ValueError``: it would pass any trace. It feeds
-    ``c`` once to ``ComplianceCheck``, which reads it in ``BLOCK_ROWS``-period
-    views, so its memory does not grow with the horizon. Limit: each windowed sum is a
-    difference of whole-trace prefix sums, so its rounding grows with the
+    Works straight off the consumption values; deliberately independent of the
+    budget trackers. ``c`` starts at period 0, and warm-up windows divide by
+    the full window length, so they can only be easier to satisfy: a trace cut
+    from a later period reads its first ``W - 1`` windows short. A negative or
+    non-finite ``tolerance`` raises ``ValueError``: it would pass any trace. It
+    feeds ``c`` to ``ComplianceCheck``, which reads it in ``BLOCK_ROWS``-period
+    views, so memory does not grow with the horizon. Limit: each windowed sum
+    is a difference of whole-trace prefix sums, so its rounding grows with the
     horizon, while ``tolerance`` is absolute.
     """
     check = ComplianceCheck(cfg, tolerance)

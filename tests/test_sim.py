@@ -403,22 +403,29 @@ def test_run_summary_rejects_a_block_that_does_not_continue_the_run(run, block):
     assert fold.result() == trace.summary()
 
 
-def test_run_summary_starts_anywhere_and_continues_where_the_last_block_ended():
-    trace = run_simulation(make_cfg(load=0.6, horizon=50))
+def test_run_summary_folds_from_period_0_and_sees_the_violation_a_block_boundary_straddles():
+    trace = run_simulation(SimConfig(EmfConfig(), TrafficConfig(load=0.0), horizon=40, policy_kind="cautious"))
+    trace.c[15:25] = 1.5
+    first, second = (replace(trace, start=lo, **{name: getattr(trace, name)[lo:lo + 20] for name in sim._STORED_COLUMNS})
+                     for lo in (0, 20))
     fold = RunSummary()
-    fold.add(replace(trace, start=50))
-    fold.add(replace(trace, start=100))
-    assert fold.result()["periods"] == 100
+    fold.add(first)
+    fold.add(second)
+    result = fold.result()
+    assert (result["compliant"], result["worst_window_start"], result["worst_window_average"]) == (False, 15, 1.5)
+    # alone, the second block would count periods 11-19 as zero and read the violation as compliant
+    with pytest.raises(ValueError, match="the block at period 20 does not continue the run folded so far"):
+        second.summary()
 
 
 def test_run_summary_skips_empty_blocks():
     trace = run_simulation(make_cfg(load=0.6, horizon=50))
     empty = replace(trace, **{name: getattr(trace, name)[:0] for name in sim._STORED_COLUMNS})
     fold = RunSummary()
-    fold.add(empty)  # neither raises nor fixes the period the run starts at
+    fold.add(empty)  # neither raises nor fixes the run
     with pytest.raises(ValueError, match="cannot summarize an empty run"):
         fold.result()
-    fold.add(replace(trace, start=7))
+    fold.add(trace)
     fold.add(empty)
     assert fold.result() == trace.summary()
 
