@@ -22,7 +22,7 @@ from .output import commit, csv_chunks
 from .policy import POLICY_KINDS, DppConfig
 from .traffic import TrafficConfig, TrafficModel
 
-# the columns a ``SimTrace`` stores, in its unpacking order, and those whose totals ``RunSummary`` folds
+# the columns a ``SimTrace`` stores (``d``, then the rows of ``_blocks``' float64 block) and those ``RunSummary`` totals
 _STORED_COLUMNS = ("d", "backlog", "gamma", "c", "budget_exact", "budget_conservative", "queue")
 _SUMMED = ("gamma", "d", "c", "budget_exact", "budget_conservative", "queue")
 TRACE_COLUMNS = ("t", *_STORED_COLUMNS, "clamped_low", "clamped_high")
@@ -133,14 +133,8 @@ class SimTrace:
         return self.gamma == getattr(self, reads) if reads else np.zeros(len(self), dtype=bool)
 
     def summary(self, tolerance: float = TOLERANCE) -> dict:
-        """Headline numbers for one run; ``mean_utility`` is null when undefined.
-
-        ``RunSummary(tolerance)`` fed the whole trace once, whose docstring
-        gives every field and error, such as the one of a later ``run_blocks`` block.
-        """
-        fold = RunSummary(tolerance)
-        fold.add(self)
-        return fold.result()
+        """One run's headline numbers: ``RunSummary(tolerance)`` fed the whole trace; see it for each field and error."""
+        return RunSummary(tolerance).add(self).result()
 
     def write_csv(self, path) -> None:
         """Write ``trace_csv([self])`` to ``path`` through ``output.commit``."""
@@ -166,58 +160,59 @@ class RunSummary:
     demand against such a cap leaves residues of a few ulps. A negative or
     non-finite ``tolerance`` raises ``ValueError``, as in ``verify_compliance``.
 
-    ``add`` cuts a segment of any length into ``BLOCK_ROWS``-period views;
-    counts, backlogs and the verdict do not depend on the cuts. Totals and
-    means sum one ``np.add.reduce`` per view: a whole trace and ``run_blocks``
-    fold to ``trace.summary()`` bit for bit, smaller cuts can move the last
-    bit. One that overflows float64 raises ``ValueError`` naming it;
-    ``mean_utility`` is null instead, as for a cap outside its domain.
+    ``add`` cuts a segment of any length into ``BLOCK_ROWS``-period views and
+    returns the fold; counts, backlogs and the verdict do not depend on the
+    cuts. Totals and means sum one ``np.add.reduce`` per view: a whole trace
+    and ``run_blocks`` fold to ``trace.summary()`` bit for bit, smaller cuts
+    can move the last bit. One that overflows float64 raises ``ValueError``
+    naming it; ``mean_utility`` is null instead, as for a cap outside its domain.
 
-    A fold starts at period 0, as ``ComplianceCheck`` counts. A segment that
-    does not start where the one before ended, or is of another config or
-    replication (its ``(cfg, replication)`` differs from the first's), raises
-    ``ValueError``. An empty segment has no views and changes nothing.
+    A fold starts at period 0, as ``ComplianceCheck`` counts, and is bound to
+    the run of its first view. ``add`` raises ``ValueError`` for a segment
+    that does not start where the one before ended or is of another config or
+    replication, and for a view that ``ComplianceCheck.add`` rejects. A
+    rejected segment or view changes nothing, the views before it stay folded.
     """
 
     def __init__(self, tolerance: float = TOLERANCE):
         self.tolerance = checked_tolerance(tolerance)
-        self.totals = None  # per summed quantity, the running total
+        self.totals = {}  # per summed quantity, its running total
         self.floor_periods = 0
         self.shortage_periods = 0
         self.peak_backlog = -math.inf
         self.run = self.check = self.final_backlog = None
 
-    def add(self, segment: SimTrace) -> None:
+    def add(self, segment: SimTrace) -> "RunSummary":
+        run = (segment.cfg, segment.replication)
+        check = self.check or ComplianceCheck(segment.emf, self.tolerance)
+        if len(segment) and (segment.start != check.periods or (self.run or run) != run):
+            raise ValueError(f"the block at period {segment.start} does not continue the run folded so far")
         for lo in range(0, len(segment), BLOCK_ROWS):
-            block = replace(segment, start=segment.start + lo,
-                            **{name: getattr(segment, name)[lo:lo + BLOCK_ROWS] for name in _STORED_COLUMNS})
-            run = (block.cfg, block.replication)
-            if self.run is None:
-                self.run, self.check = run, ComplianceCheck(block.emf, self.tolerance)
-            if run != self.run or block.start != self.check.periods:
-                raise ValueError(f"the block at period {block.start} does not continue the run folded so far")
-            self.check.add(block.c)
+            view = {name: getattr(segment, name)[lo:lo + BLOCK_ROWS] for name in _STORED_COLUMNS}
+            check.add(view["c"])
+            self.run, self.check = run, check
             with np.errstate(over="ignore", invalid="ignore"):
-                part = [float(np.add.reduce(getattr(block, name))) for name in _SUMMED]
-                part.append(float(np.add.reduce(block.budget_exact - block.budget_conservative)))
+                part = {name: np.add.reduce(view[name]) for name in _SUMMED}
+                part["gap"] = np.add.reduce(view["budget_exact"] - view["budget_conservative"])
             try:
-                part.append(_utility_sum(block.gamma, block.cfg.dpp.alpha))
+                part["utility"] = _utility_sum(view["gamma"], segment.cfg.dpp.alpha)
             except ValueError:
-                part.append(math.nan)
-            self.totals = part if self.totals is None else [a + b for a, b in zip(self.totals, part)]
-            floor_mask = block.gamma <= block.emf.floor + self.tolerance
+                part["utility"] = math.nan
+            for name, value in part.items():  # -0.0 + x is x, bit for bit
+                self.totals[name] = self.totals.get(name, -0.0) + float(value)
+            floor_mask = view["gamma"] <= segment.emf.floor + self.tolerance
             self.floor_periods += int(np.count_nonzero(floor_mask))
-            self.shortage_periods += int(np.count_nonzero(floor_mask & (block.backlog > self.tolerance)))
-            self.peak_backlog = max(self.peak_backlog, float(block.backlog.max()))
-            self.final_backlog = float(block.backlog[-1])
+            self.shortage_periods += int(np.count_nonzero(floor_mask & (view["backlog"] > self.tolerance)))
+            self.peak_backlog = max(self.peak_backlog, float(view["backlog"].max()))
+            self.final_backlog = float(view["backlog"][-1])
             del floor_mask  # so the next view's window sums are not allocated beside it
+        return self
 
     def result(self) -> dict:
-        n = self.check.periods if self.check else 0
-        if not n:
+        if self.check is None:
             raise ValueError("cannot summarize an empty run")
-        gamma, d, c, b_ex, b_co, queue, gap, utility = self.totals
-        utility /= n
+        n, totals = self.check.periods, self.totals
+        utility = totals["utility"] / n
         report = self.check.report()
         cfg, replication = self.run
         summary = {
@@ -227,17 +222,17 @@ class RunSummary:
             "replication": replication,
             "alpha": cfg.dpp.alpha,
             "mean_utility": utility if math.isfinite(utility) else None,
-            "mean_gamma": gamma / n,
+            "mean_gamma": totals["gamma"] / n,
             "floor_gamma_periods": self.floor_periods,
             "shortage_periods": self.shortage_periods,
             "peak_backlog": self.peak_backlog,
             "final_backlog": self.final_backlog,
-            "total_demand": d,
-            "total_served": c,
-            "mean_budget_exact": b_ex / n,
-            "mean_budget_conservative": b_co / n,
-            "mean_budget_gap": gap / n,
-            "mean_queue": queue / n,
+            "total_demand": totals["d"],
+            "total_served": totals["c"],
+            "mean_budget_exact": totals["budget_exact"] / n,
+            "mean_budget_conservative": totals["budget_conservative"] / n,
+            "mean_budget_gap": totals["gap"] / n,
+            "mean_queue": totals["queue"] / n,
             "compliant": report.compliant,
             "worst_window_average": report.worst_window_average,
             "worst_window_start": report.worst_window_start,
@@ -293,7 +288,7 @@ def _blocks(cfg: SimConfig, rows: int, policy, tm: TrafficModel, exact: BudgetSt
             c_col[i] = c
             backlog_col[i] = tm.backlog
 
-        yield SimTrace(cfg, tm.replication, demands, *block, start=start)
+        yield SimTrace(cfg, tm.replication, start=start, **dict(zip(_STORED_COLUMNS, (demands, *block))))
 
 
 def run_simulation(cfg: SimConfig, replication: int = 0) -> SimTrace:
@@ -349,13 +344,14 @@ class ComplianceCheck:
     """The windowed-average check of ``verify_compliance``, fed consecutive consumption segments in period order.
 
     ``add`` cuts a consumption segment ``c`` of any length into
-    ``BLOCK_ROWS``-period views; ``report`` gives the same verdict, bit for
-    bit, however the trace was cut: the window sums are those of
-    ``_WindowSums`` and the earliest maximum wins, as in ``np.argmax``. The
-    first value is period 0, as in ``verify_compliance``. ``add`` raises its
-    ``ValueError`` for a segment that is not 1-d and, once the views before it
-    are folded, for a view holding a negative or non-finite value. An empty
-    segment has no views.
+    ``BLOCK_ROWS``-period views and returns the check; ``report`` gives the
+    same verdict, bit for bit, however the trace was cut: the window sums are
+    those of ``_WindowSums`` and the earliest maximum wins, as in
+    ``np.argmax``. The first value is period 0, as in ``verify_compliance``.
+    ``add`` raises its ``ValueError`` for a segment that is not 1-d and for a
+    view holding a negative or non-finite value. A rejected segment or view
+    changes nothing; the views before it stay folded. An empty segment has
+    no views.
     """
 
     def __init__(self, cfg: EmfConfig, tolerance: float = TOLERANCE):
@@ -366,7 +362,7 @@ class ComplianceCheck:
         self.worst = -math.inf
         self.end = 0
 
-    def add(self, c) -> None:
+    def add(self, c) -> "ComplianceCheck":
         c = _column(c, "c")
         for lo in range(0, c.size, BLOCK_ROWS):
             view = c[lo:lo + BLOCK_ROWS]
@@ -379,6 +375,7 @@ class ComplianceCheck:
                 self.end = self.periods + end
             self.periods += view.size
             del averages  # so the next view's window sums are not allocated beside these
+        return self
 
     def report(self) -> ComplianceReport:
         if not self.periods:
@@ -405,9 +402,7 @@ def verify_compliance(c, cfg: EmfConfig, tolerance: float = TOLERANCE) -> Compli
     is a difference of whole-trace prefix sums, so its rounding grows with the
     horizon, while ``tolerance`` is absolute.
     """
-    check = ComplianceCheck(cfg, tolerance)
-    check.add(c)
-    return check.report()
+    return ComplianceCheck(cfg, tolerance).add(c).report()
 
 
 def _utility_sum(g: np.ndarray, alpha: float) -> float:

@@ -379,6 +379,15 @@ def test_compliance_check_rejects_a_block_that_is_not_1d(block):
     assert check.report() == verify_compliance([0.5, 0.25], EmfConfig(window_w=2))
 
 
+def test_compliance_check_keeps_the_views_before_a_rejected_value():
+    c = [0.5] * 4 + [2.0, -1.0, 0.5, 0.5]
+    check = ComplianceCheck(EmfConfig(window_w=2))
+    with mock.patch.object(sim, "BLOCK_ROWS", 4), pytest.raises(ValueError, match="consumption must be finite"):
+        check.add(c)
+    assert check.periods == 4
+    assert check.report() == verify_compliance(c[:4], EmfConfig(window_w=2))
+
+
 @pytest.mark.parametrize("run, block", [
     ({}, {"start": 0}),  # the same periods again
     ({}, {"start": 51}),
@@ -401,6 +410,18 @@ def test_run_summary_rejects_a_block_that_does_not_continue_the_run(run, block):
     with pytest.raises(ValueError, match="does not continue the run folded so far"):
         fold.add(replace(run_simulation(make_cfg(**{**base, **run})), **{"start": 50, **block}))
     assert fold.result() == trace.summary()
+
+
+@pytest.mark.parametrize("first, message", [
+    ({"start": 50}, "the block at period 50 does not continue the run folded so far"),
+    ({"c": np.full(50, -1.0)}, "consumption must be finite and nonnegative"),
+], ids=["late", "negative"])
+def test_run_summary_rejecting_a_first_segment_leaves_the_fold_unbound(first, message):
+    trace = run_simulation(make_cfg(load=0.6, horizon=50))
+    fold = RunSummary()
+    with pytest.raises(ValueError, match=message):
+        fold.add(replace(run_simulation(make_cfg(load=0.9, horizon=50)), **first))
+    assert fold.add(trace).result() == trace.summary()
 
 
 def test_run_summary_folds_from_period_0_and_sees_the_violation_a_block_boundary_straddles():
