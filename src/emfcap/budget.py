@@ -43,7 +43,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field, fields
 
-_INF = math.inf  # the per-update guards read a module global, faster than math.inf
+_MAX = sys.float_info.max  # every per-value guard's bound, a fast global; unlike inf it rejects a huge int
 
 
 def as_int(value, name: str) -> int:
@@ -171,7 +171,7 @@ def omega_naive(history, t: int, cfg: EmfConfig) -> tuple[float, int]:
     partial = 0.0
     for k in range(1, min(t, cfg.window_w - 1) + 1):
         c = history[t - k]
-        if not 0.0 <= c < math.inf:
+        if not 0.0 <= c <= _MAX:
             raise ValueError("consumption must be finite and nonnegative")
         partial += c - floor
         if partial > best:
@@ -199,7 +199,7 @@ def budget_oracle_minform(history, t: int, cfg: EmfConfig) -> float:
     for k in range(1, w):
         if k <= t:
             c = history[t - k]
-            if not 0.0 <= c < math.inf:
+            if not 0.0 <= c <= _MAX:
                 raise ValueError("consumption must be finite and nonnegative")
             recent_sum += c
         cand = w * cbar - recent_sum - (w - k - 1) * floor
@@ -219,7 +219,7 @@ def budget_scratch(window, cfg: EmfConfig) -> tuple[float, float]:
     floor = cfg.floor
     omega = 0.0
     for c in window:
-        if not 0.0 <= c < math.inf:
+        if not 0.0 <= c <= _MAX:
             raise ValueError("consumption must be finite and nonnegative")
         omega = omega + c - floor
         if omega < 0.0:
@@ -260,7 +260,7 @@ class BudgetState:
 
     def update(self, c: float) -> "BudgetState":
         """Advance one period after consuming ``c``. Returns ``self``."""
-        if not 0.0 <= c < _INF:
+        if not 0.0 <= c <= _MAX:
             raise ValueError("consumption must be finite and nonnegative")
         q = self._min
         # c == floor adds exactly 0.0, so an at-floor period never moves P
@@ -314,7 +314,7 @@ class ConservativeBudgetState:
 
     def update(self, c: float) -> "ConservativeBudgetState":
         """Advance one period after consuming ``c``. Returns ``self``."""
-        if not 0.0 <= c < _INF:
+        if not 0.0 <= c <= _MAX:
             raise ValueError("consumption must be finite and nonnegative")
         q = self._q
         floor = self._floor

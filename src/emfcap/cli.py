@@ -176,11 +176,21 @@ def _reject_constant(name: str):
     raise CliError(f"config file: non-finite number {name} is not allowed")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object of the config file; a key stated twice is rejected, as JSON would keep only its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise CliError(f"config file: key {key!r} appears more than once")
+        doc[key] = value
+    return doc
+
+
 def _load_config_file(path: str, command: str) -> tuple[dict, bool]:
     """The values ``command`` takes from the config file at ``path``, and whether it is another command's manifest."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            doc = json.load(fh, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
     except UnicodeDecodeError as exc:

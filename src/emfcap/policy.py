@@ -4,16 +4,17 @@ Every policy exposes ``decide(budget)`` and ``observe(consumption)``; that
 pair is the whole policy API. As a budget tracker's ``update`` refreshes its
 ``budget``, ``decide`` refreshes the plain attribute ``gamma``, the granted
 cap (read-only by convention; unset until the first ``decide``), and returns
-the policy itself, so a control step builds no per-period object. A nan or
-infinite budget, and a negative or non-finite consumption, raise
-``ValueError`` in every policy and change nothing. The trace, not the
-policy, defines the clamp flags (``SimTrace.clamped_low``/``clamped_high``).
+the policy itself, so a control step builds no per-period object. A
+non-finite budget, and a negative or non-finite consumption, raise
+``ValueError`` in every policy and change nothing; an int past the float range
+counts as non-finite. The trace, not the policy, defines the clamp flags
+(``SimTrace.clamped_low``/``clamped_high``).
 
 The drift-plus-penalty controller throttles through a virtual queue that
 integrates consumption overshoot above ``beta * threshold``: the fuller the
-queue, the smaller the granted cap. The greedy and cautious baselines bracket
-its behaviour (spend the whole budget versus hold a constant cap at the
-threshold).
+queue, the smaller the granted cap. The greedy baseline is that controller
+with its queue held empty, so it spends the whole budget; the cautious
+baseline holds a constant cap at the threshold. The two bracket its behaviour.
 
 ``POLICY_KINDS`` maps each policy kind to its class and to the trace budget
 column it reads, ``None`` for the cautious baseline, which reads no budget.
@@ -27,11 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .budget import EmfConfig, as_real, check_fields, rule
+from .budget import _MAX, EmfConfig, as_real, check_fields, rule
 
-# the per-period guards read module globals, which is faster than math.inf
+_LOWEST = -_MAX  # the per-period guards read module globals, faster than a negation or math.inf
 _INF = math.inf
-_NEG_INF = -math.inf
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class DppPolicy:
         floor even under budget-respecting control; the floor wins, as it
         does for any budget below it. Returns ``self``.
         """
-        if not _NEG_INF < budget < _INF:
+        if not _LOWEST <= budget <= _MAX:
             raise ValueError("budget must be finite")
         q = self.queue
         floor = self._floor
@@ -106,34 +106,22 @@ class DppPolicy:
 
     def observe(self, c: float) -> None:
         """Queue grows by the overshoot of ``c`` above ``beta * threshold``, clipped at zero."""
-        if not 0.0 <= c < _INF:
+        if not 0.0 <= c <= _MAX:
             raise ValueError("consumption must be finite and nonnegative")
         q = self.queue + c - self._drain
         self.queue = q if q > 0.0 else 0.0
 
 
 def _baseline_observe(self, c: float) -> None:
-    """The ``observe`` of both baselines: checks ``c`` as ``DppPolicy.observe`` does; their caps never depend on it."""
-    if not 0.0 <= c < _INF:
+    """The ``observe`` of both baselines: checks ``c`` as ``DppPolicy.observe`` does, so greedy's queue stays empty."""
+    if not 0.0 <= c <= _MAX:
         raise ValueError("consumption must be finite and nonnegative")
 
 
-class GreedyPolicy:
-    """Spends the whole budget every period, never less than the floor."""
+class GreedyPolicy(DppPolicy):
+    """The drift-plus-penalty controller with its queue held empty: the whole budget, never less than the floor."""
 
-    __slots__ = ("gamma", "_floor")
-    queue = 0.0
-
-    def __init__(self, cfg: EmfConfig, dpp: DppConfig):
-        self._floor = cfg.floor
-
-    def decide(self, budget: float) -> GreedyPolicy:
-        if not _NEG_INF < budget < _INF:
-            raise ValueError("budget must be finite")
-        floor = self._floor
-        self.gamma = budget if budget > floor else floor
-        return self
-
+    __slots__ = ()
     observe = _baseline_observe
 
 
@@ -147,7 +135,7 @@ class CautiousPolicy:
         self._threshold = cfg.threshold
 
     def decide(self, budget: float) -> CautiousPolicy:
-        if not _NEG_INF < budget < _INF:
+        if not _LOWEST <= budget <= _MAX:
             raise ValueError("budget must be finite")
         self.gamma = self._threshold
         return self

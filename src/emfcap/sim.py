@@ -46,8 +46,11 @@ def checked_tolerance(tolerance) -> float:
 
 
 def _column(values, name: str) -> np.ndarray:
-    """``values``, the trace column ``name``, as a 1-d float64 array; values unchecked."""
-    x = np.asarray(values, dtype=np.float64)
+    """``values``, the trace column ``name``, as a 1-d float64 array; values unchecked, save an int past the float range."""
+    try:
+        x = np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"trace column {name!r} must be finite") from None
     if x.ndim != 1:
         raise ValueError(f"trace must be a nonempty 1-d {'consumption' if name == 'c' else name} sequence")
     return x

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import as_int, as_real, check_fields, rule
+from .budget import _MAX, as_int, as_real, check_fields, rule
 
 _MAX_SEED = 2**64 - 1
-_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class TrafficModel:
 
     def consume(self, demand: float, gamma: float) -> float:
         """Serve backlog plus new demand up to ``gamma``; the shortfall stays buffered."""
-        if not 0.0 <= demand < _INF:
+        if not 0.0 <= demand <= _MAX:
             raise ValueError("demand must be finite and nonnegative")
         if not gamma >= 0.0:
             raise ValueError("gamma must be nonnegative")

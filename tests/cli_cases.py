@@ -160,6 +160,9 @@ CASES = [
             "--out", "x.csv"),
     _config("simulate", '{"load": NaN}', "emfcap: error: config file: non-finite number NaN is not allowed\n",
             "--out", "x.csv"),
+    # JSON would keep the last value, ten times the threshold stated first
+    _config("simulate", '{"C_bar": 0.5, "horizon": 50, "C_bar": 5}',
+            "emfcap: error: config file: key 'C_bar' appears more than once\n", "--out", "x.csv", runs=False),
     _config("simulate", '{"W": 2.7}', "emfcap: error: --W: window_w must be an integer, got 2.7\n", "--out", "x.csv"),
     # 1e400 parses to inf
     _config("simulate", '{"horizon": 1e400}', "emfcap: error: --horizon: horizon must be an integer, got inf\n",

@@ -294,6 +294,32 @@ def test_cautious_is_constant_threshold():
     assert policy.decide(8.65).gamma == EMF.threshold
 
 
+def test_greedy_is_the_controller_with_only_its_observe_replaced():
+    assert issubclass(GreedyPolicy, DppPolicy)
+    assert {"__init__", "decide"}.isdisjoint(vars(GreedyPolicy))
+    assert GreedyPolicy.observe is not DppPolicy.observe
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, allow_infinity=False),
+            st.sampled_from([EMF.floor]) | st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        max_size=40,
+    ),
+)
+def test_greedy_queue_stays_empty_whatever_it_observes(steps):
+    """Greedy is the controller with its queue held empty: any consumption leaves it at 0.0, so the cap is the budget."""
+    greedy = GreedyPolicy(EMF, DPP)
+    floor = EMF.floor
+    for c, budget in steps:
+        greedy.observe(c)
+        assert greedy.queue == 0.0
+        assert greedy.decide(budget).gamma == (budget if budget > floor else floor)
+
+
 def test_dpp_equals_greedy_under_zero_consumption():
     state = BudgetState(EMF)
     dpp = DppPolicy(EMF, DPP)

@@ -1,11 +1,14 @@
 """Every input boundary rejects a nan, an infinity or a negative value.
 
 The boundaries are both tracker updates, every policy's ``observe`` and
-``decide``, ``TrafficModel.consume``, every real and every integer field
-of the config dataclasses and every numeric CLI flag. A library call raises
-``ValueError`` and leaves its object as it was; the CLI exits 2 and writes
-nothing, also when a flag overrides the bad value of a config file. A policy's budget may be negative (the floor wins), so ``decide``
-rejects only nan and the infinities.
+``decide``, ``TrafficModel.consume``, the brute-force references, the
+trace-column checks, every real and every integer field of the config
+dataclasses and every numeric CLI flag. A library call raises
+``ValueError``, also for an int past the float range, and leaves its object
+as it was; the CLI exits 2 and writes nothing, also when a flag overrides
+the bad value of a config file. A policy's budget may be negative (the floor
+wins), so ``decide`` rejects only nan, the infinities and an int past the
+float range of either sign.
 """
 
 import math
@@ -18,10 +21,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emfcap.bench import checked_updates
-from emfcap.budget import BudgetState, ConservativeBudgetState, EmfConfig, as_int
+from emfcap.budget import (
+    BudgetState, ConservativeBudgetState, EmfConfig, as_int, budget_oracle_minform, budget_scratch, omega_naive,
+)
 from emfcap.cli import COMMANDS, PARAMS, main
 from emfcap.policy import POLICY_KINDS, CautiousPolicy, DppConfig, DppPolicy, GreedyPolicy
-from emfcap.sim import SimConfig, checked_tolerance
+from emfcap.sim import (
+    ComplianceCheck, SimConfig, checked_tolerance, queue_zero_every_window, score_trace, verify_compliance,
+)
 from emfcap.traffic import TrafficConfig, TrafficModel
 
 from cli_cases import FIELD_ITEMS, FIELD_VALUES, GRID_ITEMS, run
@@ -29,6 +36,8 @@ from cli_cases import FIELD_ITEMS, FIELD_VALUES, GRID_ITEMS, run
 # strictly negative floats (-inf included), nan and +inf
 BAD = st.floats(max_value=-math.ulp(0.0)) | st.sampled_from([math.nan, math.inf])
 GOOD = st.floats(min_value=0.0, max_value=10.0)
+# an int past the float range; comparing it with inf does not reject it, and converting it raises OverflowError
+PAST_FLOAT = 10**400
 
 REAL_FIELDS = [
     (cls, f.name) for cls in (EmfConfig, DppConfig, TrafficConfig) for f in fields(cls) if f.type == "float"
@@ -93,7 +102,7 @@ def test_a_bad_field_value_in_the_config_file_exits_2_under_a_good_flag(case, tm
     cls=st.sampled_from([BudgetState, ConservativeBudgetState]),
     w=st.integers(1, 12),
     history=st.lists(GOOD, max_size=30),
-    bad=BAD,
+    bad=BAD | st.just(PAST_FLOAT),
 )
 def test_rejected_tracker_update_changes_nothing(cls, w, history, bad):
     cfg = EmfConfig(window_w=w)
@@ -112,7 +121,7 @@ def test_rejected_tracker_update_changes_nothing(cls, w, history, bad):
 
 
 @settings(max_examples=100, deadline=None)
-@given(bad=BAD, level=GOOD)
+@given(bad=BAD | st.sampled_from([PAST_FLOAT, -PAST_FLOAT]), level=GOOD)
 def test_observe_and_consume_reject(bad, level):
     policy = DppPolicy(EmfConfig(), DppConfig())
     policy.queue = level
@@ -123,7 +132,8 @@ def test_observe_and_consume_reject(bad, level):
         with pytest.raises(ValueError, match="consumption must be finite and nonnegative"):
             cls(EmfConfig(), DppConfig()).observe(bad)
 
-    if not math.isfinite(bad):
+    # math.isfinite raises on an int past the float range
+    if isinstance(bad, int) or not math.isfinite(bad):
         for cls in (DppPolicy, GreedyPolicy, CautiousPolicy):
             policy = cls(EmfConfig(), DppConfig())
             with pytest.raises(ValueError):
@@ -141,8 +151,8 @@ def test_observe_and_consume_reject(bad, level):
     tm.backlog = level
     with pytest.raises(ValueError):
         tm.consume(bad, 1.0)
-    # an infinite cap is a legal "uncapped" grant; nan and negative caps are not
-    if bad != math.inf:
+    # an infinite cap, or one past the float range, is a legal "uncapped" grant; nan and negative caps are not
+    if bad not in (math.inf, PAST_FLOAT):
         with pytest.raises(ValueError):
             tm.consume(0.5, bad)
     assert tm.backlog == level
@@ -172,6 +182,19 @@ def test_numeric_flags_reject_and_write_nothing(name, bad):
         assert list(Path(tmp).iterdir()) == []
 
 
+@pytest.mark.parametrize("call", [
+    lambda: omega_naive([PAST_FLOAT], 1, EmfConfig()),
+    lambda: budget_oracle_minform([PAST_FLOAT], 1, EmfConfig()),
+    lambda: budget_scratch([PAST_FLOAT], EmfConfig()),
+    lambda: verify_compliance([0.5, PAST_FLOAT], EmfConfig()),
+    lambda: ComplianceCheck(EmfConfig()).add([PAST_FLOAT]),
+    lambda: queue_zero_every_window([PAST_FLOAT], EmfConfig()),
+    lambda: score_trace([1.0, PAST_FLOAT], 1.0),
+], ids=["omega_naive", "budget_oracle_minform", "budget_scratch", "verify_compliance", "ComplianceCheck.add",
+        "queue_zero_every_window", "score_trace"])
+def test_an_int_past_the_float_range_is_rejected_as_a_value_error(call):
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
 
 
 # a library call given an int too long for repr; the command line cannot pass one, as JSON and flag text stop it first
