@@ -282,7 +282,7 @@ def _to_dbm(linear: float, c_bar: float, c_bar_dbm: float):
 
 def cmd_simulate(cfg: dict) -> tuple[int, Callable, dict]:
     sim_cfg = _build_sim_config(cfg)
-    fold = RunSummary(cfg["tolerance"])
+    fold = RunSummary(sim_cfg, tolerance=cfg["tolerance"])
 
     def folded_blocks():
         for block in run_blocks(sim_cfg):

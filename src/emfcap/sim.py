@@ -97,7 +97,10 @@ class SimTrace:
     from it and not stored. From the loop, the six float columns
     ``backlog``, ``gamma``, ``c``, ``budget_exact``, ``budget_conservative``
     and ``queue`` are the rows of one float64 block, and ``d`` is the drawn
-    demand array itself: 56 B per period.
+    demand array itself: 56 B per period. A trace is checked when it is
+    built, else ``ValueError``: each stored column is 1-d and as long as
+    ``c``, held as a float64 array (the loop's arrays are not copied, so an
+    edit in place reaches the trace), and ``start`` is an int >= 0.
     """
 
     cfg: SimConfig
@@ -109,7 +112,15 @@ class SimTrace:
     budget_exact: np.ndarray
     budget_conservative: np.ndarray
     queue: np.ndarray
-    start: int = 0
+    start: int = rule(0, as_int, lambda s: s >= 0, "start must be an integer >= 0, got {value}")
+
+    def __post_init__(self):
+        check_fields(self)
+        for name in _STORED_COLUMNS:
+            setattr(self, name, _column(getattr(self, name), name))
+        for name in _STORED_COLUMNS:
+            if len(getattr(self, name)) != len(self.c):
+                raise ValueError(f"trace column {name!r} holds {len(getattr(self, name))} periods, 'c' {len(self.c)}")
 
     def __len__(self) -> int:
         return len(self.c)
@@ -136,8 +147,8 @@ class SimTrace:
         return self.gamma == getattr(self, reads) if reads else np.zeros(len(self), dtype=bool)
 
     def summary(self, tolerance: float = TOLERANCE) -> dict:
-        """One run's headline numbers: ``RunSummary(tolerance)`` fed the whole trace; see it for each field and error."""
-        return RunSummary(tolerance).add(self).result()
+        """One run's headline numbers: its ``RunSummary`` fed the whole trace; see it for each field and error."""
+        return RunSummary(self.cfg, self.replication, tolerance).add(self).result()
 
     def write_csv(self, path) -> None:
         """Write ``trace_csv([self])`` to ``path`` through ``output.commit``."""
@@ -149,12 +160,22 @@ def trace_csv(blocks):
 
     A block is read once the rows before it are written, so
     ``trace_csv(run_blocks(cfg))`` streams the bytes of ``trace_csv([run_simulation(cfg)])``.
+    A block of another config or replication, or not starting where the one
+    before ended, raises ``ValueError`` before any of its rows is written.
     """
-    return csv_chunks(TRACE_COLUMNS, ([getattr(b, name) for name in TRACE_COLUMNS] for b in blocks))
+    def columns():
+        run = None  # (cfg, replication, start) of the block that continues the ones written
+        for b in blocks:
+            if run not in (None, (b.cfg, b.replication, b.start)):
+                raise ValueError(f"the block at period {b.start} does not continue the blocks written before it")
+            run = (b.cfg, b.replication, b.start + len(b))
+            yield [getattr(b, name) for name in TRACE_COLUMNS]
+
+    return csv_chunks(TRACE_COLUMNS, columns())
 
 
 class RunSummary:
-    """The summary of one run, folded from consecutive segments of its ``SimTrace`` in period order.
+    """The summary of the run ``(cfg, replication)``, folded from consecutive segments of its trace in period order.
 
     ``floor_gamma_periods`` counts caps at the guaranteed floor within
     ``tolerance``: a fully depleted budget equals the floor only up to
@@ -170,51 +191,50 @@ class RunSummary:
     can move the last bit. One that overflows float64 raises ``ValueError``
     naming it; ``mean_utility`` is null instead, as for a cap outside its domain.
 
-    A fold starts at period 0, as ``ComplianceCheck`` counts, and is bound to
-    the run of its first view. ``add`` raises ``ValueError`` for a segment
-    that does not start where the one before ended or is of another config or
-    replication, and for a view that ``ComplianceCheck.add`` rejects. A
-    rejected segment or view changes nothing, the views before it stay folded.
+    A fold starts at period 0, as its ``ComplianceCheck`` counts. ``add``
+    raises ``ValueError`` for a segment that does not start where the one
+    before ended or is of another config or replication, and for a view that
+    ``ComplianceCheck.add`` rejects. A rejected segment or view changes
+    nothing, the views before it stay folded.
     """
 
-    def __init__(self, tolerance: float = TOLERANCE):
-        self.tolerance = checked_tolerance(tolerance)
+    def __init__(self, cfg: SimConfig, replication: int = 0, tolerance: float = TOLERANCE):
+        self.run = (cfg, replication)
+        self.check = ComplianceCheck(cfg.emf, tolerance)
         self.totals = {}  # per summed quantity, its running total
         self.floor_periods = 0
         self.shortage_periods = 0
         self.peak_backlog = -math.inf
-        self.run = self.check = self.final_backlog = None
+        self.final_backlog = None
 
     def add(self, segment: SimTrace) -> "RunSummary":
-        run = (segment.cfg, segment.replication)
-        check = self.check or ComplianceCheck(segment.emf, self.tolerance)
-        if len(segment) and (segment.start != check.periods or (self.run or run) != run):
+        check, cfg = self.check, self.run[0]
+        if len(segment) and (segment.start != check.periods or (segment.cfg, segment.replication) != self.run):
             raise ValueError(f"the block at period {segment.start} does not continue the run folded so far")
         for lo in range(0, len(segment), BLOCK_ROWS):
             view = {name: getattr(segment, name)[lo:lo + BLOCK_ROWS] for name in _STORED_COLUMNS}
             check.add(view["c"])
-            self.run, self.check = run, check
             with np.errstate(over="ignore", invalid="ignore"):
                 part = {name: np.add.reduce(view[name]) for name in _SUMMED}
                 part["gap"] = np.add.reduce(view["budget_exact"] - view["budget_conservative"])
             try:
-                part["utility"] = _utility_sum(view["gamma"], segment.cfg.dpp.alpha)
+                part["utility"] = _utility_sum(view["gamma"], cfg.dpp.alpha)
             except ValueError:
                 part["utility"] = math.nan
             for name, value in part.items():  # -0.0 + x is x, bit for bit
                 self.totals[name] = self.totals.get(name, -0.0) + float(value)
-            floor_mask = view["gamma"] <= segment.emf.floor + self.tolerance
+            floor_mask = view["gamma"] <= cfg.emf.floor + check.tolerance
             self.floor_periods += int(np.count_nonzero(floor_mask))
-            self.shortage_periods += int(np.count_nonzero(floor_mask & (view["backlog"] > self.tolerance)))
+            self.shortage_periods += int(np.count_nonzero(floor_mask & (view["backlog"] > check.tolerance)))
             self.peak_backlog = max(self.peak_backlog, float(view["backlog"].max()))
             self.final_backlog = float(view["backlog"][-1])
             del floor_mask  # so the next view's window sums are not allocated beside it
         return self
 
     def result(self) -> dict:
-        if self.check is None:
-            raise ValueError("cannot summarize an empty run")
         n, totals = self.check.periods, self.totals
+        if not n:
+            raise ValueError("cannot summarize an empty run")
         utility = totals["utility"] / n
         report = self.check.report()
         cfg, replication = self.run
@@ -320,12 +340,12 @@ class _WindowSums:
     prefix is the float one ``np.cumsum`` over the whole stream gives, and
     each sum is the same difference of two prefixes: the block boundaries do
     not change a bit. It keeps the last ``min(w, seen)`` prefixes. A running
-    sum that overflows float64 raises ``ValueError`` naming ``what``.
+    sum that overflows float64 raises ``ValueError``; only consumption can, the
+    all-above indicator's sum being at most the horizon.
     """
 
-    def __init__(self, w: int, what: str):
+    def __init__(self, w: int):
         self.w = w
-        self.what = what
         self.tail = np.empty(0)
 
     def __call__(self, x) -> np.ndarray:
@@ -337,7 +357,7 @@ class _WindowSums:
         with np.errstate(over="ignore"):
             np.cumsum(head, out=head)
         if not s[-1] < math.inf:  # prefixes of a nonnegative stream never decrease
-            raise ValueError(f"the running sum of {self.what} overflows float64")
+            raise ValueError("the running sum of consumption overflows float64")
         self.tail = s[-w:].copy()
         s[w:] -= s[:-w]  # NumPy reads an overlapping operand as if it were copied before the write
         return s[m:]
@@ -360,7 +380,7 @@ class ComplianceCheck:
     def __init__(self, cfg: EmfConfig, tolerance: float = TOLERANCE):
         self.cfg = cfg
         self.tolerance = checked_tolerance(tolerance)
-        self.sums = _WindowSums(cfg.window_w, "consumption")
+        self.sums = _WindowSums(cfg.window_w)
         self.periods = 0
         self.worst = -math.inf
         self.end = 0
@@ -516,7 +536,7 @@ def _all_above_fraction(c: np.ndarray, w: int, floor: float, burn_in: int) -> fl
         return math.nan
     if w == 1:
         return 1.0
-    sums = _WindowSums(w - 1, "the all-above indicator")
+    sums = _WindowSums(w - 1)
     full = 0
     for lo in range(0, n, BLOCK_ROWS):
         # entry t - 1 counts the stored window of period t, the w - 1 periods before it

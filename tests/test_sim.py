@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from emfcap import sim
 from emfcap.budget import EmfConfig, budget_from_omega, omega_naive
+from emfcap.output import commit
 from emfcap.policy import POLICY_KINDS, DppConfig
 from emfcap.sim import (
     BLOCK_ROWS,
@@ -131,9 +132,9 @@ def test_a_whole_trace_folds_to_its_summary_and_its_streamed_fold(kind):
     cfg = make_cfg(policy=kind, load=0.6, horizon=3000, scale=1.5, seed=4)
     trace = run_simulation(cfg, replication=1)
     with mock.patch.object(sim, "BLOCK_ROWS", 7):
-        whole = RunSummary()
+        whole = RunSummary(cfg, 1)
         whole.add(trace)
-        streamed = RunSummary()
+        streamed = RunSummary(cfg, 1)
         for block in run_blocks(cfg, replication=1):
             streamed.add(block)
         summary = trace.summary()
@@ -405,7 +406,7 @@ def test_run_summary_rejects_a_block_that_does_not_continue_the_run(run, block):
     # the next block, but of the run with the make_cfg arguments in run, and with the fields in block
     base = {"load": 0.6, "horizon": 50}
     trace = run_simulation(make_cfg(**base))
-    fold = RunSummary()
+    fold = RunSummary(trace.cfg)
     fold.add(trace)
     with pytest.raises(ValueError, match="does not continue the run folded so far"):
         fold.add(replace(run_simulation(make_cfg(**{**base, **run})), **{"start": 50, **block}))
@@ -415,12 +416,14 @@ def test_run_summary_rejects_a_block_that_does_not_continue_the_run(run, block):
 @pytest.mark.parametrize("first, message", [
     ({"start": 50}, "the block at period 50 does not continue the run folded so far"),
     ({"c": np.full(50, -1.0)}, "consumption must be finite and nonnegative"),
-], ids=["late", "negative"])
-def test_run_summary_rejecting_a_first_segment_leaves_the_fold_unbound(first, message):
+    ({"cfg": make_cfg(load=0.9, horizon=50)}, "the block at period 0 does not continue the run folded so far"),
+], ids=["late", "negative", "other_run"])
+def test_run_summary_rejecting_a_first_segment_leaves_the_fold_empty(first, message):
+    # each first segment is cut from the fold's own run
     trace = run_simulation(make_cfg(load=0.6, horizon=50))
-    fold = RunSummary()
+    fold = RunSummary(trace.cfg)
     with pytest.raises(ValueError, match=message):
-        fold.add(replace(run_simulation(make_cfg(load=0.9, horizon=50)), **first))
+        fold.add(replace(trace, **first))
     assert fold.add(trace).result() == trace.summary()
 
 
@@ -429,7 +432,7 @@ def test_run_summary_folds_from_period_0_and_sees_the_violation_a_block_boundary
     trace.c[15:25] = 1.5
     first, second = (replace(trace, start=lo, **{name: getattr(trace, name)[lo:lo + 20] for name in sim._STORED_COLUMNS})
                      for lo in (0, 20))
-    fold = RunSummary()
+    fold = RunSummary(trace.cfg)
     fold.add(first)
     fold.add(second)
     result = fold.result()
@@ -442,13 +445,27 @@ def test_run_summary_folds_from_period_0_and_sees_the_violation_a_block_boundary
 def test_run_summary_skips_empty_blocks():
     trace = run_simulation(make_cfg(load=0.6, horizon=50))
     empty = replace(trace, **{name: getattr(trace, name)[:0] for name in sim._STORED_COLUMNS})
-    fold = RunSummary()
-    fold.add(empty)  # neither raises nor fixes the run
+    fold = RunSummary(trace.cfg)
+    fold.add(empty)  # neither raises nor counts a period
     with pytest.raises(ValueError, match="cannot summarize an empty run"):
         fold.result()
     fold.add(trace)
     fold.add(empty)
     assert fold.result() == trace.summary()
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda t: {"c": t.c[:25]}, "trace column 'd' holds 50 periods, 'c' 25"),
+    (lambda t: {"gamma": t.gamma[:25]}, "trace column 'gamma' holds 25 periods, 'c' 50"),
+    (lambda t: {"d": t.d[:10]}, "trace column 'd' holds 10 periods, 'c' 50"),
+    (lambda t: {"start": -1}, "start must be an integer >= 0, got -1"),
+], ids=["short_c", "short_gamma", "short_d", "negative_start"])
+def test_a_trace_checks_its_columns_and_start_when_it_is_built(change, message):
+    trace = run_simulation(make_cfg(load=0.6, horizon=50))
+    with pytest.raises(ValueError, match=message):
+        replace(trace, **change(trace))
+    kept = replace(trace)  # the loop's float64 columns are held, not copied
+    assert all(getattr(kept, name) is getattr(trace, name) for name in sim._STORED_COLUMNS)
 
 
 def test_window_sum_overflow_is_a_value_error():
@@ -734,6 +751,25 @@ def test_trace_csv_layout(tmp_path):
 
 
 
+def test_trace_csv_writes_one_run(tmp_path):
+    cfg = make_cfg(load=0.6, horizon=250)
+    with mock.patch.object(sim, "BLOCK_ROWS", 100):
+        b0, b1, b2 = run_blocks(cfg)
+    path = tmp_path / "trace.csv"
+    for blocks in ([b1, b0], [b0, b2], [b0, replace(b1, replication=1)], [b0, replace(b1, cfg=make_cfg(load=0.9, horizon=250))]):
+        chunks = trace_csv(blocks)
+        written = [next(chunks), next(chunks)]  # the header and the first block's 100 rows
+        with pytest.raises(ValueError, match=f"the block at period {blocks[1].start} does not continue the blocks written"):
+            written.append(next(chunks))
+        assert "".join(written).count("\n") == 101
+        with pytest.raises(ValueError, match="does not continue"):
+            commit([(path, trace_csv(blocks))])
+        assert list(tmp_path.iterdir()) == []
+    # a later block on its own is legal and writes its own periods
+    rows = "".join(trace_csv([b1])).splitlines()
+    assert len(rows) == 101 and rows[1].startswith("100,")
+
+
 def test_trace_csv_is_replaced_atomically_with_plain_file_mode(tmp_path):
     plain = tmp_path / "plain.txt"
     plain.write_text("x\n")
@@ -851,7 +887,7 @@ def test_summary_and_verifier_peak_memory_is_one_block():
     _, peak = traced_peak(verify_compliance, trace.c, trace.emf)
     assert peak <= 20 * BLOCK_ROWS
     # the folds cut a whole trace themselves
-    _, peak = traced_peak(lambda: RunSummary().add(trace))
+    _, peak = traced_peak(lambda: RunSummary(trace.cfg).add(trace))
     assert peak <= 20 * BLOCK_ROWS
     _, peak = traced_peak(lambda: ComplianceCheck(trace.emf).add(trace.c))
     assert peak <= 20 * BLOCK_ROWS
