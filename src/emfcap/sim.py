@@ -20,7 +20,7 @@ import numpy as np
 from .budget import BudgetState, ConservativeBudgetState, EmfConfig, as_int, as_real, check_fields, checked, rule, shown
 from .output import commit, csv_chunks
 from .policy import POLICY_KINDS, DppConfig
-from .traffic import TrafficConfig, TrafficModel
+from .traffic import TrafficConfig, TrafficModel, checked_replication
 
 # the columns a ``SimTrace`` stores (``d``, then the rows of ``_blocks``' float64 block) and those ``RunSummary`` totals
 _STORED_COLUMNS = ("d", "backlog", "gamma", "c", "budget_exact", "budget_conservative", "queue")
@@ -100,7 +100,7 @@ class SimTrace:
     demand array itself: 56 B per period. A trace is checked when it is
     built, else ``ValueError``: each stored column is 1-d and as long as
     ``c``, held as a float64 array (the loop's arrays are not copied, so an
-    edit in place reaches the trace), and ``start`` is an int >= 0.
+    edit in place reaches the trace), ``start`` is an int >= 0 and ``replication`` passes ``checked_replication``.
     """
 
     cfg: SimConfig
@@ -116,6 +116,7 @@ class SimTrace:
 
     def __post_init__(self):
         check_fields(self)
+        self.replication = checked_replication(self.replication)
         for name in _STORED_COLUMNS:
             setattr(self, name, _column(getattr(self, name), name))
         for name in _STORED_COLUMNS:
@@ -155,23 +156,28 @@ class SimTrace:
         commit([(path, trace_csv([self]))])
 
 
+def _one_run(blocks, run=None):
+    """``blocks``, each yielded once it passes the one block-continuity rule against ``run``, where the run stands.
+
+    ``run`` is a ``(cfg, replication, period)``, or ``None`` to stand at the first nonempty block. An empty block
+    is skipped; a nonempty one of another ``(cfg, replication)``, or not starting at that period, raises ``ValueError``.
+    """
+    for block in blocks:
+        if len(block):
+            if run not in (None, (block.cfg, block.replication, block.start)):
+                raise ValueError(f"the block at period {block.start} does not continue the run so far")
+            run = block.cfg, block.replication, block.start + len(block)
+        yield block
+
+
 def trace_csv(blocks):
     """The ``csv_chunks`` of the ``TRACE_COLUMNS`` of consecutive ``SimTrace`` blocks of one run.
 
     A block is read once the rows before it are written, so
-    ``trace_csv(run_blocks(cfg))`` streams the bytes of ``trace_csv([run_simulation(cfg)])``.
-    A block of another config or replication, or not starting where the one
-    before ended, raises ``ValueError`` before any of its rows is written.
+    ``trace_csv(run_blocks(cfg))`` streams the bytes of ``trace_csv([run_simulation(cfg)])``. A block that
+    ``_one_run`` rejects, the run standing at the first nonempty block, raises ``ValueError`` before any of its rows.
     """
-    def columns():
-        run = None  # (cfg, replication, start) of the block that continues the ones written
-        for b in blocks:
-            if run not in (None, (b.cfg, b.replication, b.start)):
-                raise ValueError(f"the block at period {b.start} does not continue the blocks written before it")
-            run = (b.cfg, b.replication, b.start + len(b))
-            yield [getattr(b, name) for name in TRACE_COLUMNS]
-
-    return csv_chunks(TRACE_COLUMNS, columns())
+    return csv_chunks(TRACE_COLUMNS, ([getattr(b, name) for name in TRACE_COLUMNS] for b in _one_run(blocks)))
 
 
 class RunSummary:
@@ -191,15 +197,13 @@ class RunSummary:
     can move the last bit. One that overflows float64 raises ``ValueError``
     naming it; ``mean_utility`` is null instead, as for a cap outside its domain.
 
-    A fold starts at period 0, as its ``ComplianceCheck`` counts. ``add``
-    raises ``ValueError`` for a segment that does not start where the one
-    before ended or is of another config or replication, and for a view that
-    ``ComplianceCheck.add`` rejects. A rejected segment or view changes
-    nothing, the views before it stay folded.
+    Its run stands at period 0 when it begins. ``add`` raises ``ValueError`` for a segment that ``_one_run``
+    rejects and for a view that ``ComplianceCheck.add`` rejects; a rejected segment or view changes nothing,
+    the views before it stay folded.
     """
 
     def __init__(self, cfg: SimConfig, replication: int = 0, tolerance: float = TOLERANCE):
-        self.run = (cfg, replication)
+        self.run = (cfg, checked_replication(replication))
         self.check = ComplianceCheck(cfg.emf, tolerance)
         self.totals = {}  # per summed quantity, its running total
         self.floor_periods = 0
@@ -209,8 +213,7 @@ class RunSummary:
 
     def add(self, segment: SimTrace) -> "RunSummary":
         check, cfg = self.check, self.run[0]
-        if len(segment) and (segment.start != check.periods or (segment.cfg, segment.replication) != self.run):
-            raise ValueError(f"the block at period {segment.start} does not continue the run folded so far")
+        next(_one_run([segment], (*self.run, check.periods)))  # ValueError unless it continues the fold's run
         for lo in range(0, len(segment), BLOCK_ROWS):
             view = {name: getattr(segment, name)[lo:lo + BLOCK_ROWS] for name in _STORED_COLUMNS}
             check.add(view["c"])
@@ -340,8 +343,7 @@ class _WindowSums:
     prefix is the float one ``np.cumsum`` over the whole stream gives, and
     each sum is the same difference of two prefixes: the block boundaries do
     not change a bit. It keeps the last ``min(w, seen)`` prefixes. A running
-    sum that overflows float64 raises ``ValueError``; only consumption can, the
-    all-above indicator's sum being at most the horizon.
+    sum that overflows float64 raises ``ValueError``.
     """
 
     def __init__(self, w: int):
@@ -530,19 +532,12 @@ def sweep_v(base: SimConfig, loads, v_grid) -> list[dict]:
 
 def _all_above_fraction(c: np.ndarray, w: int, floor: float, burn_in: int) -> float:
     """Fraction of post-burn-in periods whose stored window sits entirely at or above the floor."""
-    n = c.size
     start = max(burn_in, w - 1)
-    if start >= n:
+    if start >= c.size:
         return math.nan
-    if w == 1:
-        return 1.0
-    sums = _WindowSums(w - 1)
-    full = 0
-    for lo in range(0, n, BLOCK_ROWS):
-        # entry t - 1 counts the stored window of period t, the w - 1 periods before it
-        counts = sums(c[lo:lo + BLOCK_ROWS] >= floor)[max(start - 1 - lo, 0):n - 1 - lo]
-        full += int(np.count_nonzero(counts == (w - 1)))
-    return full / (n - start)
+    above = np.concatenate(([0], np.cumsum(c >= floor)))  # above[t]: periods before t at or above the floor
+    counts = above[start:-1] - above[start - (w - 1):-w]  # over period t's stored window, the w - 1 before it
+    return int(np.count_nonzero(counts == w - 1)) / counts.size
 
 
 def compare_budgets(base: SimConfig, loads) -> list[dict]:

@@ -24,6 +24,13 @@ from .budget import _MAX, as_int, as_real, check_fields, rule
 _MAX_SEED = 2**64 - 1
 
 
+def checked_replication(replication) -> int:
+    """``replication`` as an int, the one rule of every replication index; ``ValueError`` unless an integer >= 0."""
+    if (out := as_int(replication, "replication")) < 0:
+        raise ValueError("replication index must be nonnegative")
+    return out
+
+
 @dataclass(frozen=True)
 class TrafficConfig:
     """Demand model: load, Zipf level law, EIRP units per level, base seed.
@@ -52,14 +59,11 @@ class TrafficModel:
     """Demand source plus backlog bookkeeping for one simulated run."""
 
     def __init__(self, cfg: TrafficConfig, replication: int = 0):
-        replication = as_int(replication, "replication")
-        if replication < 0:
-            raise ValueError("replication index must be nonnegative")
         self.cfg = cfg
-        self.replication = replication
+        self.replication = checked_replication(replication)
         self.backlog = 0.0
         # one independent, platform-portable stream per (seed, replication)
-        self._rng = np.random.default_rng([cfg.seed, replication])
+        self._rng = np.random.default_rng([cfg.seed, self.replication])
         levels = np.arange(1, cfg.zipf_support + 1, dtype=np.float64)
         pmf = levels ** (-cfg.zipf_exponent)
         cdf = np.cumsum(pmf)

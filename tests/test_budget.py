@@ -200,6 +200,9 @@ def test_state_first_idle_period():
 def test_state_consumption_exactly_at_floor_stays_zero():
     state = BudgetState(CFG).update(CFG.floor)
     assert state.omega == 0.0
+    for _ in range(CFG.window_w - 1):
+        state.update(CFG.floor)
+    assert state.omega == 0.0 and len(state._min) == 1  # each at-floor prefix ties the one stored and replaces it
 
 
 def test_state_follows_worked_example():

@@ -1,18 +1,19 @@
 import hashlib
+import io
 import json
 import math
 import re
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings, stateful, strategies as st
 
-from emfcap import sim
+from emfcap import cli, sim
 from emfcap.budget import EmfConfig, budget_from_omega, omega_naive
 from emfcap.output import commit
 from emfcap.policy import POLICY_KINDS, DppConfig
@@ -214,13 +215,16 @@ def test_shortage_metric_counts_floored_periods_with_backlog():
 
 def test_shortage_metric_ignores_sub_tolerance_backlog():
     trace = run_simulation(make_cfg(load=0.2, horizon=30))
-    trace.gamma[:3] = EMF.floor
-    trace.backlog[:3] = [1.7e-16, 0.0, 0.5]
-    trace.backlog[3:] = 0.0
+    trace.gamma[:4] = [EMF.floor] * 3 + [EMF.floor + 0.5]
+    trace.backlog[:4] = [1.7e-16, 0.0, 0.5, 0.75]
+    trace.backlog[4:] = 0.0
     s = trace.summary()
     assert s["floor_gamma_periods"] >= 3
     assert s["shortage_periods"] == 1
     assert trace.summary(tolerance=1.0)["shortage_periods"] == 0
+    # at tolerance 0.5 a cap of floor + 0.5 is at the floor, and a backlog of 0.5 is no shortage
+    s = trace.summary(tolerance=0.5)
+    assert (s["floor_gamma_periods"], s["shortage_periods"]) == (4, 1)
 
 
 def test_dpp_shortfall_smaller_than_greedy():
@@ -249,6 +253,7 @@ def test_verifier_single_spike_is_boundary_compliant():
     assert report.worst_window_average == EMF.threshold
     assert report.margin == 0.0
     assert report.worst_window_start == 0
+    assert verify_compliance(c, EMF, tolerance=0.0) == report  # a window exactly at the threshold complies
 
 
 def test_verifier_flags_violation_and_locates_window():
@@ -408,15 +413,164 @@ def test_run_summary_rejects_a_block_that_does_not_continue_the_run(run, block):
     trace = run_simulation(make_cfg(**base))
     fold = RunSummary(trace.cfg)
     fold.add(trace)
-    with pytest.raises(ValueError, match="does not continue the run folded so far"):
+    with pytest.raises(ValueError, match="does not continue the run so far"):
         fold.add(replace(run_simulation(make_cfg(**{**base, **run})), **{"start": 50, **block}))
     assert fold.result() == trace.summary()
 
 
+# ── the streaming contract ────────────────────────────────────────────
+
+
+def cut(trace, lo, hi):
+    """Periods ``lo`` to ``hi`` of the trace of a whole run, as the block of that run starting at ``lo``."""
+    return replace(trace, start=lo, **{name: getattr(trace, name)[lo:hi] for name in sim._STORED_COLUMNS})
+
+
+# the config of another run, per field changed; together they change every SimConfig field
+OTHER_RUNS = {
+    "emf": lambda cfg: replace(cfg, emf=replace(cfg.emf, window_w=cfg.emf.window_w + 1)),
+    "load": lambda cfg: replace(cfg, traffic=replace(cfg.traffic, load=cfg.traffic.load / 2)),
+    "seed": lambda cfg: replace(cfg, traffic=replace(cfg.traffic, seed=cfg.traffic.seed + 1)),
+    "alpha": lambda cfg: replace(cfg, dpp=replace(cfg.dpp, alpha=cfg.dpp.alpha + 1.0)),
+    "v": lambda cfg: replace(cfg, dpp=replace(cfg.dpp, v_weight=2 * cfg.dpp.v_weight)),
+    "beta": lambda cfg: replace(cfg, dpp=replace(cfg.dpp, beta=cfg.dpp.beta / 2)),
+    "horizon": lambda cfg: replace(cfg, horizon=cfg.horizon + 1),
+    "policy": lambda cfg: replace(cfg, policy_kind=min(set(POLICY_KINDS) - {cfg.policy_kind})),
+    "replications": lambda cfg: replace(cfg, replications=cfg.replications + 1),
+}
+
+
+class StreamingContract(stateful.RuleBasedStateMachine):
+    """A run's own trace cut anywhere, fed to ``RunSummary``, ``ComplianceCheck`` and ``trace_csv`` among bad blocks.
+
+    ``at`` is the period the folds stand at; ``blocks`` are the blocks the CSV
+    is written from. ``BLOCK_ROWS`` is 7, so the folds cut most blocks into views.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.rows = mock.patch.object(sim, "BLOCK_ROWS", 7)
+        self.rows.start()
+
+    def teardown(self):
+        self.rows.stop()
+
+    @stateful.initialize(kind=st.sampled_from(sorted(POLICY_KINDS)), w=st.sampled_from([1, 2, 3, 10]),
+                         load=st.sampled_from([0.3, 0.9]), horizon=st.integers(1, 60), replication=st.integers(0, 2))
+    def begin_a_run(self, kind, w, load, horizon, replication):
+        cfg = make_cfg(policy=kind, load=load, horizon=horizon, scale=1.5, emf=EmfConfig(window_w=w))
+        self.trace = run_simulation(cfg, replication)
+        self.fold, self.check = RunSummary(cfg, replication), ComplianceCheck(cfg.emf)
+        self.at, self.blocks = 0, []
+
+    def feed(self, block):
+        """Feed ``block`` to both folds and the CSV; it continues the run or is empty."""
+        self.fold.add(block)
+        self.check.add(block.c)
+        self.blocks.append(block)
+        self.at += len(block)
+
+    def feed_misfit(self, block):
+        """Feed ``block``, of another run or period, to ``RunSummary`` and the CSV: it changes nothing or is skipped."""
+        if not len(block):  # it carries no periods, whatever run it names
+            self.feed(block)
+            return
+        with pytest.raises(ValueError, match="does not continue the run so far"):
+            self.fold.add(block)
+        if not self.at:  # the CSV's run stands at its first nonempty block, so a misfit first block is legal
+            assert "".join(trace_csv(self.blocks + [block])) == "".join(trace_csv([block]))
+            return
+        written = []
+        with pytest.raises(ValueError, match="does not continue the run so far"):
+            for chunk in trace_csv(self.blocks + [block]):
+                written.append(chunk)
+        assert "".join(written) == "".join(trace_csv(self.blocks))  # none of the block's rows
+
+    @stateful.rule(n=st.integers(0, 25))
+    def add_the_next_cut(self, n):
+        self.feed(cut(self.trace, self.at, self.at + n))
+
+    @stateful.rule(n=st.integers(0, 25), data=st.data())
+    def add_a_cut_at_another_period(self, n, data):
+        start = data.draw(st.integers(0, 70).filter(lambda start: start != self.at), label="start")
+        self.feed_misfit(replace(cut(self.trace, 0, n), start=start))
+
+    @stateful.rule(n=st.integers(0, 25), other=st.sampled_from(["replication", *OTHER_RUNS]))
+    def add_the_next_cut_of_another_run(self, n, other):
+        block = cut(self.trace, self.at, self.at + n)
+        if other == "replication":
+            self.feed_misfit(replace(block, replication=block.replication + 1))
+        else:
+            self.feed_misfit(replace(block, cfg=OTHER_RUNS[other](block.cfg)))
+
+    @stateful.precondition(lambda self: self.at < len(self.trace))
+    @stateful.rule(bad=st.sampled_from([-1.0, math.nan]), data=st.data())
+    def add_the_next_cut_holding_a_bad_value(self, bad, data):
+        n = data.draw(st.integers(1, len(self.trace) - self.at), label="n")
+        i = data.draw(st.integers(0, n - 1), label="i")
+        block = cut(self.trace, self.at, self.at + n)
+        c = block.c.copy()
+        c[i] = bad
+        with pytest.raises(ValueError, match="consumption must be finite and nonnegative"):
+            self.fold.add(replace(block, c=c))
+        with pytest.raises(ValueError, match="consumption must be finite and nonnegative"):
+            self.check.add(c)
+        folded = i - i % sim.BLOCK_ROWS  # the views before the bad one stay folded
+        self.blocks.append(cut(self.trace, self.at, self.at + folded))
+        self.at += folded
+
+    @stateful.rule(bad=st.one_of(st.integers(max_value=-1), st.sampled_from([2.5, True, "x", None])))
+    def take_a_bad_replication(self, bad):
+        with pytest.raises(ValueError, match="replication"):
+            RunSummary(self.trace.cfg, bad)
+        with pytest.raises(ValueError, match="replication"):
+            replace(self.trace, replication=bad)
+
+    @stateful.invariant()
+    def stands_where_it_was_fed(self):
+        assert self.fold.check.periods == self.check.periods == self.at
+        if not self.at:
+            with pytest.raises(ValueError, match="cannot summarize an empty run"):
+                self.fold.result()
+
+    @stateful.rule()
+    def add_the_rest_and_check_the_whole_run(self):
+        trace = self.trace
+        self.feed(cut(trace, self.at, len(trace)))
+        summary, result = trace.summary(), self.fold.result()
+        assert result.keys() == summary.keys()
+        for key, value in summary.items():  # the cuts can move the last bits of totals and means
+            if key.startswith(("mean_", "total_")) and value is not None:
+                assert math.isclose(result[key], value, rel_tol=1e-12, abs_tol=1e-12), key
+            else:
+                assert repr(result[key]) == repr(value), key
+        assert self.check.report() == verify_compliance(trace.c, trace.emf)
+        text = "".join(trace_csv([trace]))
+        assert "".join(trace_csv(self.blocks)) == text
+        blocks = list(run_blocks(trace.cfg, trace.replication))
+        assert [b.start for b in blocks] == list(range(0, len(trace), sim.BLOCK_ROWS))
+        assert "".join(trace_csv(blocks)) == text
+        streamed = RunSummary(trace.cfg, trace.replication)
+        for block in blocks:
+            streamed.add(block)
+        assert repr(streamed.result()) == repr(summary)
+        read = np.fromiter(cli._trace_values("trace.csv", "c", io.StringIO(text)), np.float64)
+        assert read.tobytes() == trace.c.tobytes()
+
+
+def test_streaming_contract():
+    cfg = make_cfg()
+    changed = [{f.name for f in fields(SimConfig) if getattr(other(cfg), f.name) != getattr(cfg, f.name)}
+               for other in OTHER_RUNS.values()]
+    assert all(len(names) == 1 for names in changed) and set.union(*changed) == {f.name for f in fields(SimConfig)}
+    stateful.run_state_machine_as_test(
+        StreamingContract, settings=settings(max_examples=200, stateful_step_count=30, deadline=None))
+
+
 @pytest.mark.parametrize("first, message", [
-    ({"start": 50}, "the block at period 50 does not continue the run folded so far"),
+    ({"start": 50}, "the block at period 50 does not continue the run so far"),
     ({"c": np.full(50, -1.0)}, "consumption must be finite and nonnegative"),
-    ({"cfg": make_cfg(load=0.9, horizon=50)}, "the block at period 0 does not continue the run folded so far"),
+    ({"cfg": make_cfg(load=0.9, horizon=50)}, "the block at period 0 does not continue the run so far"),
 ], ids=["late", "negative", "other_run"])
 def test_run_summary_rejecting_a_first_segment_leaves_the_fold_empty(first, message):
     # each first segment is cut from the fold's own run
@@ -430,15 +584,14 @@ def test_run_summary_rejecting_a_first_segment_leaves_the_fold_empty(first, mess
 def test_run_summary_folds_from_period_0_and_sees_the_violation_a_block_boundary_straddles():
     trace = run_simulation(SimConfig(EmfConfig(), TrafficConfig(load=0.0), horizon=40, policy_kind="cautious"))
     trace.c[15:25] = 1.5
-    first, second = (replace(trace, start=lo, **{name: getattr(trace, name)[lo:lo + 20] for name in sim._STORED_COLUMNS})
-                     for lo in (0, 20))
+    first, second = cut(trace, 0, 20), cut(trace, 20, 40)
     fold = RunSummary(trace.cfg)
     fold.add(first)
     fold.add(second)
     result = fold.result()
     assert (result["compliant"], result["worst_window_start"], result["worst_window_average"]) == (False, 15, 1.5)
     # alone, the second block would count periods 11-19 as zero and read the violation as compliant
-    with pytest.raises(ValueError, match="the block at period 20 does not continue the run folded so far"):
+    with pytest.raises(ValueError, match="the block at period 20 does not continue the run so far"):
         second.summary()
 
 
@@ -466,6 +619,7 @@ def test_a_trace_checks_its_columns_and_start_when_it_is_built(change, message):
         replace(trace, **change(trace))
     kept = replace(trace)  # the loop's float64 columns are held, not copied
     assert all(getattr(kept, name) is getattr(trace, name) for name in sim._STORED_COLUMNS)
+    assert sim.SimTrace(trace.cfg, 0, **{name: getattr(trace, name) for name in sim._STORED_COLUMNS}).t[0] == 0
 
 
 def test_window_sum_overflow_is_a_value_error():
@@ -551,6 +705,9 @@ def test_queue_drains_on_boundary_trace():
     ok, longest = queue_zero_every_window(np.full(100, EMF.threshold), EMF)
     assert ok
     assert longest == 0
+    for over, ok in ((EMF.window_w - 1, True), (EMF.window_w, False)):  # the queue stays positive for `over` periods
+        c = np.concatenate([[2 * EMF.threshold], np.full(over - 1, EMF.threshold), np.zeros(3)])
+        assert queue_zero_every_window(c, EMF) == (ok, over)
 
 
 def test_queue_never_drains_on_violating_trace():
@@ -750,7 +907,6 @@ def test_trace_csv_layout(tmp_path):
     assert set(first[8:]) <= {"0", "1"}
 
 
-
 def test_trace_csv_writes_one_run(tmp_path):
     cfg = make_cfg(load=0.6, horizon=250)
     with mock.patch.object(sim, "BLOCK_ROWS", 100):
@@ -759,7 +915,7 @@ def test_trace_csv_writes_one_run(tmp_path):
     for blocks in ([b1, b0], [b0, b2], [b0, replace(b1, replication=1)], [b0, replace(b1, cfg=make_cfg(load=0.9, horizon=250))]):
         chunks = trace_csv(blocks)
         written = [next(chunks), next(chunks)]  # the header and the first block's 100 rows
-        with pytest.raises(ValueError, match=f"the block at period {blocks[1].start} does not continue the blocks written"):
+        with pytest.raises(ValueError, match=f"the block at period {blocks[1].start} does not continue the run so far"):
             written.append(next(chunks))
         assert "".join(written).count("\n") == 101
         with pytest.raises(ValueError, match="does not continue"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from emfcap.budget import EmfConfig
-from emfcap.sim import SimConfig, run_blocks, run_simulation
+from emfcap.sim import RunSummary, SimConfig, run_blocks, run_simulation
 from emfcap.traffic import TrafficConfig, TrafficModel
 
 
@@ -109,16 +109,21 @@ def test_consume_never_exceeds_cap_and_conserves_demand():
 
 
 def test_negative_replication_rejected():
-    for bad in (-1, 2.7, True):
+    cfg = SimConfig(EmfConfig(), TrafficConfig(seed=0), horizon=5)
+    for bad in (-1, 2.7, True, "x"):
         with pytest.raises(ValueError):
             TrafficModel(TrafficConfig(seed=0), replication=bad)
         with pytest.raises(ValueError):
             TrafficModel(TrafficConfig(seed=0)).sample_demands(bad)
         with pytest.raises(ValueError):  # at the call, not at the first block
-            run_blocks(SimConfig(EmfConfig(), TrafficConfig(seed=0)), replication=bad)
+            run_blocks(cfg, replication=bad)
+        with pytest.raises(ValueError, match="replication"):  # a trace and a fold take the same rule
+            replace(run_simulation(cfg), replication=bad)
+        with pytest.raises(ValueError, match="replication"):
+            RunSummary(cfg, bad)
     assert TrafficModel(TrafficConfig(seed=0)).sample_demands(3.0).shape == (3,)
     assert TrafficModel(TrafficConfig(seed=0), replication=2.0).replication == 2
-    trace = run_simulation(SimConfig(EmfConfig(10, 1.0, 0.15), TrafficConfig(seed=0), horizon=5), replication=2.0)
+    trace = run_simulation(cfg, replication=2.0)
     assert type(trace.replication) is int and trace.replication == 2
 
 
