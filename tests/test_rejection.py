@@ -12,6 +12,7 @@ float range of either sign.
 """
 
 import math
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -114,9 +115,9 @@ def test_rejected_tracker_update_changes_nothing(cls, w, history, bad):
     with pytest.raises(ValueError):
         state.update(bad)
     assert (state.omega, state.budget, state.period) == before
-    # and the tracker goes on exactly as one that never saw the value
-    state.update(0.5)
-    twin.update(0.5)
+    # and the tracker goes on exactly as one that never saw the value, the largest float included
+    state.update(0.5).update(sys.float_info.max)
+    twin.update(0.5).update(sys.float_info.max)
     assert (state.omega, state.budget, state.period) == (twin.omega, twin.budget, twin.period)
 
 
@@ -131,6 +132,8 @@ def test_observe_and_consume_reject(bad, level):
     for cls, _ in POLICY_KINDS.values():
         with pytest.raises(ValueError, match="consumption must be finite and nonnegative"):
             cls(EmfConfig(), DppConfig()).observe(bad)
+        # the ends of the float range are legal: the largest float as a consumption, either end as a budget
+        cls(EmfConfig(), DppConfig()).decide(-sys.float_info.max).decide(sys.float_info.max).observe(sys.float_info.max)
 
     # math.isfinite raises on an int past the float range
     if isinstance(bad, int) or not math.isfinite(bad):

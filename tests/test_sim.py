@@ -15,7 +15,6 @@ from hypothesis import given, settings, stateful, strategies as st
 
 from emfcap import cli, sim
 from emfcap.budget import EmfConfig, budget_from_omega, omega_naive
-from emfcap.output import commit
 from emfcap.policy import POLICY_KINDS, DppConfig
 from emfcap.sim import (
     BLOCK_ROWS,
@@ -140,19 +139,6 @@ def test_a_whole_trace_folds_to_its_summary_and_its_streamed_fold(kind):
             streamed.add(block)
         summary = trace.summary()
     assert repr(whole.result()) == repr(summary) == repr(streamed.result())
-
-
-def test_summary_across_blocks_keeps_counts_and_moves_means_by_at_most_rounding():
-    trace = run_simulation(make_cfg(policy="greedy_exact", load=0.9, horizon=3000, scale=2.0, seed=3))
-    one = trace.summary()
-    with mock.patch.object(sim, "BLOCK_ROWS", 7):
-        many = trace.summary()
-    assert one.keys() == many.keys()
-    for key, value in one.items():
-        if key.startswith(("mean_", "total_")) and value is not None:
-            assert many[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
-        else:
-            assert repr(many[key]) == repr(value), key
 
 
 def test_summary_overflow_names_the_quantity():
@@ -324,36 +310,12 @@ WINDOWS = st.one_of(st.sampled_from([1, 2, 3, 7, 10, 37, 500, 10**6, sys.maxsize
 
 
 @settings(max_examples=400, deadline=None)
-@given(units=UNIT_SEQUENCES, scale=st.sampled_from([1.0, 0.15, 731.3]), w=WINDOWS)
-def test_verifier_is_the_prefix_gather_formula_bit_for_bit(units, scale, w):
-    c = np.array(units) * scale
-    report = verify_compliance(c, EmfConfig(window_w=w, threshold=scale))
-    worst, start = gathered_worst_window(c, w)
-    assert repr(report.worst_window_average) == repr(worst)
-    assert report.worst_window_start == start
-
-
-@settings(max_examples=400, deadline=None)
 @given(
     units=UNIT_SEQUENCES,
-    scale=st.sampled_from([1.0, 731.3]),
+    scale=st.sampled_from([1.0, 0.15, 731.3]),
     w=WINDOWS,
     burn_in=st.integers(0, 130),
-)
-def test_all_above_fraction_is_the_prefix_gather_formula_bit_for_bit(units, scale, w, burn_in):
-    c = np.array(units) * scale
-    floor = 0.15 * scale
-    expected = gathered_all_above_fraction(c, w, floor, burn_in)
-    assert repr(_all_above_fraction(c, w, floor, burn_in)) == repr(expected)
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    units=UNIT_SEQUENCES,
-    scale=st.sampled_from([1.0, 731.3]),
-    w=WINDOWS,
-    burn_in=st.integers(0, 130),
-    rows=st.integers(1, 17),
+    rows=st.sampled_from([BLOCK_ROWS]) | st.integers(1, 17),
 )
 def test_window_checks_across_blocks_are_the_whole_array_formula(units, scale, w, burn_in, rows):
     c = np.array(units) * scale
@@ -368,14 +330,6 @@ def test_window_checks_across_blocks_are_the_whole_array_formula(units, scale, w
     assert repr(fraction) == repr(expected)
 
 
-def test_compliance_check_skips_empty_blocks():
-    c = np.array([0.5, 2.0, 0.0, 1.0, 0.25])
-    check = ComplianceCheck(EmfConfig(window_w=2))
-    for part in ([], c[:1], [], c[1:4], [], c[4:]):
-        check.add(part)
-    assert check.report() == verify_compliance(c, EmfConfig(window_w=2))
-
-
 @pytest.mark.parametrize("block", [0.5, [[0.5, 0.25], [0.0, 1.0]]], ids=["0-d", "2-d"])
 def test_compliance_check_rejects_a_block_that_is_not_1d(block):
     check = ComplianceCheck(EmfConfig(window_w=2))
@@ -383,15 +337,6 @@ def test_compliance_check_rejects_a_block_that_is_not_1d(block):
     with pytest.raises(ValueError, match="trace must be a nonempty 1-d consumption sequence"):
         check.add(block)
     assert check.report() == verify_compliance([0.5, 0.25], EmfConfig(window_w=2))
-
-
-def test_compliance_check_keeps_the_views_before_a_rejected_value():
-    c = [0.5] * 4 + [2.0, -1.0, 0.5, 0.5]
-    check = ComplianceCheck(EmfConfig(window_w=2))
-    with mock.patch.object(sim, "BLOCK_ROWS", 4), pytest.raises(ValueError, match="consumption must be finite"):
-        check.add(c)
-    assert check.periods == 4
-    assert check.report() == verify_compliance(c[:4], EmfConfig(window_w=2))
 
 
 @pytest.mark.parametrize("run, block", [
@@ -593,18 +538,6 @@ def test_run_summary_folds_from_period_0_and_sees_the_violation_a_block_boundary
     # alone, the second block would count periods 11-19 as zero and read the violation as compliant
     with pytest.raises(ValueError, match="the block at period 20 does not continue the run so far"):
         second.summary()
-
-
-def test_run_summary_skips_empty_blocks():
-    trace = run_simulation(make_cfg(load=0.6, horizon=50))
-    empty = replace(trace, **{name: getattr(trace, name)[:0] for name in sim._STORED_COLUMNS})
-    fold = RunSummary(trace.cfg)
-    fold.add(empty)  # neither raises nor counts a period
-    with pytest.raises(ValueError, match="cannot summarize an empty run"):
-        fold.result()
-    fold.add(trace)
-    fold.add(empty)
-    assert fold.result() == trace.summary()
 
 
 @pytest.mark.parametrize("change, message", [
@@ -905,25 +838,6 @@ def test_trace_csv_layout(tmp_path):
     assert first[0] == "0"
     assert float(first[5]) == trace.budget_exact[0]
     assert set(first[8:]) <= {"0", "1"}
-
-
-def test_trace_csv_writes_one_run(tmp_path):
-    cfg = make_cfg(load=0.6, horizon=250)
-    with mock.patch.object(sim, "BLOCK_ROWS", 100):
-        b0, b1, b2 = run_blocks(cfg)
-    path = tmp_path / "trace.csv"
-    for blocks in ([b1, b0], [b0, b2], [b0, replace(b1, replication=1)], [b0, replace(b1, cfg=make_cfg(load=0.9, horizon=250))]):
-        chunks = trace_csv(blocks)
-        written = [next(chunks), next(chunks)]  # the header and the first block's 100 rows
-        with pytest.raises(ValueError, match=f"the block at period {blocks[1].start} does not continue the run so far"):
-            written.append(next(chunks))
-        assert "".join(written).count("\n") == 101
-        with pytest.raises(ValueError, match="does not continue"):
-            commit([(path, trace_csv(blocks))])
-        assert list(tmp_path.iterdir()) == []
-    # a later block on its own is legal and writes its own periods
-    rows = "".join(trace_csv([b1])).splitlines()
-    assert len(rows) == 101 and rows[1].startswith("100,")
 
 
 def test_trace_csv_is_replaced_atomically_with_plain_file_mode(tmp_path):
