@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from emfcap import cli, sim
-from emfcap.bench import bench_conservative_update, bench_exact_update, bench_scratch, bench_suite
+from emfcap.bench import bench_conservative_update, bench_exact_update, bench_scratch, bench_suite, scratch_call_count
 from emfcap.budget import EmfConfig
 from emfcap.cli import COMMANDS, _json_text, _trace_blocks, main
 from emfcap.output import commit
@@ -417,6 +417,9 @@ def test_bench_suite_sizes_must_be_integral():
     rows = bench_suite([10.0], updates=300.0)
     assert {(type(r["window_w"]), r["window_w"]) for r in rows} == {(int, 10)}
     assert {r["updates"] for r in rows} == {300}
+    # the linear recompute takes at least 200 samples, and at most 2e6 / w once that floor is met
+    assert [scratch_call_count(w, n) for w, n in ((4, 100), (10, 10**6), (10**4, 10**6))] == [200, 200_000, 200]
+    assert bench_scratch(4, updates=100)["updates"] == 200
 
 
 def small_runs(trace):

@@ -56,21 +56,6 @@ def test_queue_update_exact_balance():
     assert policy.queue == 0.0
 
 
-def test_dpp_config_validation():
-    for v_weight, alpha, beta in (
-        (0.0, 1.0, 0.95),
-        (math.inf, 1.0, 0.95),
-        (math.nan, 1.0, 0.95),
-        (15.0, -1.0, 0.95),
-        (15.0, math.inf, 0.95),
-        (15.0, math.nan, 0.95),
-        (15.0, 1.0, 1.5),
-        (15.0, 1.0, math.nan),
-    ):
-        with pytest.raises(ValueError):
-            DppConfig(v_weight, alpha, beta)
-
-
 # ── drift-plus-penalty control ────────────────────────────────────────
 
 

@@ -110,37 +110,6 @@ def test_determinism_bitwise():
         assert np.array_equal(getattr(a, col), getattr(b, col)), col
 
 
-STORED = ("d", "backlog", "gamma", "c", "budget_exact", "budget_conservative", "queue")
-
-
-@pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
-def test_blocks_are_the_single_block_run_cut_up(kind):
-    cfg = make_cfg(policy=kind, load=0.6, horizon=250, scale=1.5, seed=4)
-    whole = run_simulation(cfg, replication=2)
-    with mock.patch.object(sim, "BLOCK_ROWS", 100):
-        blocks = list(run_blocks(cfg, replication=2))
-    assert [(b.start, len(b)) for b in blocks] == [(0, 100), (100, 100), (200, 50)]
-    for col in STORED + ("t", "clamped_low", "clamped_high"):
-        joined = np.concatenate([getattr(b, col) for b in blocks])
-        assert joined.dtype == getattr(whole, col).dtype and np.array_equal(joined, getattr(whole, col)), col
-    assert all((b.cfg, b.replication) == (cfg, 2) for b in blocks)
-    assert "".join(trace_csv(blocks)) == "".join(trace_csv([whole]))
-
-
-@pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
-def test_a_whole_trace_folds_to_its_summary_and_its_streamed_fold(kind):
-    cfg = make_cfg(policy=kind, load=0.6, horizon=3000, scale=1.5, seed=4)
-    trace = run_simulation(cfg, replication=1)
-    with mock.patch.object(sim, "BLOCK_ROWS", 7):
-        whole = RunSummary(cfg, 1)
-        whole.add(trace)
-        streamed = RunSummary(cfg, 1)
-        for block in run_blocks(cfg, replication=1):
-            streamed.add(block)
-        summary = trace.summary()
-    assert repr(whole.result()) == repr(summary) == repr(streamed.result())
-
-
 def test_summary_overflow_names_the_quantity():
     emf = EmfConfig(window_w=10, threshold=1e306, guaranteed_ratio=0.15)
     trace = run_simulation(make_cfg(load=0.2, horizon=1000, scale=2.5e305, emf=emf))
@@ -483,6 +452,7 @@ class StreamingContract(stateful.RuleBasedStateMachine):
         trace = self.trace
         self.feed(cut(trace, self.at, len(trace)))
         summary, result = trace.summary(), self.fold.result()
+        assert summary["peak_backlog"] == trace.backlog.max()  # of the whole run, not of its last view
         assert result.keys() == summary.keys()
         for key, value in summary.items():  # the cuts can move the last bits of totals and means
             if key.startswith(("mean_", "total_")) and value is not None:

@@ -13,21 +13,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrafficConfig(load=1.2)
     with pytest.raises(ValueError):
-        TrafficConfig(zipf_exponent=1.0)
-    with pytest.raises(ValueError):
         TrafficConfig(zipf_exponent=math.inf)
     with pytest.raises(ValueError):
         TrafficConfig(zipf_exponent=math.nan)
     with pytest.raises(ValueError):
-        TrafficConfig(zipf_support=0)
-    with pytest.raises(ValueError):
-        TrafficConfig(demand_scale=0.0)
-    with pytest.raises(ValueError):
         TrafficConfig(demand_scale=math.inf)
     with pytest.raises(ValueError):
         TrafficConfig(demand_scale=math.nan)
-    with pytest.raises(ValueError):
-        TrafficConfig(seed=-1)
     with pytest.raises(ValueError):
         TrafficConfig(seed=2**64)
     # demand_scale * zipf_support is the largest demand sample_demands can return
